@@ -25,42 +25,14 @@ namespace {
 /// InFlight entries carrying it never touch lanes_.
 constexpr std::size_t kHostLane = ~std::size_t{0};
 
-/// Cycle geometry of one superbank lane configured for a degree class,
-/// derived from the same performance model the offline scheduler uses:
-/// one request enters per `segments * beat` cycles and completes a fill
-/// (plus any extra segment beats) after entering.
-struct LaneGeometry {
-  unsigned banks = 0;       ///< banks_per_superbank
-  unsigned segments = 1;
-  std::uint64_t beat = 0;   ///< slowest-stage cycles
-  std::uint64_t fill = 0;   ///< depth * beat
-  std::uint64_t service() const noexcept {
-    return fill + (segments - 1) * beat;
-  }
-  std::uint64_t occupancy() const noexcept { return segments * beat; }
-};
-
-LaneGeometry geometry_for(const arch::ChipConfig& chip, std::uint32_t degree) {
-  // Geometry (banks per superbank, segments) is degree-intrinsic; the
-  // failed-bank count only shrinks how many lanes fit, which the
-  // runtime's own bank pool accounts for. Cached per (design point,
-  // degree): cryptopim_pipelined measures stage latencies by executing
-  // the datapath, far too slow to re-run on every arrival.
-  thread_local std::map<std::pair<std::uint32_t, std::uint32_t>, LaneGeometry>
-      cache;
-  const auto key = std::make_pair(chip.design_max_n, degree);
-  if (const auto it = cache.find(key); it != cache.end()) return it->second;
-
-  const auto plan = chip.plan_for_degree(degree);
-  const auto perf =
-      model::cryptopim_pipelined(std::min(degree, chip.design_max_n));
-  LaneGeometry g;
-  g.banks = plan.banks_per_superbank;
-  g.segments = plan.segments;
-  g.beat = perf.slowest_stage_cycles;
-  g.fill = static_cast<std::uint64_t>(perf.depth) * perf.slowest_stage_cycles;
-  cache.emplace(key, g);
-  return g;
+/// The pipeline's stage timing at degree n. It evaluates the paper_latency
+/// formulas, depends on n alone and costs microseconds per call, so it
+/// is memoized (a fleet primes the same degrees on every chip).
+const model::PipelinePerf& pipeline_perf(std::uint32_t n) {
+  thread_local std::map<std::uint32_t, model::PipelinePerf> memo;
+  auto it = memo.find(n);
+  if (it == memo.end()) it = memo.emplace(n, model::cryptopim_pipelined(n)).first;
+  return it->second;
 }
 
 }  // namespace
@@ -213,7 +185,7 @@ struct ServingRuntime::Lane {
 
 struct ServingRuntime::InFlight {
   Request request;
-  std::size_t lane = 0;
+  std::size_t lane = kHostLane;
   std::uint64_t dispatched_at = 0;
   bool corrupt = false;      ///< dispatched into a corrupting window
   bool chip_corrupt = false; ///< dispatched during a corruption storm
@@ -225,6 +197,24 @@ struct ServingRuntime::InFlight {
 ServingRuntime::ServingRuntime(ServingConfig cfg)
     : cfg_(std::move(cfg)), events_(0, cfg_.chip_id) {}
 ServingRuntime::~ServingRuntime() = default;
+
+const ServingRuntime::LaneGeometry& ServingRuntime::geometry(
+    std::uint32_t degree) {
+  if (const auto it = geometry_.find(degree); it != geometry_.end()) {
+    return it->second;
+  }
+  // Banks per superbank and segments are degree-intrinsic for this chip;
+  // failed banks only shrink how many lanes fit, which the runtime's own
+  // bank pool accounts for. Throws when no superbank of the class fits.
+  const auto plan = cfg_.chip.plan_for_degree(degree);
+  const auto& perf = pipeline_perf(std::min(degree, cfg_.chip.design_max_n));
+  LaneGeometry g;
+  g.banks = plan.banks_per_superbank;
+  g.segments = plan.segments;
+  g.beat = perf.slowest_stage_cycles;
+  g.fill = static_cast<std::uint64_t>(perf.depth) * perf.slowest_stage_cycles;
+  return geometry_.emplace(degree, g).first->second;
+}
 
 unsigned ServingRuntime::usable_banks() const noexcept {
   const unsigned lost = failed_banks_ > cfg_.chip.spare_banks
@@ -239,9 +229,16 @@ void ServingRuntime::schedule_scan(std::uint64_t cycle) {
   // infinite same-cycle loop; the earliest useful re-scan is next cycle.
   if (cycle <= now_) cycle = now_ + 1;
   if (!scan_cycles_.insert(cycle).second) return;  // already armed
+  push_event(EventKind::kQueueScan, cycle);
+}
+
+void ServingRuntime::push_event(EventKind kind, std::uint64_t cycle,
+                                std::uint64_t dispatch_id, Request r) {
   Event e;
   e.cycle = cycle;
-  e.kind = EventKind::kQueueScan;
+  e.kind = kind;
+  e.dispatch_id = dispatch_id;
+  e.request = std::move(r);
   events_.push(std::move(e));
 }
 
@@ -263,12 +260,12 @@ void ServingRuntime::prime() {
   if (cfg_.workload.mix.empty()) {
     throw std::invalid_argument("degree mix must not be empty");
   }
-  for (const auto& share : cfg_.workload.mix) {
-    geometry_for(cfg_.chip, share.degree);  // throws on an invalid degree
-  }
+  // This chip's lane geometry table: throws on a degree it cannot host.
+  geometry_.clear();
+  for (const auto& share : cfg_.workload.mix) geometry(share.degree);
   if (cfg_.protocol.enabled()) {
     dag_ = compile_protocol(cfg_.protocol);  // throws on bad shares
-    geometry_for(cfg_.chip, dag_.lane_degree);
+    geometry(dag_.lane_degree);
   }
   protos_.clear();
   proto_harness_.reset();
@@ -346,18 +343,12 @@ void ServingRuntime::prime() {
                                             horizon);
     }
     for (const auto& a : workload_->initial()) {
-      Event e;
-      e.cycle = a.cycle;
-      e.kind = EventKind::kArrival;
-      e.request = a.request;
-      events_.push(std::move(e));
+      push_event(EventKind::kArrival, a.cycle, 0, a.request);
     }
   }
   if (cfg_.fail_bank_at_us > 0) {
-    Event e;
-    e.cycle = static_cast<std::uint64_t>(cfg_.fail_bank_at_us * cyc_per_us);
-    e.kind = EventKind::kBankFailure;
-    events_.push(std::move(e));
+    push_event(EventKind::kBankFailure,
+               static_cast<std::uint64_t>(cfg_.fail_bank_at_us * cyc_per_us));
   }
 
   if (resilience_on_) {
@@ -469,11 +460,7 @@ ServingReport ServingRuntime::seal() {
 // -- fleet drive --------------------------------------------------------------
 
 void ServingRuntime::inject(Request r, std::uint64_t cycle) {
-  Event e;
-  e.cycle = std::max(cycle, now_);
-  e.kind = EventKind::kArrival;
-  e.request = std::move(r);
-  events_.push(std::move(e));
+  push_event(EventKind::kArrival, std::max(cycle, now_), 0, std::move(r));
 }
 
 void ServingRuntime::emit_outcome(const Request& r, Outcome o) {
@@ -598,18 +585,12 @@ obs::Json ServingRuntime::snapshot_state() const {
 }
 
 std::vector<Request> ServingRuntime::extract_pending() {
-  // Pending timeouts of migrated requests no-op: handle_timeout scans
-  // pending_ by id and finds nothing.
-  if (!cfg_.protocol.enabled()) {
-    std::vector<Request> out;
-    out.swap(pending_);
-    report_.migrated += out.size();
-    return out;
-  }
-  // Protocol drain: only whole untouched DAGs migrate (the origin is
-  // re-expanded on the target chip). A protocol with any op dispatched,
-  // completed or in retry backoff keeps its remaining ops here — its
-  // in-flight work must join on this chip.
+  // Only whole untouched DAGs migrate: a queued one-op DAG always; a
+  // larger one (re-expanded from its origin on the target chip) only
+  // while none of its ops was dispatched, completed or is in retry
+  // backoff — otherwise its in-flight work must join on this chip and
+  // its remaining ops stay here. Pending timeouts of migrated requests
+  // no-op: handle_timeout scans pending_ by id and finds nothing.
   std::map<std::uint64_t, std::size_t> queued_ops;
   for (const Request& r : pending_) queued_ops[r.proto_id] += 1;
   std::set<std::uint64_t> movable;
@@ -618,22 +599,20 @@ std::vector<Request> ServingRuntime::extract_pending() {
       movable.insert(pid);
     }
   }
-  std::vector<Request> keep;
-  std::uint64_t moved_ops = 0;
+  std::vector<Request> out, keep;
   for (Request& r : pending_) {
-    if (movable.contains(r.proto_id)) {
-      moved_ops += 1;  // the op is dropped; its origin migrates whole
-    } else {
+    if (r.proto_id == 0) {
+      out.push_back(std::move(r));
+    } else if (!movable.contains(r.proto_id)) {
       keep.push_back(std::move(r));
-    }
+    }  // else the op is dropped: its origin migrates whole
   }
+  report_.migrated += pending_.size() - keep.size();
   pending_ = std::move(keep);
-  std::vector<Request> out;
   for (const std::uint64_t pid : movable) {
     out.push_back(std::move(protos_.at(pid).origin));
     protos_.erase(pid);
   }
-  report_.migrated += moved_ops;
   return out;
 }
 
@@ -709,19 +688,22 @@ void ServingRuntime::record_bad_outcome(const char* counter) {
 }
 
 void ServingRuntime::handle_arrival(const Event& e) {
-  // Protocol mode: every arrival (generated or fleet-injected) is a
-  // protocol-level request to compile into a DAG. Op retries re-enter
-  // through kRetryEnqueue, never through kArrival.
-  if (cfg_.protocol.enabled()) {
-    handle_proto_arrival(e);
-    return;
-  }
-  Request r = e.request;
-  report_.submitted += 1;
-  TenantStats& ts = report_.tenants.at(r.tenant);
-  ts.submitted += 1;
+  // Every arrival (generated or fleet-injected) is admitted whole, as a
+  // DAG: a protocol request compiles to dag_'s ops, a raw polymul is its
+  // own single op. Op retries re-enter through kRetryEnqueue, never here.
+  Request origin = e.request;
+  const bool dag = cfg_.protocol.enabled();
+  const std::size_t n_ops = dag ? dag_.ops.size() : 1;
+  const std::uint32_t degree = dag ? dag_.lane_degree : origin.degree;
+  TenantStats& ts = report_.tenants.at(origin.tenant);
+  // The ledger stays at op granularity, so the conservation identities
+  // hold with primitive ops as the unit of work; the protocol block
+  // counts whole requests.
+  report_.submitted += n_ops;
+  ts.submitted += n_ops;
+  if (dag) report_.protocol.requests += 1;
   report_.queue_depth.add(pending_.size());
-  report_.series.count("submitted", now_);
+  report_.series.count("submitted", now_, n_ops);
   report_.series.observe("queue_depth", now_, pending_.size());
   obs::metrics()
       .histogram("cryptopim.runtime.queue_depth", "requests")
@@ -731,107 +713,137 @@ void ServingRuntime::handle_arrival(const Event& e) {
   // backpressure never throttles the *offered* load. (Fleet drive has no
   // generator: the front-end injects every arrival itself.)
   if (workload_) {
-    Arrival this_arrival{e.cycle, r};
-    if (auto next = workload_->next_after_arrival(this_arrival)) {
-      Event ne;
-      ne.cycle = next->cycle;
-      ne.kind = EventKind::kArrival;
-      ne.request = next->request;
-      events_.push(std::move(ne));
+    if (auto next = workload_->next_after_arrival({e.cycle, origin})) {
+      push_event(EventKind::kArrival, next->cycle, 0, std::move(next->request));
     }
   }
 
-  const LaneGeometry g = geometry_for(cfg_.chip, r.degree);
+  // All-or-nothing admission at the DAG's lane degree.
+  const LaneGeometry& g = geometry(degree);
+  const auto reject = [&](const char* reason, std::uint64_t& counter,
+                          std::uint64_t& tenant_counter) {
+    counter += n_ops;
+    tenant_counter += n_ops;
+    if (dag) report_.protocol.rejected += 1;
+    record_bad_outcome("rejected");
+    if (elog_on()) {
+      obs::Json rec = ev_base("rejected", origin);
+      rec.set("reason", reason);
+      event_log_->log(std::move(rec));
+    }
+    emit_outcome(origin, Outcome::kRejected);
+  };
   if (g.banks > usable_banks()) {
-    report_.rejected_unservable += 1;
-    ts.rejected += 1;
-    record_bad_outcome("rejected");
-    if (elog_on()) {
-      obs::Json rec = ev_base("rejected", r);
-      rec.set("reason", "unservable");
-      event_log_->log(std::move(rec));
-    }
-    emit_outcome(r, Outcome::kRejected);
+    reject("unservable", report_.rejected_unservable, ts.rejected);
     return;
   }
-  if (pending_.size() >= cfg_.queue_capacity) {
-    report_.rejected += 1;
-    ts.rejected += 1;
-    record_bad_outcome("rejected");
-    if (elog_on()) {
-      obs::Json rec = ev_base("rejected", r);
-      rec.set("reason", "queue_full");
-      event_log_->log(std::move(rec));
-    }
-    emit_outcome(r, Outcome::kRejected);
+  if (pending_.size() + n_ops > cfg_.queue_capacity) {
+    reject("queue_full", report_.rejected, ts.rejected);
     return;
-  }
-  r.service_cycles = g.service();
-  if (cfg_.deadline_slack > 0) {
-    r.deadline_cycle =
-        r.arrival_cycle +
-        static_cast<std::uint64_t>(cfg_.deadline_slack *
-                                   static_cast<double>(r.service_cycles));
   }
   const bool hard_deadline = resilience_on_ && cfg_.resilience.deadline_us > 0;
+  const std::uint64_t deadline =
+      hard_deadline
+          ? origin.arrival_cycle +
+                static_cast<std::uint64_t>(cfg_.resilience.deadline_us *
+                                           cfg_.cycles_per_us())
+          : 0;
+  // Stamp an op's service time and deadline (slack-derived, or the hard
+  // deadline, which wins). A raw request is its own op, stamped before
+  // it is journaled so replay matches the exact field set it is served
+  // with; a larger DAG journals its unstamped origin.
+  const auto stamp = [&](Request& r, std::uint64_t service) {
+    r.service_cycles = service;
+    if (cfg_.deadline_slack > 0) {
+      r.deadline_cycle =
+          r.arrival_cycle +
+          static_cast<std::uint64_t>(cfg_.deadline_slack *
+                                     static_cast<double>(service));
+    }
+    if (hard_deadline) r.deadline_cycle = deadline;
+  };
+  if (!dag) stamp(origin, g.service());
   if (hard_deadline) {
-    r.deadline_cycle =
-        r.arrival_cycle + static_cast<std::uint64_t>(
-                              cfg_.resilience.deadline_us *
-                              cfg_.cycles_per_us());
     // Deadline propagation into admission: the class backlog ahead of
     // this request, served at the class's live lane count, must still
     // leave room for one service before the deadline. Rejecting here is
-    // kinder than admitting work that can only miss.
+    // kinder than admitting work that can only miss. One op's service
+    // is a lower bound on a DAG's, so no DAG that could finish is
+    // rejected.
     std::uint64_t backlog = 0;
-    for (const Request& p : pending_) backlog += p.degree == r.degree;
+    for (const Request& p : pending_) backlog += p.degree == degree;
     unsigned lanes_alive = 0;
     for (const Lane& lane : lanes_) {
-      lanes_alive += !lane.dead && !lane.draining && lane.degree == r.degree;
+      lanes_alive += !lane.dead && !lane.draining && lane.degree == degree;
     }
     // No lane yet: one will be carved, so the backlog drains at 1 lane.
     const std::uint64_t wait =
         backlog * g.occupancy() / std::max(1u, lanes_alive);
-    if (now_ + wait + g.service() > r.deadline_cycle) {
-      report_.resilience.rejected_deadline += 1;
-      ts.rejected_deadline += 1;
-      record_bad_outcome("rejected");
-      if (elog_on()) {
-        obs::Json rec = ev_base("rejected", r);
-        rec.set("reason", "deadline_infeasible");
-        event_log_->log(std::move(rec));
-      }
-      emit_outcome(r, Outcome::kRejected);
+    if (now_ + wait + g.service() > deadline) {
+      reject("deadline_infeasible", report_.resilience.rejected_deadline,
+             ts.rejected_deadline);
       return;
     }
   }
-  report_.admitted += 1;
-  ts.admitted += 1;
-  report_.series.count("admitted", now_);
-  // Admission commitment: journaled after the deadline stamp so replay
-  // matches the exact field set the runtime serves.
+  report_.admitted += n_ops;
+  ts.admitted += n_ops;
+  report_.series.count("admitted", now_, n_ops);
+  // One admission commitment per request: a DAG's op expansion below is
+  // a pure function of its origin, so replay re-derives every op.
   if (journal_ != nullptr) {
-    journal_->record(Journal::admit_payload(jidx(), now_, r));
+    journal_->record(Journal::admit_payload(jidx(), now_, origin));
   }
   if (elog_on()) {
-    obs::Json rec = ev_base("admitted", r);
-    rec.set("degree", std::uint64_t{r.degree});
-    if (r.deadline_cycle > 0) rec.set("deadline", r.deadline_cycle);
+    obs::Json rec = ev_base("admitted", origin);
+    rec.set("degree", std::uint64_t{degree});
+    if (origin.deadline_cycle > 0) rec.set("deadline", origin.deadline_cycle);
+    if (dag) {
+      rec.set("protocol", report_.protocol.kind);
+      rec.set("ops", std::uint64_t{n_ops});
+    }
     event_log_->log(std::move(rec));
   }
-  if (retry_budget_) retry_budget_->on_admitted(r.tenant);
-  if (hard_deadline) {
-    Event te;
-    te.cycle = r.deadline_cycle;
-    te.kind = EventKind::kTimeout;
-    te.dispatch_id = r.id;
-    events_.push(std::move(te));
+  if (retry_budget_) retry_budget_->on_admitted(origin.tenant);
+
+  // Protocol ids are 1-based: proto_id == 0 marks a one-op DAG, and
+  // origin ids start at 0.
+  const std::uint64_t pid = origin.id + 1;
+  if (dag) {
+    protos_[pid] = ProtoState{.origin = origin,
+                              .op_count = static_cast<std::uint32_t>(n_ops)};
   }
-  pending_.push_back(std::move(r));
+  for (std::size_t i = 0; i < n_ops; ++i) {
+    Request r = origin;
+    if (dag) {
+      const ProtoOp& op = dag_.ops[i];
+      // Op ids order the DAG by (protocol arrival, op index) under every
+      // policy's older() tie-break, and stay unique: op_count <= 64.
+      r.id = (origin.id << 6) | i;
+      r.proto_id = pid;
+      r.op_index = static_cast<std::uint32_t>(i);
+      r.op_class = op.cls;
+      r.fanout_group = op.fanout_group;
+      r.parent_mask = op.parent_mask;
+      r.degree = op.degree;
+      stamp(r, is_host_op(r) ? cfg_.protocol.host_op_cycles
+                             : geometry(op.degree).service());
+    }
+    if (hard_deadline) push_event(EventKind::kTimeout, r.deadline_cycle, r.id);
+    if (dag && elog_on()) {
+      obs::Json rec = ev_base("protocol_op", r);
+      rec.set("proto", pid);
+      rec.set("op", std::uint64_t{r.op_index});
+      rec.set("cls", op_class_name(r.op_class));
+      if (r.parent_mask != 0) rec.set("parents", r.parent_mask);
+      if (r.fanout_group != 0) rec.set("group", std::uint64_t{r.fanout_group});
+      event_log_->log(std::move(rec));
+    }
+    pending_.push_back(std::move(r));
+  }
   try_dispatch();
 }
 
-// -- protocol DAG serving -----------------------------------------------------
+// -- DAG steps ----------------------------------------------------------------
 
 bool ServingRuntime::is_host_op(const Request& r) noexcept {
   return r.proto_id != 0 && (r.op_class == OpClass::kSample ||
@@ -844,159 +856,32 @@ bool ServingRuntime::proto_ready(const Request& r) const {
   return (it->second.done_mask & r.parent_mask) == r.parent_mask;
 }
 
-void ServingRuntime::handle_proto_arrival(const Event& e) {
-  const Request& origin = e.request;
-  const std::size_t n_ops = dag_.ops.size();
-  TenantStats& ts = report_.tenants.at(origin.tenant);
-  // The ledger stays at op granularity — the serving/2 conservation
-  // identities (submitted == admitted + rejected, ...) keep holding with
-  // primitive ops as the unit of work; the protocol block counts whole
-  // requests.
-  report_.submitted += n_ops;
-  ts.submitted += n_ops;
-  report_.protocol.requests += 1;
-  report_.queue_depth.add(pending_.size());
-  report_.series.count("submitted", now_, n_ops);
-  report_.series.observe("queue_depth", now_, pending_.size());
-  obs::metrics()
-      .histogram("cryptopim.runtime.queue_depth", "requests")
-      .add(pending_.size());
-
-  // Chain the next open-loop arrival before any admission decision.
-  if (workload_) {
-    Arrival this_arrival{e.cycle, origin};
-    if (auto next = workload_->next_after_arrival(this_arrival)) {
-      Event ne;
-      ne.cycle = next->cycle;
-      ne.kind = EventKind::kArrival;
-      ne.request = next->request;
-      events_.push(std::move(ne));
-    }
-  }
-
-  // All-or-nothing admission: the whole DAG must be servable and fit.
-  const auto reject = [&](const char* reason, std::uint64_t& counter) {
-    counter += n_ops;
-    ts.rejected += n_ops;
-    report_.protocol.rejected += 1;
-    record_bad_outcome("rejected");
-    if (elog_on()) {
-      obs::Json rec = ev_base("rejected", origin);
-      rec.set("reason", reason);
-      event_log_->log(std::move(rec));
-    }
-    emit_outcome(origin, Outcome::kRejected);
-  };
-  if (geometry_for(cfg_.chip, dag_.lane_degree).banks > usable_banks()) {
-    reject("unservable", report_.rejected_unservable);
-    return;
-  }
-  if (pending_.size() + n_ops > cfg_.queue_capacity) {
-    reject("queue_full", report_.rejected);
-    return;
-  }
-
-  report_.admitted += n_ops;
-  ts.admitted += n_ops;
-  report_.series.count("admitted", now_, n_ops);
-  // One admission commitment for the whole DAG: the op expansion below
-  // is a pure function of the origin, so replay re-derives every op.
-  if (journal_ != nullptr) {
-    journal_->record(Journal::admit_payload(jidx(), now_, origin));
-  }
-  if (retry_budget_) retry_budget_->on_admitted(origin.tenant);
-  const bool hard_deadline = resilience_on_ && cfg_.resilience.deadline_us > 0;
-
-  // Protocol ids are 1-based: proto_id == 0 is the raw-request sentinel
-  // on Request, and origin ids start at 0.
-  const std::uint64_t pid = origin.id + 1;
-  ProtoState st;
-  st.origin = origin;
-  st.op_count = static_cast<std::uint32_t>(n_ops);
-  protos_[pid] = std::move(st);
-
-  if (elog_on()) {
-    obs::Json rec = ev_base("admitted", origin);
-    rec.set("degree", std::uint64_t{dag_.lane_degree});
-    rec.set("protocol", report_.protocol.kind);
-    rec.set("ops", std::uint64_t{n_ops});
-    event_log_->log(std::move(rec));
-  }
-
-  for (std::size_t i = 0; i < n_ops; ++i) {
-    const ProtoOp& op = dag_.ops[i];
-    Request r = origin;
-    // Op ids order the DAG by (protocol arrival, op index) under every
-    // policy's older() tie-break, and stay unique: op_count <= 64.
-    r.id = (origin.id << 6) | i;
-    r.proto_id = pid;
-    r.op_index = static_cast<std::uint32_t>(i);
-    r.op_class = op.cls;
-    r.fanout_group = op.fanout_group;
-    r.parent_mask = op.parent_mask;
-    r.degree = op.degree;
-    const bool host =
-        op.cls == OpClass::kSample || op.cls == OpClass::kAggregate;
-    r.service_cycles = host ? cfg_.protocol.host_op_cycles
-                            : geometry_for(cfg_.chip, op.degree).service();
-    if (cfg_.deadline_slack > 0) {
-      r.deadline_cycle =
-          r.arrival_cycle +
-          static_cast<std::uint64_t>(cfg_.deadline_slack *
-                                     static_cast<double>(r.service_cycles));
-    }
-    if (hard_deadline) {
-      r.deadline_cycle =
-          r.arrival_cycle + static_cast<std::uint64_t>(
-                                cfg_.resilience.deadline_us *
-                                cfg_.cycles_per_us());
-      Event te;
-      te.cycle = r.deadline_cycle;
-      te.kind = EventKind::kTimeout;
-      te.dispatch_id = r.id;
-      events_.push(std::move(te));
-    }
-    if (elog_on()) {
-      obs::Json rec = ev_base("protocol_op", r);
-      rec.set("proto", pid);
-      rec.set("op", std::uint64_t{r.op_index});
-      rec.set("cls", op_class_name(op.cls));
-      if (op.parent_mask != 0) rec.set("parents", op.parent_mask);
-      if (op.fanout_group != 0) {
-        rec.set("group", std::uint64_t{op.fanout_group});
-      }
-      event_log_->log(std::move(rec));
-    }
-    pending_.push_back(std::move(r));
-  }
-  try_dispatch();
-}
-
 void ServingRuntime::try_dispatch() {
   std::set<std::uint32_t> blocked;
   std::set<std::uint64_t> skipped;  // fan-out ops boxed out by siblings
   while (!pending_.empty()) {
     std::vector<bool> eligible(pending_.size());
-    bool any = false;
+    std::size_t n_eligible = 0;
     for (std::size_t i = 0; i < pending_.size(); ++i) {
       const Request& p = pending_[i];
-      // Dependency frontier: a DAG op waits for its parents. Host ops
-      // never touch lanes, so a blocked degree class does not gate them.
-      eligible[i] = (is_host_op(p) || !blocked.contains(p.degree)) &&
-                    !skipped.contains(p.id) &&
-                    (p.proto_id == 0 || proto_ready(p));
-      any = any || eligible[i];
+      // Dependency frontier: a DAG op waits for its parents (a root op,
+      // like a one-op DAG, has none to wait for). Host ops never touch
+      // lanes, so a blocked degree class does not gate them.
+      const bool ok = (is_host_op(p) || !blocked.contains(p.degree)) &&
+                      !skipped.contains(p.id) &&
+                      (p.parent_mask == 0 || proto_ready(p));
+      eligible[i] = ok;
+      n_eligible += ok;
     }
-    if (!any) break;
+    if (n_eligible == 0) break;
     PolicyContext ctx;
     ctx.now = now_;
     ctx.tenant_usage = tenant_usage_;
     const std::size_t idx = policy_->pick(pending_, eligible, ctx);
     if (idx == Policy::npos) break;
-    const bool host = is_host_op(pending_[idx]);
     Lane* lane = nullptr;
-    if (!host) {
-      lane = acquire_lane_for(pending_[idx]);
+    if (!is_host_op(pending_[idx])) {
+      lane = acquire_lane(pending_[idx]);
       if (!lane) {
         // A fan-out op may be boxed out only by its in-flight siblings;
         // other work in the class can still run, so skip just this op (a
@@ -1012,63 +897,38 @@ void ServingRuntime::try_dispatch() {
     // CoDel-style shedding at dequeue: when the minimum queueing sojourn
     // has stayed above target for a full interval, drop instead of
     // serving (and tighten the drop cadence) until the queue recovers.
-    if (shedder_.enabled()) {
-      const std::uint64_t sojourn = now_ - pending_[idx].arrival_cycle;
-      if (shedder_.should_drop(sojourn, now_)) {
-        Request dropped = std::move(pending_[idx]);
-        pending_.erase(pending_.begin() + static_cast<long>(idx));
-        report_.resilience.shed += 1;
-        record_bad_outcome("shed");
-        if (elog_on()) {
-          obs::Json rec = ev_base("shed", dropped);
-          rec.set("sojourn", sojourn);
-          event_log_->log(std::move(rec));
-        }
-        if (dropped.proto_id != 0) {
-          // Shedding one op sheds the protocol: siblings are useless.
-          fail_protocol(dropped.proto_id, Outcome::kShed);
-        } else {
-          notify_request_gone(dropped);
-          emit_outcome(dropped, Outcome::kShed);
-        }
-        continue;
+    // Shedding one op of a larger DAG sheds the whole DAG.
+    Request r = std::move(pending_[idx]);
+    const bool shed = shedder_.enabled() &&
+                      shedder_.should_drop(now_ - r.arrival_cycle, now_);
+    pending_.erase(pending_.begin() + static_cast<long>(idx));
+    if (shed) {
+      fail(r, Outcome::kShed, report_.resilience.shed);
+    } else {
+      launch(std::move(r), lane);
+    }
+  }
+}
+
+ServingRuntime::Lane* ServingRuntime::acquire_lane(const Request& r,
+                                                   const InFlight* straggler) {
+  // Lanes this op may not take. A hedge needs a *second* lane. A fan-out
+  // op never shares a lane with an in-flight sibling of its group — the
+  // point of the fan-out is limb/share parallelism across lanes. No
+  // deadlock risk: a sibling's completion re-runs dispatch with a
+  // smaller exclusion set (worst case the group serializes).
+  std::set<std::size_t> exclude;
+  if (straggler != nullptr) {
+    exclude.insert(straggler->lane);
+  } else if (r.fanout_group != 0) {
+    for (const auto& [id, inf] : in_flight_) {
+      if (inf.request.proto_id == r.proto_id &&
+          inf.request.fanout_group == r.fanout_group && inf.lane != kHostLane) {
+        exclude.insert(inf.lane);
       }
     }
-    if (host) {
-      dispatch_host(idx);
-    } else {
-      dispatch(idx, *lane);
-    }
   }
-}
-
-ServingRuntime::Lane* ServingRuntime::acquire_lane_for(const Request& r) {
-  if (r.proto_id == 0 || r.fanout_group == 0) return acquire_lane(r.degree);
-  // Fan-out op: never share a lane with an in-flight sibling of the same
-  // group — the point of the fan-out is limb/share parallelism across
-  // lanes. No deadlock risk: a sibling's completion re-runs dispatch
-  // with a smaller exclusion set (worst case the group serializes).
-  std::set<std::size_t> excl;
-  for (const auto& [id, inf] : in_flight_) {
-    if (inf.request.proto_id == r.proto_id &&
-        inf.request.fanout_group == r.fanout_group && inf.lane != kHostLane) {
-      excl.insert(inf.lane);
-    }
-  }
-  return acquire_lane(r.degree, excl, /*allow_scan=*/true);
-}
-
-ServingRuntime::Lane* ServingRuntime::acquire_lane(std::uint32_t degree,
-                                                   std::size_t exclude,
-                                                   bool allow_scan) {
-  std::set<std::size_t> excl;
-  if (exclude != static_cast<std::size_t>(-1)) excl.insert(exclude);
-  return acquire_lane(degree, excl, allow_scan);
-}
-
-ServingRuntime::Lane* ServingRuntime::acquire_lane(
-    std::uint32_t degree, const std::set<std::size_t>& exclude,
-    bool allow_scan) {
+  const std::uint32_t degree = r.degree;
   Lane* free_now = nullptr;
   std::uint64_t soonest = ~std::uint64_t{0};
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
@@ -1091,9 +951,9 @@ ServingRuntime::Lane* ServingRuntime::acquire_lane(
     }
   }
   if (free_now) return free_now;
-  if (!allow_scan) return nullptr;  // hedges only use lanes free right now
+  if (straggler) return nullptr;  // hedges only use lanes free right now
 
-  const LaneGeometry g = geometry_for(cfg_.chip, degree);
+  const LaneGeometry& g = geometry(degree);
   const unsigned usable = usable_banks();
   unsigned free_banks = usable > allocated_banks_ ? usable - allocated_banks_
                                                   : 0;
@@ -1112,7 +972,7 @@ ServingRuntime::Lane* ServingRuntime::acquire_lane(
 }
 
 ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
-  const LaneGeometry g = geometry_for(cfg_.chip, degree);
+  const LaneGeometry& g = geometry(degree);
   Lane lane;
   lane.degree = degree;
   lane.banks = g.banks;
@@ -1165,59 +1025,83 @@ void ServingRuntime::reclaim_idle_lanes(unsigned needed,
   }
 }
 
-void ServingRuntime::dispatch(std::size_t queue_index, Lane& lane) {
-  Request r = pending_[queue_index];
-  pending_.erase(pending_.begin() + static_cast<long>(queue_index));
-
-  const LaneGeometry g = geometry_for(cfg_.chip, r.degree);
+std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
+                                     std::uint64_t hedge_of) {
   const std::uint64_t t0 = now_;
-  const std::size_t lane_idx = static_cast<std::size_t>(&lane - lanes_.data());
-  std::uint64_t service = g.service();
-  bool is_probe = false;
-  if (resilience_on_) {
-    is_probe = lane.breaker.note_dispatch(t0);
-    if (is_probe) report_.resilience.breaker_probes += 1;
-    if (health_ && health_->note_dispatch(lane_idx)) {
-      // The lane crossed its wear limit on this very write: it corrupts
-      // from here on and only a remap onto fresh banks clears it. This
-      // is the failure mode the proactive drain exists to prevent.
-      lane.corrupt_until = kForever;
-      lane.draining = true;
-      report_.resilience.wear_corruptions += 1;
+  InFlight inf;
+  inf.dispatched_at = t0;
+  inf.is_hedge = hedge_of != 0;
+  inf.hedge_partner = hedge_of;
+  // Stamped at admission: the lane's unloaded service time, or
+  // host_op_cycles for a laneless host op (sampling / aggregation). A
+  // host op has no bank accounting, fairness charge, hedging or chaos —
+  // the host is outside the crossbar fault domain.
+  std::uint64_t service = std::max<std::uint64_t>(r.service_cycles, 1);
+  if (lane != nullptr) {
+    const LaneGeometry& g = geometry(r.degree);
+    inf.lane = static_cast<std::size_t>(lane - lanes_.data());
+    if (resilience_on_) {
+      inf.is_probe = lane->breaker.note_dispatch(t0);
+      if (inf.is_probe) report_.resilience.breaker_probes += 1;
+      if (health_ && health_->note_dispatch(inf.lane)) {
+        // The lane crossed its wear limit on this very write: it corrupts
+        // from here on and only a remap onto fresh banks clears it. This
+        // is the failure mode the proactive drain exists to prevent.
+        lane->corrupt_until = kForever;
+        lane->draining = true;
+        report_.resilience.wear_corruptions += 1;
+      }
+      if (health_ && health_->wants_drain(inf.lane)) lane->draining = true;
+      if (lane->slow_until > t0) {
+        service = static_cast<std::uint64_t>(
+            static_cast<double>(service) * cfg_.resilience.chaos.slow_factor);
+      }
+      inf.corrupt = t0 < lane->corrupt_until;
     }
-    if (health_ && health_->wants_drain(lane_idx)) lane.draining = true;
-    if (lane.slow_until > t0) {
+    // Whole-chip brownout: every dispatch in the episode runs slow.
+    if (t0 < chip_slow_until_) {
       service = static_cast<std::uint64_t>(
-          static_cast<double>(service) * cfg_.resilience.chaos.slow_factor);
+          static_cast<double>(service) * chip_slow_factor_);
+    }
+    inf.chip_corrupt = t0 < chip_corrupt_until_;
+    lane->free_at = t0 + g.occupancy();
+    lane->in_flight += 1;
+    const std::uint64_t bank_cycles =
+        static_cast<std::uint64_t>(lane->banks) * g.occupancy();
+    report_.busy_bank_cycles += bank_cycles;
+    // A hedge burns real bank-cycles but is not charged to the tenant's
+    // fairness ledger — the duplicate is the runtime's choice, not theirs.
+    if (hedge_of == 0) {
+      TenantStats& ts = report_.tenants.at(r.tenant);
+      ts.bank_cycles += bank_cycles;
+      tenant_usage_[r.tenant] += static_cast<double>(bank_cycles) / ts.weight;
     }
   }
-  // Whole-chip brownout: every dispatch in the episode runs slow.
-  if (t0 < chip_slow_until_) {
-    service = static_cast<std::uint64_t>(
-        static_cast<double>(service) * chip_slow_factor_);
-  }
-  const std::uint64_t completion = t0 + service;
-  lane.free_at = t0 + g.occupancy();
-  lane.in_flight += 1;
-
-  const std::uint64_t bank_cycles =
-      static_cast<std::uint64_t>(lane.banks) * g.occupancy();
-  report_.busy_bank_cycles += bank_cycles;
-  TenantStats& ts = report_.tenants.at(r.tenant);
-  ts.bank_cycles += bank_cycles;
-  tenant_usage_[r.tenant] += static_cast<double>(bank_cycles) / ts.weight;
 
   const std::uint64_t id = next_dispatch_id_++;
-  report_.series.count("dispatched", t0);
-  report_.series.observe("queue_wait_cycles", t0, t0 - r.arrival_cycle);
+  if (hedge_of != 0) {
+    report_.resilience.hedges += 1;
+    report_.series.count("hedges", t0);
+  } else {
+    if (lane == nullptr) report_.protocol.host_ops += 1;
+    report_.series.count("dispatched", t0);
+    report_.series.observe("queue_wait_cycles", t0, t0 - r.arrival_cycle);
+  }
   if (elog_on()) {
-    obs::Json rec = ev_base("dispatched", r);
+    obs::Json rec = ev_base(hedge_of != 0 ? "hedge" : "dispatched", r);
     rec.set("dispatch", id);
-    rec.set("lane", std::uint64_t{lane_idx});
-    rec.set("wait", t0 - r.arrival_cycle);
-    if (r.attempts > 0) rec.set("attempt", std::uint64_t{r.attempts});
-    if (is_probe) rec.set("probe", true);
-    if (r.proto_id != 0) {
+    if (hedge_of != 0) rec.set("parent", hedge_of);
+    if (lane != nullptr) {
+      rec.set("lane", std::uint64_t{inf.lane});
+    } else {
+      rec.set("host", true);
+    }
+    if (hedge_of == 0) {
+      rec.set("wait", t0 - r.arrival_cycle);
+      if (r.attempts > 0) rec.set("attempt", std::uint64_t{r.attempts});
+    }
+    if (inf.is_probe) rec.set("probe", true);
+    if (hedge_of == 0 && r.proto_id != 0) {
       // DAG linkage: the fan-out tests read these to check that sibling
       // limb ops landed on distinct lanes.
       rec.set("proto", r.proto_id);
@@ -1228,104 +1112,26 @@ void ServingRuntime::dispatch(std::size_t queue_index, Lane& lane) {
     event_log_->log(std::move(rec));
   }
   auto& tr = obs::tracer();
-  if (tr.enabled()) {
+  if (lane != nullptr && tr.enabled()) {
     // Flow chain anchor: first dispatch starts the request's arrow
-    // chain, re-dispatches (retries) continue it.
-    tr.flow(r.attempts == 0 ? 's' : 't', r.id, lane.track,
+    // chain; re-dispatches (retries) and hedges continue it.
+    tr.flow(hedge_of == 0 && r.attempts == 0 ? 's' : 't', r.id, lane->track,
             "req " + std::to_string(r.id), "flow", t0);
   }
-  InFlight inf;
   inf.request = std::move(r);
-  inf.lane = lane_idx;
-  inf.dispatched_at = t0;
-  inf.is_probe = is_probe;
-  if (resilience_on_) inf.corrupt = chaos_corrupting(lane, t0);
-  inf.chip_corrupt = t0 < chip_corrupt_until_;
   in_flight_.emplace(id, std::move(inf));
+  push_event(EventKind::kCompletion, t0 + service, id);
 
-  Event e;
-  e.cycle = completion;
-  e.kind = EventKind::kCompletion;
-  e.dispatch_id = id;
-  events_.push(std::move(e));
-
-  if (resilience_on_ && cfg_.resilience.hedge) {
+  if (lane != nullptr && hedge_of == 0 && resilience_on_ &&
+      cfg_.resilience.hedge) {
     // Straggler check: if the request is still running after the hedge
     // delay, duplicate it onto a second lane (first result wins). The
     // check lands after the nominal completion only when the lane is
     // chaos-slowed — exactly the straggler case hedging targets.
     const std::uint64_t delay = hedge_delay_cycles();
-    if (delay > 0) {
-      Event he;
-      he.cycle = t0 + delay;
-      he.kind = EventKind::kHedge;
-      he.dispatch_id = id;
-      events_.push(std::move(he));
-    }
+    if (delay > 0) push_event(EventKind::kHedge, t0 + delay, id);
   }
-}
-
-void ServingRuntime::dispatch_host(std::size_t queue_index) {
-  // A laneless host op (sampling / aggregation): fixed cycle cost, no
-  // bank accounting, no tenant fairness charge, no hedging or chaos —
-  // the host is outside the crossbar fault domain.
-  Request r = std::move(pending_[queue_index]);
-  pending_.erase(pending_.begin() + static_cast<long>(queue_index));
-  const std::uint64_t t0 = now_;
-  const std::uint64_t id = next_dispatch_id_++;
-  report_.protocol.host_ops += 1;
-  report_.series.count("dispatched", t0);
-  report_.series.observe("queue_wait_cycles", t0, t0 - r.arrival_cycle);
-  if (elog_on()) {
-    obs::Json rec = ev_base("dispatched", r);
-    rec.set("dispatch", id);
-    rec.set("host", true);
-    rec.set("wait", t0 - r.arrival_cycle);
-    rec.set("proto", r.proto_id);
-    rec.set("op", std::uint64_t{r.op_index});
-    rec.set("cls", op_class_name(r.op_class));
-    event_log_->log(std::move(rec));
-  }
-  const std::uint64_t service = std::max<std::uint64_t>(r.service_cycles, 1);
-  InFlight inf;
-  inf.request = std::move(r);
-  inf.lane = kHostLane;
-  inf.dispatched_at = t0;
-  in_flight_.emplace(id, std::move(inf));
-  Event e;
-  e.cycle = t0 + service;
-  e.kind = EventKind::kCompletion;
-  e.dispatch_id = id;
-  events_.push(std::move(e));
-}
-
-void ServingRuntime::complete_host_op(const Event& e, const InFlight& inf) {
-  const Request& r = inf.request;
-  const std::uint64_t latency = now_ - r.arrival_cycle;
-  report_.completed += 1;
-  report_.latency_cycles.add(latency);
-  report_.series.count("completed", now_);
-  report_.series.observe("latency_cycles", now_, latency);
-  report_.slo.record_good(now_, latency);
-  obs::metrics()
-      .histogram("cryptopim.runtime.latency_cycles", "cycles")
-      .add(latency);
-  TenantStats& ts = report_.tenants.at(r.tenant);
-  ts.completed += 1;
-  ts.latency_cycles.add(latency);
-  if (r.deadline_cycle > 0 && now_ > r.deadline_cycle) {
-    report_.deadline_misses += 1;
-    ts.deadline_misses += 1;
-  }
-  if (elog_on()) {
-    obs::Json rec = ev_base("completed", r);
-    rec.set("dispatch", e.dispatch_id);
-    rec.set("host", true);
-    rec.set("latency", latency);
-    event_log_->log(std::move(rec));
-  }
-  on_op_complete(r, inf.dispatched_at);
-  try_dispatch();
+  return id;
 }
 
 void ServingRuntime::on_op_complete(const Request& r,
@@ -1371,16 +1177,7 @@ void ServingRuntime::on_op_complete(const Request& r,
     rec.set("ok", ok);
     event_log_->log(std::move(rec));
   }
-  emit_outcome(done.origin, Outcome::kCompleted);
-  if (workload_) {
-    if (auto next = workload_->next_after_completion(done.origin, now_)) {
-      Event ne;
-      ne.cycle = next->cycle;
-      ne.kind = EventKind::kArrival;
-      ne.request = next->request;
-      events_.push(std::move(ne));
-    }
-  }
+  finish(done.origin, Outcome::kCompleted);
 }
 
 void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
@@ -1390,15 +1187,8 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
   protos_.erase(it);
   // Cancel every sibling op still queued or in flight; the op that died
   // already recorded its own bad-outcome counters.
-  std::uint64_t cancelled = 0;
-  for (auto p = pending_.begin(); p != pending_.end();) {
-    if (p->proto_id == proto_id) {
-      cancelled += 1;
-      p = pending_.erase(p);
-    } else {
-      ++p;
-    }
-  }
+  std::uint64_t cancelled = std::erase_if(
+      pending_, [proto_id](const Request& p) { return p.proto_id == proto_id; });
   for (auto f = in_flight_.begin(); f != in_flight_.end();) {
     if (f->second.request.proto_id != proto_id) {
       ++f;
@@ -1424,8 +1214,47 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
     rec.set("ops_cancelled", cancelled);
     event_log_->log(std::move(rec));
   }
-  notify_request_gone(st.origin);
-  emit_outcome(st.origin, o);
+  finish(st.origin, o);
+}
+
+// -- settlement ---------------------------------------------------------------
+
+void ServingRuntime::settle(const Request& r, Outcome o,
+                            std::uint64_t dispatched_at) {
+  if (r.proto_id == 0) {
+    finish(r, o);
+  } else if (o == Outcome::kCompleted) {
+    on_op_complete(r, dispatched_at);
+  } else {
+    fail_protocol(r.proto_id, o);  // one dead op dooms its siblings
+  }
+}
+
+void ServingRuntime::fail(const Request& r, Outcome o,
+                          std::uint64_t& counter) {
+  const char* what = o == Outcome::kShed       ? "shed"
+                     : o == Outcome::kTimedOut ? "timed_out"
+                                               : "failed";
+  counter += 1;
+  record_bad_outcome(what);
+  if (elog_on()) {
+    obs::Json rec = ev_base(what, r);
+    if (o == Outcome::kShed) rec.set("sojourn", now_ - r.arrival_cycle);
+    event_log_->log(std::move(rec));
+  }
+  settle(r, o);
+}
+
+void ServingRuntime::finish(const Request& origin, Outcome o) {
+  emit_outcome(origin, o);
+  // Failed requests complete the closed-loop cycle too: the client sees
+  // the result (or the error) and re-issues after thinking. (Fleet drive
+  // has no generator: the front-end owns the loop.)
+  if (workload_) {
+    if (auto next = workload_->next_after_completion(origin, now_)) {
+      push_event(EventKind::kArrival, next->cycle, 0, std::move(next->request));
+    }
+  }
 }
 
 void ServingRuntime::handle_completion(const Event& e) {
@@ -1433,92 +1262,58 @@ void ServingRuntime::handle_completion(const Event& e) {
   if (it == in_flight_.end()) return;  // cancelled (bank failure / hedge)
   const InFlight inf = std::move(it->second);
   in_flight_.erase(it);
-  if (inf.lane == kHostLane) {
-    complete_host_op(e, inf);
-    return;
-  }
-  Lane& lane = lanes_[inf.lane];
-  lane.in_flight -= 1;
-
   const Request& r = inf.request;
+  Lane* lane = inf.lane == kHostLane ? nullptr : &lanes_[inf.lane];
 
-  if (resilience_on_) {
-    service_hist_.add(now_ - inf.dispatched_at);
-    // Hedged pair: first result wins, the loser is cancelled.
-    if (inf.hedge_partner != 0) {
-      cancel_in_flight(inf.hedge_partner);
-      if (inf.is_hedge) report_.resilience.hedge_wins += 1;
-    }
-  }
-  if (inf.chip_corrupt) {
-    // Whole-chip corruption storm: the layered checks catch the bad
-    // result on completion irrespective of the per-lane resilience layer
-    // — a storm result is never delivered as good. The chip's own
-    // retries get a shot when resilience is on; otherwise (or once
-    // exhausted) the request is surrendered to the fleet for a
-    // cross-chip retry.
-    report_.chip_corruptions += 1;
-    if (elog_on()) {
-      obs::Json rec = ev_base("chip_corruption_detected", r);
-      rec.set("dispatch", e.dispatch_id);
-      rec.set("lane", std::uint64_t{inf.lane});
-      event_log_->log(std::move(rec));
-    }
+  if (lane != nullptr) {
+    lane->in_flight -= 1;
     if (resilience_on_) {
-      record_lane_outcome(lane, inf.lane, false);
-      if (lane.draining && lane.in_flight == 0) {
-        remap_drained_lane(lane, inf.lane);
+      service_hist_.add(now_ - inf.dispatched_at);
+      // Hedged pair: first result wins, the loser is cancelled.
+      if (inf.hedge_partner != 0) {
+        cancel_in_flight(inf.hedge_partner);
+        if (inf.is_hedge) report_.resilience.hedge_wins += 1;
       }
     }
-    if (!resilience_on_ || !schedule_retry(r, /*count_as_bank_retry=*/false)) {
-      report_.chip_failed += 1;
-      record_bad_outcome("failed");
-      if (elog_on()) event_log_->log(ev_base("failed", r));
-      if (r.proto_id != 0) {
-        fail_protocol(r.proto_id, Outcome::kFailed);
-      } else {
-        notify_request_gone(r);
-        emit_outcome(r, Outcome::kFailed);
-      }
-    }
-    try_dispatch();
-    return;
-  }
-  if (resilience_on_) {
-    if (inf.corrupt && cfg_.resilience.chaos_detect) {
-      // The layered checks of the reliability stack (write-verify,
-      // parity, Freivalds) catch the corrupt result; never delivered.
-      report_.resilience.detected_corruptions += 1;
+    // A corrupt result caught on completion is never delivered as good.
+    // A whole-chip storm is caught irrespective of the per-lane
+    // resilience layer; a lane's chaos/wear window by the layered checks
+    // of the reliability stack (write-verify, parity, Freivalds). The
+    // chip's own retries get a shot when resilience is on; otherwise (or
+    // once exhausted) the request fails — a storm result is surrendered
+    // to the fleet for a cross-chip retry.
+    const bool storm = inf.chip_corrupt;
+    if (storm ||
+        (resilience_on_ && inf.corrupt && cfg_.resilience.chaos_detect)) {
+      (storm ? report_.chip_corruptions
+             : report_.resilience.detected_corruptions) += 1;
       if (elog_on()) {
-        obs::Json rec = ev_base("corruption_detected", r);
+        obs::Json rec = ev_base(
+            storm ? "chip_corruption_detected" : "corruption_detected", r);
         rec.set("dispatch", e.dispatch_id);
         rec.set("lane", std::uint64_t{inf.lane});
         event_log_->log(std::move(rec));
       }
-      record_lane_outcome(lane, inf.lane, false);
-      if (lane.draining && lane.in_flight == 0) {
-        remap_drained_lane(lane, inf.lane);
-      }
-      if (!schedule_retry(r, /*count_as_bank_retry=*/false)) {
-        report_.resilience.failed += 1;
-        record_bad_outcome("failed");
-        if (elog_on()) event_log_->log(ev_base("failed", r));
-        if (r.proto_id != 0) {
-          fail_protocol(r.proto_id, Outcome::kFailed);
-        } else {
-          notify_request_gone(r);
-          emit_outcome(r, Outcome::kFailed);
+      if (resilience_on_) {
+        record_lane_outcome(*lane, inf.lane, false);
+        if (lane->draining && lane->in_flight == 0) {
+          remap_drained_lane(*lane, inf.lane);
         }
+      }
+      if (!resilience_on_ ||
+          !schedule_retry(r, /*count_as_bank_retry=*/false)) {
+        fail(r, Outcome::kFailed,
+             storm ? report_.chip_failed : report_.resilience.failed);
       }
       try_dispatch();
       return;
     }
-    if (inf.corrupt) {
+    if (resilience_on_) {
       // Detection disabled: the corrupt result sails through as if good
       // (this counter existing at zero is what proves the checks work).
-      report_.resilience.wrong_accepted += 1;
+      if (inf.corrupt) report_.resilience.wrong_accepted += 1;
+      record_lane_outcome(*lane, inf.lane, /*ok=*/true);
     }
-    record_lane_outcome(lane, inf.lane, /*ok=*/true);
   }
 
   const std::uint64_t latency = now_ - r.arrival_cycle;
@@ -1540,43 +1335,33 @@ void ServingRuntime::handle_completion(const Event& e) {
   if (elog_on()) {
     obs::Json rec = ev_base("completed", r);
     rec.set("dispatch", e.dispatch_id);
-    rec.set("lane", std::uint64_t{inf.lane});
+    if (lane != nullptr) {
+      rec.set("lane", std::uint64_t{inf.lane});
+    } else {
+      rec.set("host", true);
+    }
     rec.set("latency", latency);
     if (inf.is_hedge) rec.set("hedge", true);
     event_log_->log(std::move(rec));
   }
   auto& tr = obs::tracer();
-  if (tr.enabled()) {
-    tr.emit(lanes_[inf.lane].track,
+  if (lane != nullptr && tr.enabled()) {
+    tr.emit(lane->track,
             "req " + std::to_string(r.id) + " t" + std::to_string(r.tenant),
             "runtime", inf.dispatched_at, now_ - inf.dispatched_at);
     // Terminal point of the request's flow-arrow chain.
-    tr.flow('f', r.id, lanes_[inf.lane].track, "req " + std::to_string(r.id),
-            "flow", now_);
+    tr.flow('f', r.id, lane->track, "req " + std::to_string(r.id), "flow",
+            now_);
   }
   // DAG ops verify at the protocol join (the whole flow through the
   // backend), not per-op with Freivalds.
   if (r.verify && r.proto_id == 0) verify_result(r);
 
-  if (resilience_on_ && lane.draining && lane.in_flight == 0) {
-    remap_drained_lane(lane, inf.lane);
+  if (lane != nullptr && resilience_on_ && lane->draining &&
+      lane->in_flight == 0) {
+    remap_drained_lane(*lane, inf.lane);
   }
-  if (r.proto_id != 0) {
-    on_op_complete(r, inf.dispatched_at);
-    try_dispatch();
-    return;
-  }
-  emit_outcome(r, Outcome::kCompleted);
-
-  if (workload_) {
-    if (auto next = workload_->next_after_completion(r, now_)) {
-      Event ne;
-      ne.cycle = next->cycle;
-      ne.kind = EventKind::kArrival;
-      ne.request = next->request;
-      events_.push(std::move(ne));
-    }
-  }
+  settle(r, Outcome::kCompleted, inf.dispatched_at);
   try_dispatch();
 }
 
@@ -1633,15 +1418,7 @@ void ServingRuntime::handle_bank_failure(const Event&) {
     }
     if (resilience_on_ && cfg_.resilience.max_retries > 0) {
       if (!schedule_retry(inf.request, /*count_as_bank_retry=*/true)) {
-        report_.resilience.failed += 1;
-        record_bad_outcome("failed");
-        if (elog_on()) event_log_->log(ev_base("failed", inf.request));
-        if (inf.request.proto_id != 0) {
-          fail_protocol(inf.request.proto_id, Outcome::kFailed);
-        } else {
-          notify_request_gone(inf.request);
-          emit_outcome(inf.request, Outcome::kFailed);
-        }
+        fail(inf.request, Outcome::kFailed, report_.resilience.failed);
       }
       return;
     }
@@ -1669,15 +1446,17 @@ void ServingRuntime::handle_bank_failure(const Event&) {
     for (const InFlight& inf : torn) requeue_victim(inf);
   };
 
-  Lane* victim = pick_victim();
-  if (victim) {
-    const std::size_t victim_idx =
-        static_cast<std::size_t>(victim - lanes_.data());
-    tear_down_lane(victim_idx);
+  // After the first victim, keep tearing lanes down while several banks
+  // failed at once and the pool shrank below what is still allocated.
+  for (bool first = true; first || allocated_banks_ > usable_banks();
+       first = false) {
+    Lane* victim = pick_victim();
+    if (!victim) break;
+    tear_down_lane(static_cast<std::size_t>(victim - lanes_.data()));
     victim->in_flight = 0;
     report_.repartitions += 1;
     auto& tr = obs::tracer();
-    if (tr.enabled()) {
+    if (first && tr.enabled()) {
       tr.emit(runtime_track_base(), "bank failure", "runtime", now_,
               cfg_.repartition_cycles);
     }
@@ -1691,18 +1470,6 @@ void ServingRuntime::handle_bank_failure(const Event&) {
                         cfg_.repartition_cycles;
       schedule_scan(victim->free_at);
     }
-  }
-  // Keep tearing lanes down if several banks failed at once and the pool
-  // shrank below what is still allocated.
-  while (allocated_banks_ > usable_banks()) {
-    Lane* next = pick_victim();
-    if (!next) break;
-    const std::size_t idx = static_cast<std::size_t>(next - lanes_.data());
-    tear_down_lane(idx);
-    next->in_flight = 0;
-    next->dead = true;
-    allocated_banks_ -= next->banks;
-    report_.repartitions += 1;
   }
   try_dispatch();
 }
@@ -1749,26 +1516,14 @@ void ServingRuntime::verify_result(const Request& r) {
 
 void ServingRuntime::handle_timeout(const Event& e) {
   // Queued-timeout cancellation: the deadline passed while the request
-  // sat in the admission queue. A dispatched request is past saving by
-  // cancellation (the lane slot is spent either way) so it is left to
-  // complete and count a deadline miss.
-  const std::uint64_t rid = e.dispatch_id;
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->id != rid) continue;
-    const Request r = std::move(*it);
-    pending_.erase(it);
-    report_.resilience.timed_out += 1;
-    record_bad_outcome("timed_out");
-    if (elog_on()) event_log_->log(ev_base("timed_out", r));
-    if (r.proto_id != 0) {
-      // One op past its deadline times the whole protocol out.
-      fail_protocol(r.proto_id, Outcome::kTimedOut);
-      return;
-    }
-    notify_request_gone(r);
-    emit_outcome(r, Outcome::kTimedOut);
-    return;
-  }
+  // sat in the admission queue (one op past it times its whole DAG out).
+  // A dispatched request is past saving by cancellation (the lane slot is
+  // spent either way) so it is left to complete and count a deadline miss.
+  const auto it = std::ranges::find(pending_, e.dispatch_id, &Request::id);
+  if (it == pending_.end()) return;
+  const Request r = std::move(*it);
+  pending_.erase(it);
+  fail(r, Outcome::kTimedOut, report_.resilience.timed_out);
 }
 
 void ServingRuntime::handle_retry_enqueue(const Event& e) {
@@ -1786,74 +1541,11 @@ void ServingRuntime::handle_hedge(const Event& e) {
   if (it == in_flight_.end()) return;        // finished before the check
   if (it->second.is_hedge) return;           // never hedge a hedge
   if (it->second.hedge_partner != 0) return;  // already hedged
-  const Request& orig = it->second.request;
-
   // Only a lane that is free *right now* and distinct from the
   // straggler's own: a hedge that would queue is worthless.
-  Lane* lane = acquire_lane(orig.degree, it->second.lane,
-                            /*allow_scan=*/false);
+  Lane* lane = acquire_lane(it->second.request, &it->second);
   if (!lane) return;
-  const std::size_t lane_idx = static_cast<std::size_t>(lane - lanes_.data());
-
-  const LaneGeometry g = geometry_for(cfg_.chip, orig.degree);
-  std::uint64_t service = g.service();
-  const bool is_probe = lane->breaker.note_dispatch(now_);
-  if (is_probe) report_.resilience.breaker_probes += 1;
-  if (health_ && health_->note_dispatch(lane_idx)) {
-    lane->corrupt_until = kForever;
-    lane->draining = true;
-    report_.resilience.wear_corruptions += 1;
-  }
-  if (health_ && health_->wants_drain(lane_idx)) lane->draining = true;
-  if (lane->slow_until > now_) {
-    service = static_cast<std::uint64_t>(
-        static_cast<double>(service) * cfg_.resilience.chaos.slow_factor);
-  }
-  if (now_ < chip_slow_until_) {
-    service = static_cast<std::uint64_t>(
-        static_cast<double>(service) * chip_slow_factor_);
-  }
-  lane->free_at = now_ + g.occupancy();
-  lane->in_flight += 1;
-  // Hedges burn real bank-cycles but are not charged to the tenant's
-  // fairness ledger — the duplicate is the runtime's choice, not theirs.
-  report_.busy_bank_cycles +=
-      static_cast<std::uint64_t>(lane->banks) * g.occupancy();
-
-  const std::uint64_t id = next_dispatch_id_++;
-  InFlight dup;
-  dup.request = orig;
-  dup.lane = lane_idx;
-  dup.dispatched_at = now_;
-  dup.corrupt = chaos_corrupting(*lane, now_);
-  dup.chip_corrupt = now_ < chip_corrupt_until_;
-  dup.is_probe = is_probe;
-  dup.is_hedge = true;
-  dup.hedge_partner = e.dispatch_id;
-  in_flight_.emplace(id, std::move(dup));
-  it->second.hedge_partner = id;
-  report_.resilience.hedges += 1;
-  report_.series.count("hedges", now_);
-  if (elog_on()) {
-    obs::Json rec = ev_base("hedge", orig);
-    rec.set("dispatch", id);
-    rec.set("parent", e.dispatch_id);
-    rec.set("lane", std::uint64_t{lane_idx});
-    if (is_probe) rec.set("probe", true);
-    event_log_->log(std::move(rec));
-  }
-  auto& tr = obs::tracer();
-  if (tr.enabled()) {
-    // The duplicate continues the request's flow chain on its own lane.
-    tr.flow('t', orig.id, lane->track, "req " + std::to_string(orig.id),
-            "flow", now_);
-  }
-
-  Event ce;
-  ce.cycle = now_ + service;
-  ce.kind = EventKind::kCompletion;
-  ce.dispatch_id = id;
-  events_.push(std::move(ce));
+  it->second.hedge_partner = launch(it->second.request, lane, e.dispatch_id);
 }
 
 void ServingRuntime::handle_health(const Event&) {
@@ -1889,7 +1581,7 @@ void ServingRuntime::handle_health(const Event&) {
   // them as `queued` instead.
   bool pending_servable = false;
   for (const Request& r : pending_) {
-    if (geometry_for(cfg_.chip, r.degree).banks <= usable_banks()) {
+    if (geometry(r.degree).banks <= usable_banks()) {
       pending_servable = true;
       break;
     }
@@ -1949,11 +1641,7 @@ bool ServingRuntime::schedule_retry(Request r, bool count_as_bank_retry) {
     rec.set("backoff", backoff);
     event_log_->log(std::move(rec));
   }
-  Event e;
-  e.cycle = now_ + backoff;
-  e.kind = EventKind::kRetryEnqueue;
-  e.request = std::move(r);
-  events_.push(std::move(e));
+  push_event(EventKind::kRetryEnqueue, now_ + backoff, 0, std::move(r));
   return true;
 }
 
@@ -2019,19 +1707,6 @@ void ServingRuntime::remap_drained_lane(Lane& lane, std::size_t lane_idx) {
   }
 }
 
-void ServingRuntime::notify_request_gone(const Request& r) {
-  // Shed / timed-out / failed requests still complete the closed-loop
-  // cycle: the client observes the error and re-issues after thinking.
-  if (!workload_) return;  // fleet drive: the front-end owns the loop
-  if (auto next = workload_->next_after_completion(r, now_)) {
-    Event ne;
-    ne.cycle = next->cycle;
-    ne.kind = EventKind::kArrival;
-    ne.request = next->request;
-    events_.push(std::move(ne));
-  }
-}
-
 std::uint64_t ServingRuntime::hedge_delay_cycles() const {
   const ResilienceConfig& res = cfg_.resilience;
   if (res.hedge_delay_us > 0) {
@@ -2053,21 +1728,13 @@ std::uint64_t ServingRuntime::retry_backoff(unsigned attempts) const {
   return std::min(b, res.retry_backoff_cap_cycles);
 }
 
-bool ServingRuntime::chaos_corrupting(const Lane& lane,
-                                      std::uint64_t at) const {
-  return at < lane.corrupt_until;
-}
-
 void ServingRuntime::arm_health_tick(std::uint64_t delay) {
   if (health_tick_armed_) return;
   health_tick_armed_ = true;
-  Event e;
   // A zero period would pop and re-arm in an infinite same-cycle loop
   // (the livelock schedule_scan guards against); tick next cycle at the
   // earliest.
-  e.cycle = now_ + std::max<std::uint64_t>(delay, 1);
-  e.kind = EventKind::kHealth;
-  events_.push(std::move(e));
+  push_event(EventKind::kHealth, now_ + std::max<std::uint64_t>(delay, 1));
 }
 
 void ServingRuntime::arm_chaos_episode() {
@@ -2077,10 +1744,7 @@ void ServingRuntime::arm_chaos_episode() {
       chaos_rng_, cfg_.resilience.chaos.mean_interval_us * cfg_.cycles_per_us());
   const std::uint64_t at = now_ + gap;
   if (at > horizon_) return;
-  Event e;
-  e.cycle = at;
-  e.kind = EventKind::kChaos;
-  events_.push(std::move(e));
+  push_event(EventKind::kChaos, at);
 }
 
 void ServingRuntime::publish_metrics() const {

@@ -10,6 +10,15 @@
 // pool per degree class (arch::ChipConfig::plan_for_degree geometry,
 // including degraded chips once banks have failed).
 //
+// One request path: every request is served as a DAG of primitive ops.
+// A raw polymul is a DAG of one op (the request itself); a protocol
+// request (runtime/protocol.h) compiles to several lane and host ops.
+// Admission, launch, completion and settlement each exist once; the
+// DAG-only steps (op expansion, the parent-mask frontier, fan-out lane
+// exclusion, the join and the sibling sweep on failure) are skipped for
+// a one-op DAG. Settlement is the single place that chooses between
+// reporting a request's fate and tearing its whole DAG down.
+//
 // Time is a discrete-event clock in crossbar cycles, consistent with
 // model::Performance: a lane configured for degree n accepts one request
 // per `slowest_stage_cycles` beat (times `segments` for degrees above
@@ -183,9 +192,12 @@ struct ServingReport {
   std::uint64_t duration_cycles = 0;  ///< arrival horizon
   std::uint64_t drain_cycle = 0;      ///< last event processed
 
-  // Work conservation: submitted == admitted + rejected and
-  // admitted == completed + in_flight (+ queued) at any observation
-  // point; after the final drain in_flight == queued == 0.
+  // Work conservation, in ops: submitted == admitted + rejected +
+  // rejected_unservable + resilience.rejected_deadline, and admitted ==
+  // completed + resilience.{shed,timed_out,failed} + queued + in_flight +
+  // protocol.ops_cancelled at any observation point (a fleet chip also
+  // hands work back: chip_failed, migrated, lost_in_flight). After the
+  // final drain in_flight == queued == 0.
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;          ///< queue-full backpressure
@@ -352,30 +364,52 @@ class ServingRuntime {
   struct Lane;
   struct InFlight;
 
+  /// Cycle geometry of one superbank lane configured for a degree class:
+  /// one request enters per `segments * beat` cycles and completes a fill
+  /// (plus any extra segment beats) after entering.
+  struct LaneGeometry {
+    unsigned banks = 0;  ///< banks_per_superbank
+    unsigned segments = 1;
+    std::uint64_t beat = 0;  ///< slowest-stage cycles
+    std::uint64_t fill = 0;  ///< depth * beat
+    std::uint64_t service() const noexcept {
+      return fill + (segments - 1) * beat;
+    }
+    std::uint64_t occupancy() const noexcept { return segments * beat; }
+  };
+
+  /// Admission of one request as a whole DAG (a raw polymul is one op).
   void handle_arrival(const Event& e);
   void handle_completion(const Event& e);
   void handle_bank_failure(const Event& e);
   void try_dispatch();
 
-  /// A lane of `degree`'s class that can accept work *now*, carving a
-  /// new one from free banks if needed; nullptr when the class must
-  /// wait (a wake-up scan is scheduled whenever one is known).
-  /// `exclude` masks one lane index (hedging must pick a *second* lane);
-  /// `allow_scan` = false suppresses wake-up scans (hedges that find no
-  /// lane are simply not launched).
-  Lane* acquire_lane(std::uint32_t degree,
-                     std::size_t exclude = static_cast<std::size_t>(-1),
-                     bool allow_scan = true);
-  Lane* acquire_lane(std::uint32_t degree,
-                     const std::set<std::size_t>& exclude, bool allow_scan);
+  /// This chip's geometry for a degree class, from its own
+  /// plan_for_degree; prime() builds the table for the workload's
+  /// degrees, so a class no superbank of this chip fits throws there.
+  const LaneGeometry& geometry(std::uint32_t degree);
+  /// A lane of r's degree class that can accept r *now*, carving a new
+  /// one from free banks if needed; nullptr when r must wait (a wake-up
+  /// scan is scheduled whenever one is known). A fan-out op avoids lanes
+  /// running an in-flight sibling of its group. With `straggler` set the
+  /// lane is for a hedge of that entry: any lane but the straggler's
+  /// own, free right now, with no carve and no wake-up scan.
+  Lane* acquire_lane(const Request& r, const InFlight* straggler = nullptr);
   Lane* carve_lane(std::uint32_t degree);
   /// Returns banks of idle lanes (no in-flight work, nothing pending in
   /// their class) to the free pool until `needed` banks are available.
   void reclaim_idle_lanes(unsigned needed, std::uint32_t for_degree);
-  void dispatch(std::size_t queue_index, Lane& lane);
+  /// Start one op: on `lane`, or laneless (a host op) when it is null.
+  /// A nonzero `hedge_of` makes it the duplicate of that dispatch.
+  /// Returns the new dispatch id.
+  std::uint64_t launch(Request r, Lane* lane, std::uint64_t hedge_of = 0);
   void verify_result(const Request& r);
   unsigned usable_banks() const noexcept;
   void schedule_scan(std::uint64_t cycle);
+  /// Schedule an event on this chip's clock; `dispatch_id` and `r` as
+  /// Event documents them per kind.
+  void push_event(EventKind kind, std::uint64_t cycle,
+                  std::uint64_t dispatch_id = 0, Request r = {});
   void publish_metrics() const;
 
   // -- observability -----------------------------------------------------------
@@ -392,6 +426,17 @@ class ServingRuntime {
   /// Report a terminal fate to the fleet's outcome sink (no-op when the
   /// sink is unset, i.e. in the classic single-chip path).
   void emit_outcome(const Request& r, Outcome o);
+  /// Settlement, the one place that turns an op's fate into a request's:
+  /// a one-op DAG reports `o` for itself; an op of a larger DAG advances
+  /// the frontier when it completed (the last op joins and reports the
+  /// DAG) and tears the whole DAG down exactly once otherwise.
+  void settle(const Request& r, Outcome o, std::uint64_t dispatched_at = 0);
+  /// A bad terminal fate (shed / timed out / failed): bump `counter`, the
+  /// windowed counter and the SLO error, log it, then settle.
+  void fail(const Request& r, Outcome o, std::uint64_t& counter);
+  /// A request (a DAG's origin) reached its fate after admission: report
+  /// it, then let a closed-loop client re-issue.
+  void finish(const Request& origin, Outcome o);
   /// Base trace track id for this chip's lane spans.
   std::uint32_t runtime_track_base() const noexcept {
     return kRuntimeTrackBase + cfg_.chip_id * kRuntimeTracksPerChip;
@@ -413,16 +458,12 @@ class ServingRuntime {
   void cancel_in_flight(std::uint64_t dispatch_id);
   /// Remap a fully drained worn lane onto fresh banks.
   void remap_drained_lane(Lane& lane, std::size_t lane_idx);
-  /// The request failed for good (no retry): tell the closed-loop client
-  /// so it re-issues, exactly like a completion would.
-  void notify_request_gone(const Request& r);
   std::uint64_t hedge_delay_cycles() const;
   std::uint64_t retry_backoff(unsigned attempts) const;
-  bool chaos_corrupting(const Lane& lane, std::uint64_t at) const;
   void arm_health_tick(std::uint64_t cycle);
   void arm_chaos_episode();
 
-  // -- protocol DAG serving (inert when cfg_.protocol is disabled) -------------
+  // -- DAGs of more than one op (empty when cfg_.protocol is disabled) --------
   /// Live state of one admitted protocol request: its origin (what the
   /// fleet re-dispatches whole) and the dependency frontier's done mask.
   struct ProtoState {
@@ -431,18 +472,9 @@ class ServingRuntime {
     std::uint32_t ops_done = 0;
     std::uint64_t done_mask = 0;
   };
-  /// Protocol-mode arrival: all-or-nothing admission of the whole DAG.
-  void handle_proto_arrival(const Event& e);
   /// Frontier check: all of the op's parents completed.
   bool proto_ready(const Request& r) const;
   static bool is_host_op(const Request& r) noexcept;
-  /// Lane acquisition honouring fan-out groups: a fan-out op never
-  /// shares a lane with an in-flight sibling of the same group.
-  Lane* acquire_lane_for(const Request& r);
-  /// Dispatch a laneless host op (sampling / aggregation) at the fixed
-  /// host_op_cycles cost.
-  void dispatch_host(std::size_t queue_index);
-  void complete_host_op(const Event& e, const InFlight& inf);
   /// Mark one op done; on the last op, run the functional join and emit
   /// the protocol request's single good outcome.
   void on_op_complete(const Request& r, std::uint64_t dispatched_at);
@@ -460,6 +492,7 @@ class ServingRuntime {
   std::uint64_t now_ = 0;
   std::uint64_t horizon_ = 0;
   std::vector<Request> pending_;  ///< admitted, waiting for a lane
+  std::map<std::uint32_t, LaneGeometry> geometry_;  ///< by degree class
   std::vector<Lane> lanes_;
   std::map<std::uint64_t, InFlight> in_flight_;
   std::uint64_t next_dispatch_id_ = 1;
