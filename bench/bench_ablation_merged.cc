@@ -1,13 +1,14 @@
 // Ablation: merging the psi-twist into the butterfly twiddles.
 //
 // The paper's pipeline (Algorithm 1) spends dedicated blocks on the
-// psi^i / psi^{-i} scaling passes. The merged-NTT variant
-// (src/ntt/merged_ntt, verified equivalent) folds those into the
-// butterfly twiddles, removing the scale stages from the pipeline. This
-// bench quantifies what the accelerator would save — and why the paper's
-// choice still makes sense (the scale stages are off the critical path,
-// so only latency/area move, not throughput). Also prints the per-phase
-// energy breakdown of the standard pipeline.
+// psi^i / psi^{-i} scaling passes. The merged schedule, which the host
+// word engine runs (src/ntt/word_ntt, bit-exact against Algorithm 1),
+// folds those into the butterfly twiddles, removing the scale stages
+// from the pipeline. This bench quantifies what the accelerator would
+// save — and why the paper's choice still makes sense (the scale stages
+// are off the critical path, so only latency/area move, not
+// throughput). Also prints the per-phase energy breakdown of the
+// standard pipeline.
 #include <iostream>
 
 #include "arch/pipeline.h"
@@ -64,8 +65,9 @@ int main() {
   std::cout << "\nMerging removes 4 stages (~10% pipeline latency at n=256,\n"
                "~6% at 32k) and 4 blocks per bank of area, but throughput is\n"
                "unchanged: the slowest stage is the butterfly [sub+mult]\n"
-               "block either way. The equivalence of the merged transform is\n"
-               "verified in tests/test_merged_ntt.cc.\n\n";
+               "block either way. The merged transform is the host word\n"
+               "engine's (src/ntt/word_ntt), verified bit-exact against\n"
+               "Algorithm 1 in tests/test_ntt_property.cc.\n\n";
 
   // Per-phase energy/cycle breakdown of the standard pipeline.
   std::cout << "-- where the cycles and energy go (standard pipeline) --\n";

@@ -37,6 +37,11 @@ NttParams NttParams::make(std::uint32_t n, std::uint32_t q) {
   if (!is_pow2(n) || n < 2) {
     throw std::invalid_argument("NTT degree must be a power of two >= 2");
   }
+  // Below 2^30 the lazy word engine's [0, 4q) butterfly intermediates fit
+  // 32 bits and add_mod / sub_mod / is_prime are exact (they need 2^31).
+  if (q >= (1u << 30)) {
+    throw std::invalid_argument("NTT modulus must be below 2^30");
+  }
   if (!is_prime(q)) {
     throw std::invalid_argument("NTT modulus must be prime");
   }

@@ -12,8 +12,9 @@
 namespace cryptopim::ntt {
 
 /// All constants needed to run the negacyclic NTT for a given (n, q).
-/// Invariants (checked at construction): q prime, q ≡ 1 (mod 2n),
-/// psi is a primitive 2n-th root of unity, omega = psi^2, psi^n = -1.
+/// Invariants (checked at construction): q prime, q < 2^30,
+/// q ≡ 1 (mod 2n), psi is a primitive 2n-th root of unity,
+/// omega = psi^2, psi^n = -1.
 struct NttParams {
   std::uint32_t n = 0;       ///< polynomial degree (power of two)
   std::uint32_t q = 0;       ///< prime modulus
@@ -27,8 +28,8 @@ struct NttParams {
 
   /// Paper parameterisation: selects q and bitwidth from n.
   static NttParams for_degree(std::uint32_t n);
-  /// Custom modulus (q prime, q ≡ 1 mod 2n); bitwidth = bits of q rounded
-  /// up to 16 or 32.
+  /// Custom modulus (q prime, q < 2^30, q ≡ 1 mod 2n); bitwidth = bits of
+  /// q rounded up to 16 or 32. Throws std::invalid_argument otherwise.
   static NttParams make(std::uint32_t n, std::uint32_t q);
 };
 

@@ -5,16 +5,10 @@
 
 #include "common/bitutil.h"
 #include "ntt/modular.h"
-#include "ntt/ntt.h"
 
 namespace cryptopim::ntt {
 
 namespace {
-
-/// c' = floor(c * 2^32 / q) for a constant c < q.
-inline std::uint32_t shoup_of(std::uint32_t c, std::uint32_t q) {
-  return static_cast<std::uint32_t>((static_cast<std::uint64_t>(c) << 32) / q);
-}
 
 /// x * c mod q in [0, 2q), valid for any x < 2^32 and constant c < q
 /// with c_shoup = floor(c * 2^32 / q). The quotient estimate is off by
@@ -27,95 +21,111 @@ inline std::uint32_t mul_shoup_lazy(std::uint32_t x, std::uint32_t c,
   return x * c - quot * q;
 }
 
-/// a + b with one conditional subtract; stays in [0, 2q) for inputs in
-/// [0, 2q).
+/// a + b with one conditional subtract: [0, 2q) inputs stay in [0, 2q).
 inline std::uint32_t add_lazy(std::uint32_t a, std::uint32_t b,
                               std::uint32_t twoq) {
   const std::uint32_t s = a + b;
   return s >= twoq ? s - twoq : s;
 }
 
+/// The Shoup reciprocals floor(c * 2^32 / q) of a constant table.
+std::vector<std::uint32_t> shoup_table(const std::vector<std::uint32_t>& c,
+                                       std::uint32_t q) {
+  std::vector<std::uint32_t> out(c.size());
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    out[i] = static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(c[i]) << 32) / q);
+  }
+  return out;
+}
+
 }  // namespace
 
 WordNttEngine::WordNttEngine(const NttParams& params) : params_(params) {
-  // q < 2^30 keeps the butterfly's u - v + 2q (< 4q) and u + v (< 4q)
-  // inside 32 bits.
-  if (params_.q >= (1u << 30)) {
-    throw std::invalid_argument("WordNttEngine requires q < 2^30");
-  }
-  twoq_ = 2 * params_.q;
-  barrett_mu_ = static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(1) << 64) / params_.q);
-
-  // Identical table construction to GsNttEngine (bit-reversed twiddles,
-  // normal-order psi tables) so the two engines execute the same
-  // schedule over the same constants.
-  const GsNttEngine ref(params_);
+  const std::uint32_t n = params_.n;
   const std::uint32_t q = params_.q;
-  auto with_shoup = [q](const std::vector<std::uint32_t>& src,
-                        std::vector<std::uint32_t>& dst,
-                        std::vector<std::uint32_t>& dst_shoup) {
-    dst = src;
-    dst_shoup.resize(src.size());
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      dst_shoup[i] = shoup_of(src[i], q);
-    }
-  };
-  with_shoup(ref.forward_twiddles(), tw_fwd_, tw_fwd_shoup_);
-  with_shoup(ref.inverse_twiddles(), tw_inv_, tw_inv_shoup_);
-  with_shoup(ref.psi_powers(), psi_pow_, psi_pow_shoup_);
-  with_shoup(ref.psi_inv_scaled(), psi_inv_scaled_, psi_inv_scaled_shoup_);
+  twoq_ = 2 * q;
+  barrett_mu_ = static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(1) << 64) / q);
+
+  psi_brv_.resize(n);
+  psi_inv_brv_.resize(n);
+  std::uint32_t pw = 1, pw_inv = 1;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto r = bit_reverse(i, params_.log2n);
+    psi_brv_[r] = pw;
+    psi_inv_brv_[r] = pw_inv;
+    pw = mul_mod(pw, params_.psi, q);
+    pw_inv = mul_mod(pw_inv, params_.psi_inv, q);
+  }
+  psi_inv_brv_[0] = params_.n_inv;
+  psi_inv_brv_[1] = mul_mod(psi_inv_brv_[1], params_.n_inv, q);
+  psi_brv_shoup_ = shoup_table(psi_brv_, q);
+  psi_inv_brv_shoup_ = shoup_table(psi_inv_brv_, q);
 }
 
-void WordNttEngine::transform_lazy(std::span<std::uint32_t> a,
-                                   const std::vector<std::uint32_t>& tw,
-                                   const std::vector<std::uint32_t>& tw_shoup,
-                                   const StageProbe* probe) const {
+void WordNttEngine::forward_impl(std::span<std::uint32_t> a,
+                                 const StageProbe* probe) const {
   const std::uint32_t n = params_.n;
   const std::uint32_t q = params_.q;
   const std::uint32_t twoq = twoq_;
   assert(a.size() == n);
 
-  // Algorithm 2's schedule, lazy form: stage i pairs rows (j, j + 2^i),
-  // twiddle index j >> (i+1). Inputs in [0, 2q); u + v gets one
-  // conditional subtract, u - v + 2q (< 4q) feeds the Shoup multiply.
-  for (unsigned i = 0; i < params_.log2n; ++i) {
-    const std::uint32_t stride = 1u << i;
-    for (std::uint32_t idx = 0; idx < n / 2; ++idx) {
-      const std::uint32_t st = idx & (stride - 1);
-      const std::uint32_t j = ((idx & ~(stride - 1)) << 1) + st;
-      const std::uint32_t j2 = j + stride;
-      const std::uint32_t k = j >> (i + 1);
-      const std::uint32_t u = a[j];
-      const std::uint32_t v = a[j2];
-      a[j] = add_lazy(u, v, twoq);
-      a[j2] = mul_shoup_lazy(u - v + twoq, tw[k], tw_shoup[k], q);
+  // Cooley–Tukey with psi folded in (Longa–Naehrig Alg. 1), lazy form:
+  // block i of the stage with m blocks of 2t rows uses psi^{brv(m+i)}. u and
+  // v = w*y[j] are in [0, 2q), so u + v and u - v + 2q need one subtract.
+  for (std::uint32_t m = 1, t = n / 2; m < n; m <<= 1, t >>= 1) {
+    for (std::uint32_t i = 0; i < m; ++i) {
+      const std::uint32_t w = psi_brv_[m + i];
+      const std::uint32_t w_shoup = psi_brv_shoup_[m + i];
+      std::uint32_t* x = a.data() + 2 * i * t;
+      std::uint32_t* y = x + t;
+      for (std::uint32_t j = 0; j < t; ++j) {
+        const std::uint32_t u = x[j];
+        const std::uint32_t v = mul_shoup_lazy(y[j], w, w_shoup, q);
+        x[j] = add_lazy(u, v, twoq);
+        y[j] = add_lazy(u, twoq - v, twoq);
+      }
     }
     if (probe && *probe) (*probe)(a);
   }
 }
 
-void WordNttEngine::forward_impl(std::span<std::uint32_t> a,
-                                 const StageProbe* probe) const {
-  const std::uint32_t q = params_.q;
-  assert(a.size() == params_.n);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = mul_shoup_lazy(a[i], psi_pow_[i], psi_pow_shoup_[i], q);
-  }
-  if (probe && *probe) (*probe)(a);
-  bitrev_permute(a);
-  transform_lazy(a, tw_fwd_, tw_fwd_shoup_, probe);
-}
-
 void WordNttEngine::inverse_impl(std::span<std::uint32_t> a,
                                  const StageProbe* probe) const {
+  const std::uint32_t n = params_.n;
   const std::uint32_t q = params_.q;
-  assert(a.size() == params_.n);
-  bitrev_permute(a);
-  transform_lazy(a, tw_inv_, tw_inv_shoup_, probe);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = mul_shoup_lazy(a[i], psi_inv_scaled_[i], psi_inv_scaled_shoup_[i],
-                          q);
+  const std::uint32_t twoq = twoq_;
+  assert(a.size() == n);
+
+  // Gentleman–Sande with psi^{-1} folded in (Longa–Naehrig Alg. 2), lazy
+  // form: u + v gets one conditional subtract, u - v + 2q (< 4q) feeds
+  // the Shoup multiply. The last stage (h = 1) is peeled off below.
+  for (std::uint32_t h = n / 2, t = 1; h > 1; h >>= 1, t <<= 1) {
+    for (std::uint32_t i = 0; i < h; ++i) {
+      const std::uint32_t w = psi_inv_brv_[h + i];
+      const std::uint32_t w_shoup = psi_inv_brv_shoup_[h + i];
+      std::uint32_t* x = a.data() + 2 * i * t;
+      std::uint32_t* y = x + t;
+      for (std::uint32_t j = 0; j < t; ++j) {
+        const std::uint32_t u = x[j];
+        const std::uint32_t v = y[j];
+        x[j] = add_lazy(u, v, twoq);
+        y[j] = mul_shoup_lazy(u - v + twoq, w, w_shoup, q);
+      }
+    }
+    if (probe && *probe) (*probe)(a);
+  }
+
+  // Last stage with n^{-1} folded into both outputs (table entries 0 and
+  // 1); u + v (< 4q) feeds the Shoup multiply without a subtract.
+  const std::uint32_t half = n / 2;
+  for (std::uint32_t j = 0; j < half; ++j) {
+    const std::uint32_t u = a[j];
+    const std::uint32_t v = a[j + half];
+    a[j] = mul_shoup_lazy(u + v, psi_inv_brv_[0], psi_inv_brv_shoup_[0], q);
+    a[j + half] = mul_shoup_lazy(u - v + twoq, psi_inv_brv_[1],
+                                 psi_inv_brv_shoup_[1], q);
   }
   if (probe && *probe) (*probe)(a);
 }

@@ -1,28 +1,25 @@
 // Host-speed word-level NTT engine.
 //
 // `WordNttEngine` computes the same negacyclic products as `GsNttEngine`
-// (and therefore the same results the gate-level crossbar simulator
-// produces) but on flat host words instead of simulated bit-serial
-// circuits. The speed comes from two classic tricks, both borrowed from
-// production NTT libraries (cf. gmp-ecm's libntt, SNIPPETS.md §2):
+// (and so the same results as the gate-level crossbar simulator) on flat
+// host words, with the psi twist merged into the twiddles (Longa–Naehrig):
+// the forward transform is one Cooley–Tukey pass with psi^{brv(i)},
+// natural order in, bit-reversed order out; the inverse is one
+// Gentleman–Sande pass with psi^{-brv(i)} and n^{-1} folded into its last
+// stage, bit-reversed in, natural out. No bit-reversal permutation and no
+// psi pre-twist or post-scale pass. Two tricks from production NTT
+// libraries (cf. gmp-ecm's libntt, SNIPPETS.md §2) do the rest:
 //
-//  * Shoup multiplication: every constant operand c (twiddles, psi
-//    powers, the fused inverse scaling table) is stored with a
-//    precomputed reciprocal c' = floor(c * 2^32 / q), so x*c mod q is
-//    two 32x32 multiplies and a subtraction — no division, no runtime
-//    reduction constant.
-//  * Lazy partial reduction: intermediates live in the redundant range
-//    [0, 2q) through the whole transform; additions conditionally
-//    subtract 2q, Shoup/Barrett products land in [0, 2q) by
-//    construction, and a single final `normalize` pass brings the
-//    result back to canonical [0, q).
+//  * Shoup multiplication: each constant c is stored with the reciprocal
+//    c' = floor(c * 2^32 / q), so x*c mod q is two 32x32 multiplies and a
+//    subtraction — no division.
+//  * Lazy partial reduction: coefficients stay in [0, 2q) throughout;
+//    additions conditionally subtract 2q, Shoup/Barrett products land in
+//    [0, 2q) by construction, and one final `normalize` yields [0, q).
 //
-// Because every operation is exact modulo q, the canonical output is
-// bit-identical to GsNttEngine / the gate-level simulator — that
-// equivalence is enforced by tests/test_backend_diff.cc.
-//
-// Requires q < 2^30 so that the [0, 4q) butterfly intermediates fit in
-// 32 bits (every paper modulus is far below this).
+// Every operation is exact mod q, so the canonical product is bit-identical
+// to GsNttEngine's although the schedules differ (tests/test_backend_diff.cc).
+// NttParams guarantees q < 2^30, so the [0, 4q) intermediates fit 32 bits.
 #pragma once
 
 #include <cstdint>
@@ -34,25 +31,23 @@
 
 namespace cryptopim::ntt {
 
-/// Gentleman–Sande NTT over flat 32-bit words with Shoup/Barrett
+/// Merged-psi negacyclic NTT over flat 32-bit words with Shoup/Barrett
 /// precomputation and lazy [0, 2q) partial reduction.
 class WordNttEngine {
  public:
   /// Observation hook for the reduction-invariant property tests: called
-  /// after each arithmetic phase (pre-twist, every butterfly stage, the
-  /// inverse post-scale) with the current coefficient vector. Every
-  /// value handed to the probe is < 2q.
+  /// after every butterfly stage with the current coefficient vector.
+  /// Every value handed to the probe is < 2q.
   using StageProbe = std::function<void(std::span<const std::uint32_t>)>;
 
-  /// Throws std::invalid_argument if params.q >= 2^30.
   explicit WordNttEngine(const NttParams& params);
 
   const NttParams& params() const noexcept { return params_; }
   std::uint32_t two_q() const noexcept { return twoq_; }
 
-  /// Forward negacyclic NTT (psi pre-twist, bit-reverse, Algorithm 2).
-  /// Accepts any 32-bit coefficients (interpreted mod q); output is in
-  /// normal order, partial domain [0, 2q).
+  /// Forward negacyclic NTT (Cooley–Tukey, psi folded into the
+  /// twiddles). Expects coefficients in [0, 2q); output is the spectrum
+  /// in bit-reversed order, partial domain [0, 2q).
   void forward_lazy(std::span<std::uint32_t> a) const {
     forward_impl(a, nullptr);
   }
@@ -60,9 +55,9 @@ class WordNttEngine {
     forward_impl(a, &probe);
   }
 
-  /// Inverse negacyclic NTT (bit-reverse, Algorithm 2 with w^{-1},
-  /// fused psi^{-i} n^{-1} post-scale). Expects coefficients in
-  /// [0, 2q); output is in normal order, partial domain [0, 2q).
+  /// Inverse negacyclic NTT (Gentleman–Sande, psi^{-1} and n^{-1}
+  /// folded in). Expects a bit-reversed spectrum in [0, 2q); output is
+  /// in normal order, partial domain [0, 2q).
   void inverse_lazy(std::span<std::uint32_t> a) const {
     inverse_impl(a, nullptr);
   }
@@ -78,8 +73,8 @@ class WordNttEngine {
   /// The single final conditional-subtract pass: [0, 2q) -> [0, q).
   void normalize(std::span<std::uint32_t> a) const noexcept;
 
-  /// c = a * b over Z_q[x]/(x^n + 1); canonical [0, q) output,
-  /// bit-exact vs GsNttEngine::negacyclic_multiply.
+  /// c = a * b over Z_q[x]/(x^n + 1) for coefficients in [0, 2q); canonical
+  /// [0, q) output, bit-exact vs GsNttEngine::negacyclic_multiply.
   std::vector<std::uint32_t> negacyclic_multiply(
       std::span<const std::uint32_t> a,
       std::span<const std::uint32_t> b) const;
@@ -87,20 +82,14 @@ class WordNttEngine {
  private:
   void forward_impl(std::span<std::uint32_t> a, const StageProbe* probe) const;
   void inverse_impl(std::span<std::uint32_t> a, const StageProbe* probe) const;
-  void transform_lazy(std::span<std::uint32_t> a,
-                      const std::vector<std::uint32_t>& tw,
-                      const std::vector<std::uint32_t>& tw_shoup,
-                      const StageProbe* probe) const;
 
   NttParams params_;
   std::uint32_t twoq_ = 0;
   std::uint64_t barrett_mu_ = 0;  ///< floor(2^64 / q)
-  // Same tables and ordering as GsNttEngine, each paired with its Shoup
-  // reciprocal table.
-  std::vector<std::uint32_t> tw_fwd_, tw_fwd_shoup_;
-  std::vector<std::uint32_t> tw_inv_, tw_inv_shoup_;
-  std::vector<std::uint32_t> psi_pow_, psi_pow_shoup_;
-  std::vector<std::uint32_t> psi_inv_scaled_, psi_inv_scaled_shoup_;
+  // psi^{brv(i)}: block i of the stage with m blocks uses entry m + i.
+  std::vector<std::uint32_t> psi_brv_, psi_brv_shoup_;
+  // psi^{-brv(i)}, except [0] = n^{-1} and [1] = psi^{-brv(1)} n^{-1}.
+  std::vector<std::uint32_t> psi_inv_brv_, psi_inv_brv_shoup_;
 };
 
 }  // namespace cryptopim::ntt

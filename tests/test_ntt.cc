@@ -204,6 +204,17 @@ TEST(NttParams, InvalidParametersThrow) {
   EXPECT_THROW(NttParams::make(512, 7681), std::invalid_argument);  // no root
 }
 
+TEST(NttParams, RejectsModulusAtOrAbove2To30) {
+  // From 2^30 the word engine's lazy [0, 4q) butterflies wrap 32 bits,
+  // and from 2^31 add_mod / sub_mod wrap too, so make() refuses such a
+  // modulus rather than let the engines compute wrong products.
+  EXPECT_THROW(NttParams::make(4, 1073741833u),  // first above 2^30
+               std::invalid_argument);
+  EXPECT_THROW(NttParams::make(4, 3221225473u), std::invalid_argument);
+  // The largest NTT-friendly prime below 2^30 for n = 4 is accepted.
+  EXPECT_EQ(NttParams::make(4, 1073741689u).q, 1073741689u);
+}
+
 TEST(NttParams, RootProperties) {
   for (std::uint32_t n : paper_degrees()) {
     const auto p = NttParams::for_degree(n);

@@ -4,6 +4,9 @@
 // multiple parameter sets.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
+#include "common/bitutil.h"
 #include "common/rng.h"
 #include "ntt/modular.h"
 #include "ntt/ntt.h"
@@ -127,16 +130,30 @@ INSTANTIATE_TEST_SUITE_P(Degrees, NttAlgebra,
 // through the whole transform and normalizes exactly once at the end.
 // These properties pin the contract: no intermediate ever escapes 2q,
 // the final normalize is canonical, and the lazy round trip is the
-// identity (the n^{-1} scaling is folded into the inverse psi table, so
-// forward ∘ inverse == id exactly, no residual scale factor).
+// identity (n^{-1} is folded into the inverse's last stage, so
+// forward ∘ inverse == id exactly, no residual scale factor). They run on
+// the paper moduli and on 30-bit primes, whose [0, 4q) butterfly
+// intermediates reach just below the 32-bit wrap.
 
-class WordLazy : public ::testing::TestWithParam<std::uint32_t> {
+struct WordCase {
+  std::uint32_t n;
+  std::uint32_t q;
+};
+
+/// Prints the degree, plus q unless it is the paper modulus; ctest names
+/// each case by this value.
+void PrintTo(const WordCase& c, std::ostream* os) {
+  *os << c.n;
+  if (c.q != paper_modulus_for_degree(c.n)) *os << "_q" << c.q;
+}
+
+class WordLazy : public ::testing::TestWithParam<WordCase> {
  protected:
   void SetUp() override {
-    params_ = NttParams::for_degree(GetParam());
+    params_ = NttParams::make(GetParam().n, GetParam().q);
     word_ = std::make_unique<WordNttEngine>(params_);
     gs_ = std::make_unique<GsNttEngine>(params_);
-    rng_ = std::make_unique<Xoshiro256>(GetParam() * 31 + 7);
+    rng_ = std::make_unique<Xoshiro256>(GetParam().n * 31 + 7);
   }
   Poly random_poly() { return sample_uniform(params_.n, params_.q, *rng_); }
 
@@ -168,10 +185,12 @@ TEST_P(WordLazy, EveryIntermediateStaysBelowTwoQ) {
 }
 
 TEST_P(WordLazy, IntermediatesStayBoundedFromPartialDomainInputs) {
-  // The forward transform must hold the invariant even when fed the
-  // extreme of the redundant representation (all coefficients 2q-1).
+  // Both transforms must hold the invariant when fed the extreme of the
+  // redundant representation (all coefficients 2q-1).
   Poly a(params_.n, word_->two_q() - 1);
   word_->forward_lazy(a, bound_probe("forward[2q-1]"));
+  Poly b(params_.n, word_->two_q() - 1);
+  word_->inverse_lazy(b, bound_probe("inverse[2q-1]"));
 }
 
 TEST_P(WordLazy, FinalNormalizeLandsCanonical) {
@@ -189,8 +208,8 @@ TEST_P(WordLazy, FinalNormalizeLandsCanonical) {
 }
 
 TEST_P(WordLazy, ForwardInverseRoundTripIsIdentity) {
-  // NTT ∘ INTT == identity; the ± n scaling of the raw transform pair
-  // is already folded into psi_inv_scaled, so the round trip is exact.
+  // NTT ∘ INTT == identity; the n^{-1} scaling of the raw transform pair
+  // is already folded into the inverse, so the round trip is exact.
   const auto orig = random_poly();
   auto a = orig;
   word_->forward_lazy(a);
@@ -200,14 +219,16 @@ TEST_P(WordLazy, ForwardInverseRoundTripIsIdentity) {
 }
 
 TEST_P(WordLazy, LazyForwardMatchesCanonicalEngine) {
-  // Normalizing the lazy spectrum reproduces GsNttEngine::forward
-  // value-for-value — same schedule, same twiddles, exact arithmetic.
+  // The merged forward transform emits the spectrum in bit-reversed
+  // order: normalized output i is GsNttEngine::forward's entry brv(i).
   auto a = random_poly();
   auto ref = a;
   word_->forward_lazy(a);
   word_->normalize(a);
   gs_->forward(ref);
-  EXPECT_EQ(a, ref);
+  for (std::size_t i = 0; i < params_.n; ++i) {
+    ASSERT_EQ(a[i], ref[bit_reverse(i, params_.log2n)]) << "i=" << i;
+  }
 }
 
 TEST_P(WordLazy, NegacyclicProductMatchesCanonicalEngine) {
@@ -216,18 +237,16 @@ TEST_P(WordLazy, NegacyclicProductMatchesCanonicalEngine) {
   EXPECT_EQ(word_->negacyclic_multiply(a, b), gs_->negacyclic_multiply(a, b));
 }
 
-// All supported (n, q) classes: the three paper moduli across their
-// degree ranges, including the 32-bit datapath points.
-INSTANTIATE_TEST_SUITE_P(Degrees, WordLazy,
-                         ::testing::Values(16u, 256u, 512u, 1024u, 2048u,
-                                           8192u));
-
-TEST(WordLazyConstruction, RejectsOversizedModulus) {
-  // q >= 2^30 would overflow the 32-bit lazy butterfly; the engine must
-  // refuse rather than compute garbage.
-  EXPECT_THROW(WordNttEngine(NttParams::make(4, 3221225473u)),
-               std::invalid_argument);
-}
+// The three paper moduli across their degree ranges (including the 32-bit
+// datapath points), plus the largest NTT-friendly primes below 2^30
+// (RnsBasis::generate(n, 1, 30)) at n = 4, 1024 and 4096.
+INSTANTIATE_TEST_SUITE_P(
+    Degrees, WordLazy,
+    ::testing::Values(WordCase{16, 7681}, WordCase{256, 7681},
+                      WordCase{512, 12289}, WordCase{1024, 12289},
+                      WordCase{2048, 786433}, WordCase{8192, 786433},
+                      WordCase{4, 1073741689}, WordCase{1024, 1073707009},
+                      WordCase{4096, 1073692673}));
 
 // ---------------------------------------------------------------------------
 // Sampler distributions

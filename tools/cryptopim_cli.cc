@@ -606,6 +606,12 @@ std::vector<cp::runtime::DegreeShare> parse_mix(const std::string& spec) {
   return mix;
 }
 
+/// An absolute ratio as an unsigned percentage ("99.900%"); fmt_pct is
+/// the signed-delta formatter ("+29.0%").
+std::string ratio_pct(double fraction, int digits) {
+  return cp::fmt_f(fraction * 100.0, digits) + "%";
+}
+
 int cmd_serve(const Options& opt) {
   auto args = opt.args;
   for (const auto& a : args) {
@@ -932,7 +938,7 @@ int cmd_serve(const Options& opt) {
               << " us, p50 " << cp::fmt_f(rep.latency_us(0.5))
               << " us, p99 " << cp::fmt_f(rep.latency_us(0.99))
               << " us, p999 " << cp::fmt_f(rep.latency_us(0.999)) << " us\n"
-              << "utilization: " << cp::fmt_pct(rep.utilization, 1) << "\n"
+              << "utilization: " << ratio_pct(rep.utilization, 1) << "\n"
               << "repartitions " << cp::fmt_i(rep.repartitions)
               << ", bank failures " << cp::fmt_i(rep.bank_failures)
               << ", retried " << cp::fmt_i(rep.retried) << "\n"
@@ -942,14 +948,14 @@ int cmd_serve(const Options& opt) {
               << cp::fmt_i(rep.verify_failures) << " failed\n";
     if (rep.slo.enabled()) {
       std::cout << "slo:         availability "
-                << cp::fmt_pct(rep.slo.availability(), 3) << " (objective "
-                << cp::fmt_pct(rep.slo.config().availability, 3) << "), "
-                << "error budget " << cp::fmt_pct(
-                       rep.slo.error_budget_consumed(), 1)
+                << ratio_pct(rep.slo.availability(), 3) << " (objective "
+                << ratio_pct(rep.slo.config().availability, 3) << "), "
+                << "error budget "
+                << ratio_pct(rep.slo.error_budget_consumed(), 1)
                 << " consumed\n"
                 << "  latency:   " << cp::fmt_i(rep.slo.latency_violations())
                 << " violations, budget "
-                << cp::fmt_pct(rep.slo.latency_budget_consumed(), 1)
+                << ratio_pct(rep.slo.latency_budget_consumed(), 1)
                 << " consumed, max window burn "
                 << cp::fmt_f(rep.slo.max_window_burn()) << "x\n";
     }
