@@ -16,7 +16,7 @@
 //   1. every cell completes protocols and drains conserved
 //      (requests == completed + failed + rejected),
 //   2. zero join mismatches and zero corrupt results accepted anywhere,
-//   3. the two same-seed chaos runs emit byte-identical serving/2 JSON.
+//   3. the two same-seed chaos runs emit byte-identical serving/3 JSON.
 //
 // Everything is seeded; bench_protocol_serving.json is bit-reproducible.
 // CRYPTOPIM_BENCH_FAST=0 lengthens the horizon for steadier quantiles.

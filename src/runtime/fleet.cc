@@ -11,6 +11,17 @@ namespace cryptopim::runtime {
 
 namespace {
 
+/// Observed chip service times before a p99-derived hedge delay is trusted.
+constexpr std::uint64_t kHedgeMinSamples = 64;
+/// Chip health tick period, simulated us.
+constexpr double kHealthPeriodUs = 100.0;
+/// Drain a chip when its terminal-failure ratio over one health tick
+/// exceeds this, with at least kHealthMinSamples outcomes observed.
+constexpr double kDrainFailRate = 0.5;
+constexpr std::uint64_t kHealthMinSamples = 16;
+/// Service-time multiplier during a chip brownout episode.
+constexpr double kBrownoutSlowFactor = 3.0;
+
 std::uint64_t splitmix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -652,9 +663,9 @@ void FleetRuntime::handle_fleet_health() {
   for (std::uint32_t i = 0; i < cfg_.chips; ++i) {
     ChipState& cs = states_[i];
     if (cs.state != ChipState::State::kUp) continue;
-    if (cs.outcomes >= cfg_.health_min_samples &&
+    if (cs.outcomes >= kHealthMinSamples &&
         static_cast<double>(cs.failures) >
-            cfg_.fail_rate_threshold * static_cast<double>(cs.outcomes)) {
+            kDrainFailRate * static_cast<double>(cs.outcomes)) {
       drain_chip(i, "health");
     }
     cs.outcomes = 0;
@@ -697,7 +708,7 @@ void FleetRuntime::handle_fleet_chaos(const Event& e) {
     if (kind < cfg_.chaos.crash_fraction) {
       crash_chip(chip);
     } else if (kind < cfg_.chaos.crash_fraction + cfg_.chaos.brownout_fraction) {
-      chips_[chip]->slow_down(now_ + dur, cfg_.chaos.slow_factor);
+      chips_[chip]->slow_down(now_ + dur, kBrownoutSlowFactor);
       report_.brownouts += 1;
       log_control("chip_brownout", chip);
     } else {
@@ -819,8 +830,7 @@ void FleetRuntime::arm_health_tick() {
   Event e;
   e.cycle = now_ + std::max<std::uint64_t>(
                        1, static_cast<std::uint64_t>(
-                              cfg_.health_period_us *
-                              cfg_.chip.cycles_per_us()));
+                              kHealthPeriodUs * cfg_.chip.cycles_per_us()));
   e.kind = EventKind::kFleetHealth;
   fleet_q_.push(std::move(e));
 }
@@ -843,7 +853,7 @@ std::uint64_t FleetRuntime::hedge_delay_cycles() const {
     return static_cast<std::uint64_t>(cfg_.hedge_delay_us *
                                       cfg_.chip.cycles_per_us());
   }
-  if (service_hist_.count() < cfg_.hedge_min_samples) return 0;
+  if (service_hist_.count() < kHedgeMinSamples) return 0;
   return service_hist_.quantile(0.99);
 }
 

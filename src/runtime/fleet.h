@@ -50,7 +50,6 @@ struct FleetChaosConfig {
   double mean_duration_us = 300.0;   ///< brownout / storm length
   double crash_fraction = 0.25;      ///< P(episode is a crash)
   double brownout_fraction = 0.4;    ///< P(brownout | not crash)... rest: storm
-  double slow_factor = 3.0;          ///< brownout service multiplier
 };
 
 struct FleetConfig {
@@ -75,14 +74,8 @@ struct FleetConfig {
   std::uint64_t retry_backoff_cycles = 2048;  ///< doubled per attempt
   bool hedge = false;
   double hedge_delay_us = 0.0;       ///< 0 = p99 of observed service
-  std::uint64_t hedge_min_samples = 64;
 
   // -- chip health -> drain -> scrub -> rejoin --------------------------------
-  double health_period_us = 100.0;
-  /// Drain a chip when its terminal-failure ratio over the health window
-  /// exceeds this (with at least health_min_samples outcomes observed).
-  double fail_rate_threshold = 0.5;
-  std::uint64_t health_min_samples = 16;
   double scrub_us = 500.0;           ///< drain/crash -> rejoin delay
 
   FleetChaosConfig chaos;
@@ -118,7 +111,7 @@ std::unique_ptr<Router> make_router(const std::string& name);
 ///   submitted == completed + rejected + shed + timed_out + failed + queued
 /// holds exactly, while Σ per-chip submitted ==
 ///   routed + cross_retries + hedges_launched + redispatched
-/// ties the per-chip serving/2 reports to the fleet counters.
+/// ties the per-chip serving/3 reports to the fleet counters.
 struct FleetReport {
   std::uint32_t chips = 0;
   std::string router;
@@ -163,7 +156,7 @@ struct FleetReport {
   std::vector<ServingReport> chip_reports;
 
   /// Deterministic "fleet/1" document: fleet totals + counters, latency
-  /// quantiles, and the per-chip serving/2 reports under "chips".
+  /// quantiles, and the per-chip serving/3 reports under "chips".
   obs::Json to_json() const;
 };
 

@@ -96,7 +96,6 @@ obs::Json serving_config_to_json(const ServingConfig& cfg) {
   obs::Json proto = obs::Json::object();
   proto.set("kind", protocol_name(cfg.protocol.kind));
   proto.set("shares", std::uint64_t{cfg.protocol.shares});
-  proto.set("host_op_cycles", cfg.protocol.host_op_cycles);
   j.set("protocol", std::move(proto));
   j.set("queue_capacity", std::uint64_t{cfg.queue_capacity});
   j.set("repartition_cycles", cfg.repartition_cycles);
@@ -115,7 +114,6 @@ obs::Json serving_config_to_json(const ServingConfig& cfg) {
   r.set("retry_backoff_cap_cycles", res.retry_backoff_cap_cycles);
   r.set("hedge", res.hedge);
   r.set("hedge_delay_us", res.hedge_delay_us);
-  r.set("hedge_min_samples", res.hedge_min_samples);
   r.set("codel_target_us", res.codel_target_us);
   r.set("codel_interval_us", res.codel_interval_us);
   r.set("breaker_k", std::uint64_t{res.breaker_k});
@@ -123,15 +121,12 @@ obs::Json serving_config_to_json(const ServingConfig& cfg) {
   r.set("wear_limit", res.wear_limit);
   r.set("drain_fraction", res.drain_fraction);
   r.set("scrub_threshold", res.scrub_threshold);
-  r.set("scrub_cycles", res.scrub_cycles);
-  r.set("health_period_cycles", res.health_period_cycles);
   obs::Json chaos = obs::Json::object();
   chaos.set("enabled", res.chaos.enabled);
   chaos.set("seed", std::to_string(res.chaos.seed));
   chaos.set("mean_interval_us", res.chaos.mean_interval_us);
   chaos.set("mean_duration_us", res.chaos.mean_duration_us);
   chaos.set("slow_fraction", res.chaos.slow_fraction);
-  chaos.set("slow_factor", res.chaos.slow_factor);
   r.set("chaos", std::move(chaos));
   r.set("chaos_detect", res.chaos_detect);
   j.set("resilience", std::move(r));
@@ -156,10 +151,6 @@ obs::Json fleet_config_to_json(const FleetConfig& cfg) {
   j.set("retry_backoff_cycles", cfg.retry_backoff_cycles);
   j.set("hedge", cfg.hedge);
   j.set("hedge_delay_us", cfg.hedge_delay_us);
-  j.set("hedge_min_samples", cfg.hedge_min_samples);
-  j.set("health_period_us", cfg.health_period_us);
-  j.set("fail_rate_threshold", cfg.fail_rate_threshold);
-  j.set("health_min_samples", cfg.health_min_samples);
   j.set("scrub_us", cfg.scrub_us);
   obs::Json chaos = obs::Json::object();
   chaos.set("enabled", cfg.chaos.enabled);
@@ -168,7 +159,6 @@ obs::Json fleet_config_to_json(const FleetConfig& cfg) {
   chaos.set("mean_duration_us", cfg.chaos.mean_duration_us);
   chaos.set("crash_fraction", cfg.chaos.crash_fraction);
   chaos.set("brownout_fraction", cfg.chaos.brownout_fraction);
-  chaos.set("slow_factor", cfg.chaos.slow_factor);
   j.set("chaos", std::move(chaos));
   j.set("kill_chip_at_us", cfg.kill_chip_at_us);
   j.set("kill_chip", std::uint64_t{cfg.kill_chip});

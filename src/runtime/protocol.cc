@@ -121,7 +121,7 @@ obs::Json histogram_json(const obs::Histogram& h) {
 obs::Json ProtocolStats::to_json() const {
   obs::Json j = obs::Json::object();
   j.set("kind", kind);
-  if (shares > 0) j.set("shares", std::uint64_t{shares});
+  j.set("shares", std::uint64_t{shares});
   j.set("ops_per_request", std::uint64_t{ops_per_request});
   j.set("requests", requests);
   j.set("completed", completed);

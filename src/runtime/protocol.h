@@ -55,8 +55,6 @@ struct ProtocolSpec {
   ProtocolKind kind = ProtocolKind::kNone;
   /// Threshold flow: number of share holders (partial-decryption ops).
   unsigned shares = 3;
-  /// Cycle cost charged for a laneless host op (sampling / aggregation).
-  std::uint64_t host_op_cycles = 256;
 
   bool enabled() const noexcept { return kind != ProtocolKind::kNone; }
 };
@@ -88,8 +86,8 @@ struct ProtoDag {
 ProtoDag compile_protocol(const ProtocolSpec& spec);
 
 /// Protocol-level serving ledger: protos (not ops) plus per-op-class
-/// service-time histograms. Emitted as the gated "protocol" block of the
-/// serving/2 report.
+/// service-time histograms. Emitted as the "protocol" block of every
+/// serving/3 report (kind "none" and all zero for raw polymul runs).
 struct ProtocolStats {
   std::string kind;   ///< protocol_name() of the run's kind
   unsigned shares = 0;  ///< threshold only; 0 otherwise

@@ -31,9 +31,10 @@
 // Everything is deterministic: chaos randomness flows from one seeded
 // Xoshiro256, every threshold decision is pure arithmetic on the event
 // clock, and the hedge delay is derived from the pow2 service histogram.
-// All features default OFF; a default-constructed ResilienceConfig
-// leaves the runtime's event sequence bit-identical to the pre-resilience
-// behaviour.
+// All features default off, and each keys on its own knob (deadline_us,
+// max_retries, hedge, codel_target_us, breaker_k, wear_limit,
+// chaos.enabled): a mechanism whose knob is off schedules no event and
+// changes no dispatch decision.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +54,9 @@ struct ChaosConfig {
   double mean_interval_us = 150.0;
   /// Mean episode duration (exponential), simulated us.
   double mean_duration_us = 60.0;
-  /// Fraction of episodes that are slowdowns; the rest corrupt results.
+  /// Fraction of episodes that are slowdowns (service stretched by
+  /// kChaosSlowFactor, serving.cc); the rest corrupt results.
   double slow_fraction = 0.5;
-  /// Completion-latency multiplier while a slow episode is active.
-  double slow_factor = 4.0;
 };
 
 struct ResilienceConfig {
@@ -80,8 +80,6 @@ struct ResilienceConfig {
   bool hedge = false;
   /// Hedge delay in us; 0 derives it from the p99 of observed service.
   double hedge_delay_us = 0.0;
-  /// Observed completions before a p99-derived delay is trusted.
-  std::uint64_t hedge_min_samples = 32;
 
   // -- load shedding ----------------------------------------------------------
   /// CoDel target queueing sojourn in us (0 = shedding off).
@@ -102,9 +100,6 @@ struct ResilienceConfig {
   double drain_fraction = 0.9;
   /// Health score below which an idle lane is scrubbed.
   double scrub_threshold = 0.7;
-  std::uint64_t scrub_cycles = 4096;
-  /// Health-monitor tick period (0 = monitor off unless wear/chaos on).
-  std::uint64_t health_period_cycles = 1 << 15;
 
   // -- chaos ------------------------------------------------------------------
   ChaosConfig chaos;
@@ -113,14 +108,6 @@ struct ResilienceConfig {
   /// off delivers corrupt results unverified (wrong_accepted counts
   /// them) — it exists to prove the checks are load-bearing.
   bool chaos_detect = true;
-
-  /// Any feature on? When false the runtime takes the legacy paths and
-  /// produces bit-identical reports to a build without this module.
-  bool enabled() const noexcept {
-    return deadline_us > 0 || max_retries > 0 || hedge ||
-           codel_target_us > 0 || breaker_k > 0 || wear_limit > 0 ||
-           chaos.enabled;
-  }
 
   /// The `serve --chaos` preset: fault episodes plus the full mitigation
   /// stack (retries, breaker, hedging, health monitoring, wear budget).
@@ -262,7 +249,7 @@ class HealthMonitor {
   std::vector<LaneHealth> lanes_;
 };
 
-/// Resilience ledger, embedded in ServingReport when any feature is on.
+/// Resilience ledger, embedded in every ServingReport.
 struct ResilienceStats {
   std::uint64_t rejected_deadline = 0;  ///< infeasible at admission
   std::uint64_t timed_out = 0;          ///< cancelled in queue past deadline
@@ -289,8 +276,6 @@ struct ResilienceStats {
   std::uint64_t wrong_accepted = 0;        ///< corrupt result delivered (!)
 
   obs::Json to_json() const;
-  /// Mirror into the global registry as cryptopim.resilience.* counters.
-  void publish() const;
 };
 
 }  // namespace cryptopim::runtime

@@ -80,7 +80,7 @@ obs::Json rolling_rates(const obs::WindowedSeries& series, double cycle_ns) {
 
 obs::Json ServingReport::to_json() const {
   obs::Json j = obs::Json::object();
-  j.set("schema", "serving/2");
+  j.set("schema", "serving/3");
   j.set("policy", policy);
   j.set("backend", backend);
   j.set("duration_cycles", duration_cycles);
@@ -98,21 +98,13 @@ obs::Json ServingReport::to_json() const {
   j.set("deadline_misses", deadline_misses);
   j.set("verified", verified);
   j.set("verify_failures", verify_failures);
-  // Emitted only when a resilience feature ran: a resilience-off report
-  // stays byte-identical to the pre-resilience schema.
-  if (resilience_enabled) j.set("resilience", resilience.to_json());
-  // Fleet context: emitted only for externally driven chips, so the
-  // classic single-chip report keeps its schema byte-for-byte.
-  if (fleet_mode) {
-    j.set("chip", std::uint64_t{chip_id});
-    j.set("migrated", migrated);
-    j.set("lost_in_flight", lost_in_flight);
-    j.set("chip_corruptions", chip_corruptions);
-    j.set("chip_failed", chip_failed);
-  }
-  // Protocol block: emitted only when a protocol workload ran, so the
-  // raw-polymul report stays byte-identical.
-  if (protocol_enabled) j.set("protocol", protocol.to_json());
+  j.set("resilience", resilience.to_json());
+  j.set("chip", std::uint64_t{chip_id});
+  j.set("migrated", migrated);
+  j.set("lost_in_flight", lost_in_flight);
+  j.set("chip_corruptions", chip_corruptions);
+  j.set("chip_failed", chip_failed);
+  j.set("protocol", protocol.to_json());
   j.set("busy_bank_cycles", busy_bank_cycles);
   j.set("utilization", utilization);
   j.set("throughput_per_s", throughput_per_s);
@@ -141,9 +133,7 @@ obs::Json ServingReport::to_json() const {
     tj.set("submitted", t.submitted);
     tj.set("admitted", t.admitted);
     tj.set("rejected", t.rejected);
-    // Gated like the top-level resilience section: a resilience-off
-    // report keeps the pre-resilience schema byte-for-byte.
-    if (resilience_enabled) tj.set("rejected_deadline", t.rejected_deadline);
+    tj.set("rejected_deadline", t.rejected_deadline);
     tj.set("completed", t.completed);
     tj.set("deadline_misses", t.deadline_misses);
     tj.set("bank_cycles", t.bank_cycles);
@@ -153,10 +143,8 @@ obs::Json ServingReport::to_json() const {
     ts.push_back(std::move(tj));
   }
   j.set("tenants", std::move(ts));
-  if (series.enabled()) {
-    j.set("series", series.to_json());
-    j.set("rolling", rolling_rates(series, 1e3 / cycles_per_us));
-  }
+  j.set("series", series.to_json());
+  j.set("rolling", rolling_rates(series, 1e3 / cycles_per_us));
   if (slo.enabled()) j.set("slo", slo.to_json());
   return j;
 }
@@ -166,6 +154,17 @@ obs::Json ServingReport::to_json() const {
 /// A chaos/wear corruption window that never closes on its own (wear
 /// faults persist until the lane is remapped onto fresh banks).
 constexpr std::uint64_t kForever = ~std::uint64_t{0};
+
+/// Completion-latency multiplier while a chaos slowdown episode is active.
+constexpr double kChaosSlowFactor = 4.0;
+/// Observed completions before a p99-derived hedge delay is trusted.
+constexpr std::uint64_t kHedgeMinSamples = 32;
+/// Health-monitor tick period (the monitor runs with wear or chaos on).
+constexpr std::uint64_t kHealthPeriodCycles = 1 << 15;
+/// Cycles a background scrub keeps an unhealthy idle lane out of service.
+constexpr std::uint64_t kScrubCycles = 4096;
+/// Cycle cost charged for a laneless host op (sampling / aggregation).
+constexpr std::uint64_t kHostOpCycles = 256;
 
 struct ServingRuntime::Lane {
   std::uint32_t degree = 0;
@@ -279,7 +278,6 @@ void ServingRuntime::prime() {
   report_.backend = cfg_.backend;
   report_.duration_cycles = horizon;
   report_.cycles_per_us = cyc_per_us;
-  report_.fleet_mode = cfg_.external_arrivals;
   report_.chip_id = cfg_.chip_id;
 
   // Auto window width: ~64 windows across the arrival horizon, never
@@ -294,12 +292,8 @@ void ServingRuntime::prime() {
   // once, before priming, so a chip must not wipe its siblings' records.
   if (event_log_ && !cfg_.external_arrivals) event_log_->clear();
 
-  resilience_on_ = cfg_.resilience.enabled();
-  report_.resilience_enabled = resilience_on_;
-
-  report_.protocol_enabled = cfg_.protocol.enabled();
-  if (report_.protocol_enabled) {
-    report_.protocol.kind = protocol_name(cfg_.protocol.kind);
+  report_.protocol.kind = protocol_name(cfg_.protocol.kind);
+  if (cfg_.protocol.enabled()) {
     if (cfg_.protocol.kind == ProtocolKind::kThreshold) {
       report_.protocol.shares = cfg_.protocol.shares;
     }
@@ -351,25 +345,23 @@ void ServingRuntime::prime() {
                static_cast<std::uint64_t>(cfg_.fail_bank_at_us * cyc_per_us));
   }
 
-  if (resilience_on_) {
-    const auto& res = cfg_.resilience;
-    const std::uint32_t tenants_n =
-        std::max<std::uint32_t>(cfg_.workload.tenants, 1);
-    retry_budget_ = std::make_unique<RetryBudget>(tenants_n,
-                                                  res.retry_budget_ratio);
-    shedder_ = CoDelShedder(
-        static_cast<std::uint64_t>(res.codel_target_us * cyc_per_us),
-        static_cast<std::uint64_t>(res.codel_interval_us * cyc_per_us));
-    health_ = std::make_unique<HealthMonitor>(res, cfg_.workload.seed);
-    chaos_rng_ = Xoshiro256(res.chaos.seed);
-    service_hist_ = obs::Histogram{};
-    health_tick_armed_ = false;
-    if (res.chaos.enabled) arm_chaos_episode();
-    if (res.wear_limit > 0 || res.chaos.enabled) {
-      arm_health_tick(res.health_period_cycles);
-    }
-  }
-
+  // Each resilience mechanism keys on its own knob; see resilience.h.
+  const auto& res = cfg_.resilience;
+  retry_budget_ =
+      res.max_retries > 0
+          ? std::make_unique<RetryBudget>(tenants, res.retry_budget_ratio)
+          : nullptr;
+  shedder_ = CoDelShedder(
+      static_cast<std::uint64_t>(res.codel_target_us * cyc_per_us),
+      static_cast<std::uint64_t>(res.codel_interval_us * cyc_per_us));
+  health_ = res.wear_limit > 0 || res.chaos.enabled
+                ? std::make_unique<HealthMonitor>(res, cfg_.workload.seed)
+                : nullptr;
+  chaos_rng_ = Xoshiro256(res.chaos.seed);
+  service_hist_ = obs::Histogram{};
+  health_tick_armed_ = false;
+  if (res.chaos.enabled) arm_chaos_episode();
+  if (health_) arm_health_tick(kHealthPeriodCycles);
 }
 
 void ServingRuntime::step() {
@@ -431,7 +423,6 @@ ServingReport ServingRuntime::seal() {
                             (static_cast<double>(horizon_) * cfg_.cycle_ns *
                              1e-9);
   }
-  publish_metrics();
   // Clean end of run: the seal pins the final conservation counters, so
   // a validator can check the whole ledger without the serving report
   // and --recover can tell "finished" from "interrupted".
@@ -527,13 +518,11 @@ obs::Json ServingRuntime::snapshot_state() const {
   counters.set("retried", report_.retried);
   counters.set("repartitions", report_.repartitions);
   counters.set("bank_failures", report_.bank_failures);
-  if (resilience_on_) {
-    counters.set("shed", report_.resilience.shed);
-    counters.set("timed_out", report_.resilience.timed_out);
-    counters.set("failed", report_.resilience.failed);
-    counters.set("retries", report_.resilience.retries);
-    counters.set("chaos_episodes", report_.resilience.chaos_episodes);
-  }
+  counters.set("shed", report_.resilience.shed);
+  counters.set("timed_out", report_.resilience.timed_out);
+  counters.set("failed", report_.resilience.failed);
+  counters.set("retries", report_.resilience.retries);
+  counters.set("chaos_episodes", report_.resilience.chaos_episodes);
   s.set("counters", std::move(counters));
 
   // Lane geometry + per-lane resilience machinery (breaker, wear, chaos
@@ -556,7 +545,7 @@ obs::Json ServingRuntime::snapshot_state() const {
     lj.set("breaker_failures",
            std::uint64_t{lane.breaker.consecutive_failures()});
     lj.set("breaker_open_until", lane.breaker.open_until());
-    if (health_) lj.set("wear_writes", health_->wear_writes(i));
+    lj.set("wear_writes", health_ ? health_->wear_writes(i) : 0);
     lanes.push_back(std::move(lj));
   }
   s.set("lanes", std::move(lanes));
@@ -576,7 +565,7 @@ obs::Json ServingRuntime::snapshot_state() const {
   // survive the JSON number path.
   obs::Json rngs = obs::Json::object();
   if (workload_) rngs.set("workload", u64_hex(workload_->rng_digest()));
-  if (resilience_on_) rngs.set("chaos", u64_hex(chaos_rng_.digest()));
+  rngs.set("chaos", u64_hex(chaos_rng_.digest()));
   s.set("rng", std::move(rngs));
 
   s.set("chip_slow_until", chip_slow_until_);
@@ -657,10 +646,7 @@ std::vector<Request> ServingRuntime::crash_chip() {
 void ServingRuntime::revive(std::uint64_t cycle) {
   failed_banks_ = 0;
   schedule_scan(std::max(cycle, now_) + 1);
-  if (resilience_on_ &&
-      (cfg_.resilience.wear_limit > 0 || cfg_.resilience.chaos.enabled)) {
-    arm_health_tick(cfg_.resilience.health_period_cycles);
-  }
+  if (health_) arm_health_tick(kHealthPeriodCycles);
 }
 
 void ServingRuntime::slow_down(std::uint64_t until_cycle, double factor) {
@@ -705,9 +691,6 @@ void ServingRuntime::handle_arrival(const Event& e) {
   report_.queue_depth.add(pending_.size());
   report_.series.count("submitted", now_, n_ops);
   report_.series.observe("queue_depth", now_, pending_.size());
-  obs::metrics()
-      .histogram("cryptopim.runtime.queue_depth", "requests")
-      .add(pending_.size());
 
   // Chain the next open-loop arrival before any admission decision so
   // backpressure never throttles the *offered* load. (Fleet drive has no
@@ -731,7 +714,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
       rec.set("reason", reason);
       event_log_->log(std::move(rec));
     }
-    emit_outcome(origin, Outcome::kRejected);
+    finish(origin, Outcome::kRejected);
   };
   if (g.banks > usable_banks()) {
     reject("unservable", report_.rejected_unservable, ts.rejected);
@@ -741,7 +724,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     reject("queue_full", report_.rejected, ts.rejected);
     return;
   }
-  const bool hard_deadline = resilience_on_ && cfg_.resilience.deadline_us > 0;
+  const bool hard_deadline = cfg_.resilience.deadline_us > 0;
   const std::uint64_t deadline =
       hard_deadline
           ? origin.arrival_cycle +
@@ -825,8 +808,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
       r.fanout_group = op.fanout_group;
       r.parent_mask = op.parent_mask;
       r.degree = op.degree;
-      stamp(r, is_host_op(r) ? cfg_.protocol.host_op_cycles
-                             : geometry(op.degree).service());
+      stamp(r, is_host_op(r) ? kHostOpCycles : geometry(op.degree).service());
     }
     if (hard_deadline) push_event(EventKind::kTimeout, r.deadline_cycle, r.id);
     if (dag && elog_on()) {
@@ -979,10 +961,8 @@ ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
   lane.free_at = now_ + cfg_.repartition_cycles;
   lane.track =
       runtime_track_base() + 1 + static_cast<std::uint32_t>(lanes_.size());
-  if (resilience_on_) {
-    lane.breaker = CircuitBreaker(cfg_.resilience.breaker_k,
-                                  cfg_.resilience.breaker_open_cycles);
-  }
+  lane.breaker = CircuitBreaker(cfg_.resilience.breaker_k,
+                                cfg_.resilience.breaker_open_cycles);
   allocated_banks_ += g.banks;
   report_.repartitions += 1;
   report_.series.count("repartitions", now_);
@@ -1033,31 +1013,31 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
   inf.is_hedge = hedge_of != 0;
   inf.hedge_partner = hedge_of;
   // Stamped at admission: the lane's unloaded service time, or
-  // host_op_cycles for a laneless host op (sampling / aggregation). A
+  // kHostOpCycles for a laneless host op (sampling / aggregation). A
   // host op has no bank accounting, fairness charge, hedging or chaos —
   // the host is outside the crossbar fault domain.
   std::uint64_t service = std::max<std::uint64_t>(r.service_cycles, 1);
   if (lane != nullptr) {
     const LaneGeometry& g = geometry(r.degree);
     inf.lane = static_cast<std::size_t>(lane - lanes_.data());
-    if (resilience_on_) {
-      inf.is_probe = lane->breaker.note_dispatch(t0);
-      if (inf.is_probe) report_.resilience.breaker_probes += 1;
-      if (health_ && health_->note_dispatch(inf.lane)) {
-        // The lane crossed its wear limit on this very write: it corrupts
-        // from here on and only a remap onto fresh banks clears it. This
-        // is the failure mode the proactive drain exists to prevent.
-        lane->corrupt_until = kForever;
-        lane->draining = true;
-        report_.resilience.wear_corruptions += 1;
-      }
-      if (health_ && health_->wants_drain(inf.lane)) lane->draining = true;
-      if (lane->slow_until > t0) {
-        service = static_cast<std::uint64_t>(
-            static_cast<double>(service) * cfg_.resilience.chaos.slow_factor);
-      }
-      inf.corrupt = t0 < lane->corrupt_until;
+    inf.is_probe = lane->breaker.note_dispatch(t0);
+    if (inf.is_probe) report_.resilience.breaker_probes += 1;
+    if (health_ && health_->note_dispatch(inf.lane)) {
+      // The lane crossed its wear limit on this very write: it corrupts
+      // from here on and only a remap onto fresh banks clears it. This
+      // is the failure mode the proactive drain exists to prevent.
+      lane->corrupt_until = kForever;
+      lane->draining = true;
+      report_.resilience.wear_corruptions += 1;
     }
+    if (health_ && health_->wants_drain(inf.lane)) lane->draining = true;
+    // Chaos episodes: a slowed lane stretches service, a corrupting one
+    // (or a worn one) spoils the result.
+    if (lane->slow_until > t0) {
+      service = static_cast<std::uint64_t>(static_cast<double>(service) *
+                                           kChaosSlowFactor);
+    }
+    inf.corrupt = t0 < lane->corrupt_until;
     // Whole-chip brownout: every dispatch in the episode runs slow.
     if (t0 < chip_slow_until_) {
       service = static_cast<std::uint64_t>(
@@ -1122,8 +1102,7 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
   in_flight_.emplace(id, std::move(inf));
   push_event(EventKind::kCompletion, t0 + service, id);
 
-  if (lane != nullptr && hedge_of == 0 && resilience_on_ &&
-      cfg_.resilience.hedge) {
+  if (lane != nullptr && hedge_of == 0 && cfg_.resilience.hedge) {
     // Straggler check: if the request is still running after the hedge
     // delay, duplicate it onto a second lane (first result wins). The
     // check lands after the nominal completion only when the lane is
@@ -1197,7 +1176,7 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
     if (f->second.lane != kHostLane) {
       Lane& lane = lanes_[f->second.lane];
       lane.in_flight -= 1;
-      if (resilience_on_ && f->second.is_probe) {
+      if (f->second.is_probe) {
         // Same hazard as cancel_in_flight: a cancelled half-open probe
         // reports no outcome and would wedge the breaker.
         lane.breaker.note_cancelled(now_);
@@ -1247,9 +1226,9 @@ void ServingRuntime::fail(const Request& r, Outcome o,
 
 void ServingRuntime::finish(const Request& origin, Outcome o) {
   emit_outcome(origin, o);
-  // Failed requests complete the closed-loop cycle too: the client sees
-  // the result (or the error) and re-issues after thinking. (Fleet drive
-  // has no generator: the front-end owns the loop.)
+  // Failed and rejected requests complete the closed-loop cycle too: the
+  // client sees the result (or the error) and re-issues after thinking.
+  // (Fleet drive has no generator: the front-end owns the loop.)
   if (workload_) {
     if (auto next = workload_->next_after_completion(origin, now_)) {
       push_event(EventKind::kArrival, next->cycle, 0, std::move(next->request));
@@ -1267,24 +1246,21 @@ void ServingRuntime::handle_completion(const Event& e) {
 
   if (lane != nullptr) {
     lane->in_flight -= 1;
-    if (resilience_on_) {
-      service_hist_.add(now_ - inf.dispatched_at);
-      // Hedged pair: first result wins, the loser is cancelled.
-      if (inf.hedge_partner != 0) {
-        cancel_in_flight(inf.hedge_partner);
-        if (inf.is_hedge) report_.resilience.hedge_wins += 1;
-      }
+    if (cfg_.resilience.hedge) service_hist_.add(now_ - inf.dispatched_at);
+    // Hedged pair: first result wins, the loser is cancelled.
+    if (inf.hedge_partner != 0) {
+      cancel_in_flight(inf.hedge_partner);
+      if (inf.is_hedge) report_.resilience.hedge_wins += 1;
     }
     // A corrupt result caught on completion is never delivered as good.
-    // A whole-chip storm is caught irrespective of the per-lane
-    // resilience layer; a lane's chaos/wear window by the layered checks
-    // of the reliability stack (write-verify, parity, Freivalds). The
-    // chip's own retries get a shot when resilience is on; otherwise (or
-    // once exhausted) the request fails — a storm result is surrendered
-    // to the fleet for a cross-chip retry.
+    // A whole-chip storm is always caught; a lane's chaos/wear window by
+    // the layered checks of the reliability stack (write-verify, parity,
+    // Freivalds) unless chaos_detect is off. The chip's own retries get a
+    // shot; once they are exhausted (or with none configured) the request
+    // fails — a storm result is surrendered to the fleet for a cross-chip
+    // retry.
     const bool storm = inf.chip_corrupt;
-    if (storm ||
-        (resilience_on_ && inf.corrupt && cfg_.resilience.chaos_detect)) {
+    if (storm || (inf.corrupt && cfg_.resilience.chaos_detect)) {
       (storm ? report_.chip_corruptions
              : report_.resilience.detected_corruptions) += 1;
       if (elog_on()) {
@@ -1294,26 +1270,21 @@ void ServingRuntime::handle_completion(const Event& e) {
         rec.set("lane", std::uint64_t{inf.lane});
         event_log_->log(std::move(rec));
       }
-      if (resilience_on_) {
-        record_lane_outcome(*lane, inf.lane, false);
-        if (lane->draining && lane->in_flight == 0) {
-          remap_drained_lane(*lane, inf.lane);
-        }
+      record_lane_outcome(*lane, inf.lane, false);
+      if (lane->draining && lane->in_flight == 0) {
+        remap_drained_lane(*lane, inf.lane);
       }
-      if (!resilience_on_ ||
-          !schedule_retry(r, /*count_as_bank_retry=*/false)) {
+      if (!schedule_retry(r, /*count_as_bank_retry=*/false)) {
         fail(r, Outcome::kFailed,
              storm ? report_.chip_failed : report_.resilience.failed);
       }
       try_dispatch();
       return;
     }
-    if (resilience_on_) {
-      // Detection disabled: the corrupt result sails through as if good
-      // (this counter existing at zero is what proves the checks work).
-      if (inf.corrupt) report_.resilience.wrong_accepted += 1;
-      record_lane_outcome(*lane, inf.lane, /*ok=*/true);
-    }
+    // Detection disabled: the corrupt result sails through as if good
+    // (this counter existing at zero is what proves the checks work).
+    if (inf.corrupt) report_.resilience.wrong_accepted += 1;
+    record_lane_outcome(*lane, inf.lane, /*ok=*/true);
   }
 
   const std::uint64_t latency = now_ - r.arrival_cycle;
@@ -1322,9 +1293,6 @@ void ServingRuntime::handle_completion(const Event& e) {
   report_.series.count("completed", now_);
   report_.series.observe("latency_cycles", now_, latency);
   report_.slo.record_good(now_, latency);
-  obs::metrics()
-      .histogram("cryptopim.runtime.latency_cycles", "cycles")
-      .add(latency);
   TenantStats& ts = report_.tenants.at(r.tenant);
   ts.completed += 1;
   ts.latency_cycles.add(latency);
@@ -1357,8 +1325,7 @@ void ServingRuntime::handle_completion(const Event& e) {
   // backend), not per-op with Freivalds.
   if (r.verify && r.proto_id == 0) verify_result(r);
 
-  if (lane != nullptr && resilience_on_ && lane->draining &&
-      lane->in_flight == 0) {
+  if (lane != nullptr && lane->draining && lane->in_flight == 0) {
     remap_drained_lane(*lane, inf.lane);
   }
   settle(r, Outcome::kCompleted, inf.dispatched_at);
@@ -1405,18 +1372,17 @@ void ServingRuntime::handle_bank_failure(const Event&) {
       rec.set("lane", std::uint64_t{inf.lane});
       event_log_->log(std::move(rec));
     }
-    if (resilience_on_ && inf.is_probe) {
+    if (inf.is_probe) {
       // The teardown cancels the breaker's half-open probe with no
       // outcome; reset it or the lane (which may re-form on a spare)
       // wedges half-open, refusing work forever. The later try_dispatch
       // arms the open-period wake-up via acquire_lane.
       lanes_[inf.lane].breaker.note_cancelled(now_);
     }
-    if (resilience_on_ && inf.hedge_partner != 0 &&
-        in_flight_.count(inf.hedge_partner) != 0) {
+    if (inf.hedge_partner != 0 && in_flight_.count(inf.hedge_partner) != 0) {
       return;
     }
-    if (resilience_on_ && cfg_.resilience.max_retries > 0) {
+    if (cfg_.resilience.max_retries > 0) {
       if (!schedule_retry(inf.request, /*count_as_bank_retry=*/true)) {
         fail(inf.request, Outcome::kFailed, report_.resilience.failed);
       }
@@ -1563,13 +1529,12 @@ void ServingRuntime::handle_health(const Event&) {
     // forgive transient failure history; they cannot un-wear a column.
     if (health_ && health_->wants_scrub(i) && lane.in_flight == 0 &&
         lane.free_at <= now_) {
-      lane.free_at = now_ + cfg_.resilience.scrub_cycles;
+      lane.free_at = now_ + kScrubCycles;
       health_->on_scrub(i);
       report_.resilience.scrubs += 1;
       auto& tr = obs::tracer();
       if (tr.enabled()) {
-        tr.emit(lane.track, "scrub", "resilience", now_,
-                cfg_.resilience.scrub_cycles);
+        tr.emit(lane.track, "scrub", "resilience", now_, kScrubCycles);
       }
     }
   }
@@ -1587,7 +1552,7 @@ void ServingRuntime::handle_health(const Event&) {
     }
   }
   if (now_ < horizon_ || !in_flight_.empty() || pending_servable) {
-    arm_health_tick(cfg_.resilience.health_period_cycles);
+    arm_health_tick(kHealthPeriodCycles);
   }
 }
 
@@ -1715,7 +1680,7 @@ std::uint64_t ServingRuntime::hedge_delay_cycles() const {
   }
   // p99-derived: hedge only after enough service-time samples to make
   // the tail estimate meaningful; until then stragglers run unhedged.
-  if (service_hist_.count() < res.hedge_min_samples) return 0;
+  if (service_hist_.count() < kHedgeMinSamples) return 0;
   return service_hist_.quantile(0.99);
 }
 
@@ -1745,50 +1710,6 @@ void ServingRuntime::arm_chaos_episode() {
   const std::uint64_t at = now_ + gap;
   if (at > horizon_) return;
   push_event(EventKind::kChaos, at);
-}
-
-void ServingRuntime::publish_metrics() const {
-  auto& reg = obs::metrics();
-  reg.counter("cryptopim.runtime.submitted", "requests")
-      .add(report_.submitted);
-  reg.counter("cryptopim.runtime.admitted", "requests").add(report_.admitted);
-  reg.counter("cryptopim.runtime.rejected", "requests").add(report_.rejected);
-  reg.counter("cryptopim.runtime.rejected_unservable", "requests")
-      .add(report_.rejected_unservable);
-  reg.counter("cryptopim.runtime.completed", "requests")
-      .add(report_.completed);
-  reg.counter("cryptopim.runtime.repartitions", "events")
-      .add(report_.repartitions);
-  reg.counter("cryptopim.runtime.bank_failures", "banks")
-      .add(report_.bank_failures);
-  reg.counter("cryptopim.runtime.retried", "requests").add(report_.retried);
-  reg.counter("cryptopim.runtime.deadline_misses", "requests")
-      .add(report_.deadline_misses);
-  reg.counter("cryptopim.runtime.verified", "requests").add(report_.verified);
-  reg.counter("cryptopim.runtime.verify_failures", "requests")
-      .add(report_.verify_failures);
-  reg.counter("cryptopim.runtime.busy_bank_cycles", "bank-cycles")
-      .add(report_.busy_bank_cycles);
-  if (report_.resilience_enabled) report_.resilience.publish();
-  if (report_.protocol_enabled) {
-    const ProtocolStats& p = report_.protocol;
-    reg.counter("cryptopim.runtime.protocol.requests", "requests")
-        .add(p.requests);
-    reg.counter("cryptopim.runtime.protocol.completed", "requests")
-        .add(p.completed);
-    reg.counter("cryptopim.runtime.protocol.failed", "requests").add(p.failed);
-    reg.counter("cryptopim.runtime.protocol.host_ops", "ops").add(p.host_ops);
-    reg.counter("cryptopim.runtime.protocol.joins", "joins").add(p.joins);
-    reg.counter("cryptopim.runtime.protocol.join_mismatches", "joins")
-        .add(p.join_mismatches);
-    for (unsigned c = 0; c < 4; ++c) {
-      if (p.op_cycles[c].count() == 0) continue;
-      reg.histogram(std::string("cryptopim.runtime.protocol.op_cycles.") +
-                        op_class_name(static_cast<OpClass>(c)),
-                    "cycles")
-          .merge(p.op_cycles[c]);
-    }
-  }
 }
 
 }  // namespace cryptopim::runtime

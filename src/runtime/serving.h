@@ -31,11 +31,10 @@
 // once spares are dry, exactly mirroring plan_for_degree(n, failed).
 //
 // Observability: every run fills per-tenant pow2 latency histograms
-// (p50/p99/p999 via obs::Histogram::quantile), queue-depth and
-// utilization counters, publishes cryptopim.runtime.* metrics, and —
-// when the global tracer is enabled — emits one span per request on a
-// per-lane `runtime` track so Perfetto shows requests flowing across
-// superbank lanes.
+// (p50/p99/p999 via obs::Histogram::quantile) and queue-depth and
+// utilization counters in its report, and — when the global tracer is
+// enabled — emits one span per request on a per-lane `runtime` track so
+// Perfetto shows requests flowing across superbank lanes.
 //
 // Verification: requests flagged `verify` carry a data seed; on
 // completion the runtime materialises the operands, runs the product
@@ -214,27 +213,20 @@ struct ServingReport {
   std::uint64_t verified = 0;
   std::uint64_t verify_failures = 0;
 
-  /// Resilience ledger; serialized (and the section emitted in to_json)
-  /// only when a resilience feature was enabled for the run.
-  bool resilience_enabled = false;
+  /// Resilience ledger (all zero when no resilience feature ran).
   ResilienceStats resilience;
 
-  /// Fleet context (populated, and emitted in to_json, only when the
-  /// chip was driven externally by a FleetRuntime — the classic
-  /// single-chip report stays byte-identical).
-  bool fleet_mode = false;
+  /// Fleet context (all zero for a single-chip run).
   std::uint32_t chip_id = 0;
   std::uint64_t migrated = 0;         ///< queued work extracted by a drain/crash
   std::uint64_t lost_in_flight = 0;   ///< in-flight torn down by a chip crash
   std::uint64_t chip_corruptions = 0; ///< corruption-storm results detected
   std::uint64_t chip_failed = 0;      ///< surrendered to the fleet for retry
 
-  /// Protocol-level ledger (populated, and emitted in to_json, only when
-  /// a protocol workload ran — raw-polymul reports stay byte-identical).
-  /// The main counters above then count primitive *ops*, so the serving
-  /// conservation identities keep holding with ops as the unit of work;
-  /// this block counts whole protocol requests.
-  bool protocol_enabled = false;
+  /// Protocol-level ledger (kind "none" and all zero for raw polymul).
+  /// In a protocol run the main counters above count primitive *ops*,
+  /// so the serving conservation identities keep holding with ops as the
+  /// unit of work; this block counts whole protocol requests.
   ProtocolStats protocol;
 
   std::uint64_t busy_bank_cycles = 0;
@@ -255,10 +247,12 @@ struct ServingReport {
   double cycles_per_us = 1.0;
   double latency_us(double quantile) const;
 
-  /// Deterministic JSON document (schema "serving/2"): totals, derived
-  /// rates, per-tenant stats with p50/p99/p999 latency, the windowed
-  /// "series" section with derived "rolling" rates, and — when
-  /// objectives were set — the "slo" error-budget section.
+  /// Deterministic JSON document (schema "serving/3"), one shape for
+  /// every run: totals, the resilience, fleet-context and protocol
+  /// ledgers, derived rates, per-tenant stats with p50/p99/p999 latency,
+  /// and the windowed "series" section with derived "rolling" rates. The
+  /// "slo" error-budget section is the one optional part: it is emitted
+  /// only when objectives were set.
   obs::Json to_json() const;
 };
 
@@ -410,7 +404,6 @@ class ServingRuntime {
   /// Event documents them per kind.
   void push_event(EventKind kind, std::uint64_t cycle,
                   std::uint64_t dispatch_id = 0, Request r = {});
-  void publish_metrics() const;
 
   // -- observability -----------------------------------------------------------
   bool elog_on() const noexcept {
@@ -434,8 +427,8 @@ class ServingRuntime {
   /// A bad terminal fate (shed / timed out / failed): bump `counter`, the
   /// windowed counter and the SLO error, log it, then settle.
   void fail(const Request& r, Outcome o, std::uint64_t& counter);
-  /// A request (a DAG's origin) reached its fate after admission: report
-  /// it, then let a closed-loop client re-issue.
+  /// A request (a DAG's origin) reached its fate, rejection included:
+  /// report it, then let a closed-loop client re-issue.
   void finish(const Request& origin, Outcome o);
   /// Base trace track id for this chip's lane spans.
   std::uint32_t runtime_track_base() const noexcept {
@@ -502,11 +495,10 @@ class ServingRuntime {
   std::map<std::uint64_t, ProtoState> protos_;
   std::unique_ptr<ProtocolHarness> proto_harness_;
 
-  // -- resilience state (inert when cfg_.resilience.enabled() is false) -------
-  bool resilience_on_ = false;
-  std::unique_ptr<RetryBudget> retry_budget_;
+  // -- resilience state (each part inert while its knob is off) ---------------
+  std::unique_ptr<RetryBudget> retry_budget_;  ///< max_retries > 0
   CoDelShedder shedder_;
-  std::unique_ptr<HealthMonitor> health_;
+  std::unique_ptr<HealthMonitor> health_;  ///< wear_limit > 0 or chaos
   Xoshiro256 chaos_rng_{1};
   bool health_tick_armed_ = false;
   obs::Histogram service_hist_;  ///< dispatch -> completion, for hedge p99
@@ -537,8 +529,7 @@ class ServingRuntime {
   const std::uint64_t* ext_event_index_ = nullptr;  ///< fleet merged clock
   std::uint64_t event_index_ = 0;
 
-  // -- whole-chip episode state (inert at defaults: single-chip runs
-  // never set these, so legacy output is byte-identical) ----------------------
+  // -- whole-chip episode state (set only by a fleet's chip chaos) ------------
   std::uint64_t chip_slow_until_ = 0;
   double chip_slow_factor_ = 1.0;
   std::uint64_t chip_corrupt_until_ = 0;

@@ -6,11 +6,13 @@
 // mechanism as periodic *cross-checks* rather than cold-restore images:
 // every `--snapshot-every N` global events the runtime serializes its
 // full state (lane geometry, wear counters, breaker and shard-map state,
-// RNG cursors, WFQ ledgers) into `snap-<index>.json`, and a recovering
-// run — as its replay passes the same index — rebuilds the state dump
-// and verifies the stored CRC matches. A divergence means the replay is
-// not reproducing the pre-crash run and recovery fails loudly instead of
-// silently double-serving.
+// RNG cursors, WFQ ledgers) into `snap-<index>.json` and journals the
+// state's CRC in a `snap` record. A recovering run rebuilds the same dump
+// as its replay passes the same index, and the journal's byte-compare of
+// that `snap` record is the cross-check: a divergence means the replay
+// is not reproducing the pre-crash run and recovery fails loudly instead
+// of silently double-serving. Nothing reads the documents back; they are
+// the human-readable state behind each journaled CRC.
 //
 // Document shape:
 //
@@ -33,25 +35,5 @@ namespace cryptopim::runtime {
 /// the caller can journal it.
 std::string write_snapshot(const std::string& dir, std::uint64_t index,
                            const obs::Json& state, std::uint32_t* state_crc);
-
-struct SnapshotLoadResult {
-  bool ok = false;
-  std::string error;
-  std::uint64_t index = 0;
-  std::uint32_t crc = 0;   ///< stored CRC of the state serialization
-  obs::Json state;
-};
-
-/// Parses and validates one snapshot document (schema + field checks).
-SnapshotLoadResult load_snapshot(const std::string& path);
-
-/// Scans `dir` for `snap-*.json` and returns the valid snapshot with the
-/// highest index (ok=false if none parse).
-SnapshotLoadResult load_latest_snapshot(const std::string& dir);
-
-/// True iff `state`'s compact serialization hashes to `expected_crc`.
-/// Comparing CRCs of serializations (not parsed doubles round-tripped)
-/// keeps full-width u64 fields exact.
-bool snapshot_state_matches(const obs::Json& state, std::uint32_t expected_crc);
 
 }  // namespace cryptopim::runtime

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Byte pin of the serving runtime's request paths: runs a fixed list of
-# `cryptopim serve` commands and checks the sha256 of every output (the
-# report JSON, the event log, and the journal of the --journal runs)
-# against a committed manifest.
+# `cryptopim serve` commands, validates every output with json_check (the
+# report JSON as serving/3 or fleet/1, the event log as serve-events/2,
+# and the journal of the --journal runs as journal/1), then checks the
+# sha256 of each against a committed manifest. Validating first means a
+# --write regeneration cannot pin an invalid document.
 #
 # Together the runs emit every lifecycle record the runtime writes:
 # `rejected` for each reason the CLI can reach (queue_full,
@@ -14,12 +16,13 @@
 # TerminalPaths matrix in test_serving_paths.cc drives it instead.)
 # Protocol runs carry no --deadline.
 #
-# usage: serving_paths.sh CLI MANIFEST [--write]
+# usage: serving_paths.sh CLI JSON_CHECK MANIFEST [--write]
 #   --write regenerates MANIFEST from this CLI's outputs.
 set -eu
 
 cli=$1
-manifest=$2
+check=$2
+manifest=$3
 out=serving_paths_out
 
 rm -rf "$out"
@@ -31,6 +34,11 @@ serve() {
   shift
   "$cli" serve "$@" --events "$name.events.jsonl" --json > "$name.json" \
       2> /dev/null
+  case $name in
+    fleet_*) "$check" --fleet "$name.json" > /dev/null ;;
+    *) "$check" --serving "$name.json" > /dev/null ;;
+  esac
+  "$check" --events "$name.events.jsonl" > /dev/null
 }
 
 # -- raw polymul --------------------------------------------------------------
@@ -70,7 +78,9 @@ serve journal_raw --chaos --deadline 300 --arrival-rate 600000 \
 serve journal_kem --protocol kem --chaos --retries 1 --arrival-rate 200000 \
   --duration 800 --seed 6 --journal journal_kem
 
-if [ "${3:-}" = "--write" ]; then
+"$check" --journal ./*/journal.log > /dev/null
+
+if [ "${4:-}" = "--write" ]; then
   sha256sum ./*.json ./*.jsonl ./*/journal.log > "$manifest"
 else
   sha256sum -c "$manifest"

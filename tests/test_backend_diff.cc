@@ -267,9 +267,9 @@ TEST(BackendServing, InvariantsHoldUnderEveryBackend) {
     const auto rep = rt.run();
     SCOPED_TRACE(backend);
 
-    // serving/2 schema with backend provenance.
+    // serving/3 schema with backend provenance.
     const auto j = rep.to_json();
-    EXPECT_EQ(j.at("schema").as_string(), "serving/2");
+    EXPECT_EQ(j.at("schema").as_string(), "serving/3");
     EXPECT_EQ(j.at("backend").as_string(), backend);
 
     // Work conservation after drain.

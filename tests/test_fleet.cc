@@ -194,7 +194,6 @@ TEST(FleetServing, HealthyFleetConservesAndSpreadsWork) {
   std::uint64_t busy_chips = 0;
   for (std::size_t i = 0; i < rep.chip_reports.size(); ++i) {
     const auto& c = rep.chip_reports[i];
-    EXPECT_TRUE(c.fleet_mode);
     EXPECT_EQ(c.chip_id, i);
     if (c.submitted > 0) ++busy_chips;
   }
@@ -434,7 +433,7 @@ TEST(FleetReportJson, CarriesSchemaCountersAndPerChipReports) {
   ASSERT_EQ(j.at("chips").size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     const auto& c = j.at("chips")[i];
-    EXPECT_EQ(c.at("schema").as_string(), "serving/2");
+    EXPECT_EQ(c.at("schema").as_string(), "serving/3");
     EXPECT_EQ(c.at("chip").as_u64(), i);
   }
   EXPECT_EQ(j.at("submitted").as_u64(), rep.submitted);

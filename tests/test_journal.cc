@@ -1,6 +1,6 @@
 // Durability subsystem tests (src/runtime/journal.*, snapshot.*, and the
 // recovery path through ServingRuntime / FleetRuntime): CRC framing,
-// torn-tail discipline, replay matching, snapshot round-trips, RNG
+// torn-tail discipline, replay matching, snapshot documents, RNG
 // digests, event-log streaming, and in-process crash/recover fidelity —
 // including the --protocol x --fleet matrix (op-ledger conservation and
 // exactly-once protocol teardown when a chip dies mid-DAG).
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -187,28 +188,21 @@ TEST(Snapshot, WritesLoadsAndValidates) {
   std::uint32_t crc = 0;
   const std::string file = write_snapshot(dir, 42, state, &crc);
   EXPECT_EQ(file, "snap-42.json");
+  // The CRC the journal's snap record pins is that of the compact state.
+  EXPECT_EQ(crc, obs::crc32(state.dump()));
+  EXPECT_FALSE(fs::exists(dir + "/" + file + ".tmp"));  // renamed into place
 
-  const auto loaded = load_snapshot(dir + "/" + file);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.index, 42u);
-  EXPECT_EQ(loaded.crc, crc);
-  EXPECT_TRUE(snapshot_state_matches(loaded.state, crc));
-  EXPECT_EQ(loaded.state.at("cycle").as_u64(), 12345u);
-
-  // Highest-index scan.
-  write_snapshot(dir, 7, state, nullptr);
-  const auto latest = load_latest_snapshot(dir);
-  ASSERT_TRUE(latest.ok);
-  EXPECT_EQ(latest.index, 42u);
-
-  // Corrupted state must be detected by the CRC cross-check (the load
-  // itself only validates framing; the CRC catches content drift).
-  std::string text = slurp(dir + "/" + file);
-  text[text.find("12345")] = '9';
-  spit(dir + "/" + file, text);
-  const auto bad = load_snapshot(dir + "/" + file);
-  ASSERT_TRUE(bad.ok) << bad.error;
-  EXPECT_FALSE(snapshot_state_matches(bad.state, bad.crc));
+  // The document is a parseable snapshot/1 carrying index, CRC and state.
+  const auto parsed = obs::parse_json(slurp(dir + "/" + file));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const obs::Json& doc = parsed.value;
+  EXPECT_EQ(doc.at("schema").as_string(), "snapshot/1");
+  EXPECT_EQ(doc.at("index").as_u64(), 42u);
+  char crc_hex[9];
+  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", crc);
+  EXPECT_EQ(doc.at("crc").as_string(), crc_hex);
+  EXPECT_EQ(doc.at("state").at("cycle").as_u64(), 12345u);
+  EXPECT_EQ(doc.at("state").at("note").as_string(), "hello");
 }
 
 // -------------------------------------------------------- rng digest --

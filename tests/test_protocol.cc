@@ -56,7 +56,7 @@ void expect_topological(const ProtoDag& dag) {
 /// rejected whole or reaches exactly one of completed/failed.
 void expect_proto_conserved(const ServingReport& r) {
   const auto& p = r.protocol;
-  EXPECT_TRUE(r.protocol_enabled);
+  EXPECT_NE(p.kind, "none");
   EXPECT_EQ(p.requests, p.completed + p.failed + p.rejected);
   // Main counters run at op granularity: admission is all-or-nothing.
   EXPECT_EQ(r.admitted, (p.requests - p.rejected) * p.ops_per_request);
@@ -258,15 +258,25 @@ TEST(ProtocolServing, SameSeedIsByteIdentical) {
   EXPECT_EQ(json_text(a), json_text(b));
 }
 
-TEST(ProtocolServing, RawReportCarriesNoProtocolBlock) {
+TEST(ProtocolServing, RawReportProtocolBlockIsKindNone) {
   ServingConfig cfg;
   cfg.duration_us = 200.0;
   const auto raw = ServingRuntime(cfg).run();
-  EXPECT_FALSE(raw.protocol_enabled);
-  EXPECT_EQ(json_text(raw).find("\"protocol\""), std::string::npos);
+  // One report shape: a raw run carries the protocol block too, as kind
+  // "none" with every counter at zero.
+  const obs::Json p = raw.to_json().at("protocol");
+  EXPECT_EQ(p.at("kind").as_string(), "none");
+  for (const char* f :
+       {"shares", "ops_per_request", "requests", "completed", "failed",
+        "rejected", "ops_completed", "ops_cancelled", "host_ops", "joins",
+        "join_mismatches"}) {
+    EXPECT_EQ(p.at(f).as_u64(), 0u) << f;
+  }
+  EXPECT_EQ(p.at("latency").at("count").as_u64(), 0u);
+  EXPECT_EQ(p.at("op_classes").size(), 0u);
   const auto proto =
       ServingRuntime(proto_config(ProtocolKind::kKem, 3, 300.0)).run();
-  EXPECT_NE(json_text(proto).find("\"protocol\""), std::string::npos);
+  EXPECT_EQ(proto.to_json().at("protocol").at("kind").as_string(), "kem");
 }
 
 // ------------------------------------------------------- fleet teardown --

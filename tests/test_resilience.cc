@@ -247,7 +247,6 @@ TEST(ResilientServing, InfeasibleArrivalsRejectedAtAdmission) {
   // only, so the saturating tail must be rejected up front.
   cfg.resilience.deadline_us = 600.0;
   const auto r = ServingRuntime(cfg).run();
-  EXPECT_TRUE(r.resilience_enabled);
   EXPECT_GT(r.resilience.rejected_deadline, 0u);
   EXPECT_GT(r.completed, 0u);
   expect_resilient_work_conserved(r);
@@ -423,20 +422,31 @@ TEST(ResilientServing, DisablingDetectionAcceptsWrongResults) {
   expect_resilient_work_conserved(r);
 }
 
-// ------------------------------------------------- serving: off == legacy --
+// ------------------------------------------ serving: one report shape --
 
-TEST(ResilientServing, DefaultConfigKeepsLegacySchemaAndDeterminism) {
+TEST(ResilientServing, DefaultReportCarriesEveryBlockWithZeroCounters) {
   ServingConfig cfg;
   cfg.workload.mix = {{256, 1.0}};
   cfg.workload.seed = 13;
   cfg.duration_us = 1500.0;
-  ASSERT_FALSE(cfg.resilience.enabled());
   const auto a = ServingRuntime(cfg).run();
   const auto b = ServingRuntime(cfg).run();
-  EXPECT_FALSE(a.resilience_enabled);
   EXPECT_EQ(json_text(a), json_text(b));
-  // No resilience section leaks into the legacy report schema.
-  EXPECT_EQ(json_text(a).find("\"resilience\""), std::string::npos);
+  // A resilience-off run reports the same shape as any other: the
+  // resilience block with every counter at zero, the fleet context and
+  // the protocol block.
+  const obs::Json j = a.to_json();
+  ASSERT_TRUE(j.contains("resilience"));
+  EXPECT_EQ(j.at("resilience").dump(), ResilienceStats{}.to_json().dump());
+  for (const char* f :
+       {"chip", "migrated", "lost_in_flight", "chip_corruptions",
+        "chip_failed"}) {
+    EXPECT_EQ(j.at(f).as_u64(), 0u) << f;
+  }
+  EXPECT_EQ(j.at("protocol").at("kind").as_string(), "none");
+  for (const obs::Json& t : j.at("tenants").items()) {
+    EXPECT_EQ(t.at("rejected_deadline").as_u64(), 0u);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <stdexcept>
 
 #include "model/performance.h"
@@ -433,6 +434,30 @@ TEST(Serving, ClosedLoopSelfLimitsAtClientCount) {
   expect_work_conserved(r);
 }
 
+TEST(Serving, ClosedLoopClientsReissueAfterAdmissionRejection) {
+  // A rejected request completes its client's loop like every other
+  // fate: the client sees the error and re-issues after thinking. With
+  // 64 clients and a 4-deep queue most first requests are rejected, yet
+  // every client must still be issuing in the second half of the horizon
+  // instead of dropping out for good.
+  ServingConfig cfg = base_config(4096, 3000);
+  cfg.workload.seed = 4;
+  cfg.closed_loop_clients = 64;
+  cfg.think_time_us = 1.0;
+  cfg.queue_capacity = 4;
+  const auto horizon =
+      static_cast<std::uint64_t>(cfg.duration_us * cfg.cycles_per_us());
+  std::set<std::uint32_t> late_clients;
+  ServingRuntime rt(cfg);
+  rt.set_outcome_sink([&](const Request& r, Outcome, std::uint64_t cycle) {
+    if (cycle >= horizon / 2 && cycle < horizon) late_clients.insert(r.client);
+  });
+  const auto r = rt.run();
+  EXPECT_GT(r.rejected, 0u);
+  EXPECT_EQ(late_clients.size(), 64u);
+  expect_work_conserved(r);
+}
+
 TEST(Serving, BankFailureRepartitionsAndStreamStillVerifies) {
   ServingConfig cfg = base_config(4096, 0);
   const double capacity = class_capacity_per_s(cfg, 4096);
@@ -565,7 +590,7 @@ TEST(Serving, ReportJsonCarriesSchemaAndLatencyQuantiles) {
   cfg.arrival_rate_per_s = 100000;
   const auto r = ServingRuntime(cfg).run();
   const auto j = r.to_json();
-  EXPECT_EQ(j.at("schema").as_string(), "serving/2");
+  EXPECT_EQ(j.at("schema").as_string(), "serving/3");
   EXPECT_EQ(j.at("policy").as_string(), "fifo");
   EXPECT_EQ(j.at("backend").as_string(), "word");  // the default tier
   const auto& lat = j.at("latency");

@@ -149,7 +149,7 @@ int serve_help() {
          "                       unhealthy chips drain (queued work migrates,\n"
          "                       the shard map rebuilds) and rejoin after a\n"
          "                       scrub. The report becomes a fleet/1\n"
-         "                       aggregate with per-chip serving/2 reports.\n"
+         "                       aggregate with per-chip serving/3 reports.\n"
          "                       --retries / --retry-budget / --hedge /\n"
          "                       --hedge-delay also apply at fleet\n"
          "                       granularity (cross-chip re-dispatch and\n"
@@ -959,28 +959,26 @@ int cmd_serve(const Options& opt) {
                 << " consumed, max window burn "
                 << cp::fmt_f(rep.slo.max_window_burn()) << "x\n";
     }
-    if (rep.resilience_enabled) {
-      const auto& rs = rep.resilience;
-      std::cout << "resilience:  " << cp::fmt_i(rs.rejected_deadline)
-                << " rejected@deadline, " << cp::fmt_i(rs.timed_out)
-                << " timed out, " << cp::fmt_i(rs.shed) << " shed, "
-                << cp::fmt_i(rs.failed) << " failed\n"
-                << "  retries:   " << cp::fmt_i(rs.retries) << " ("
-                << cp::fmt_i(rs.retry_budget_denied) << " budget-denied)"
-                << ", hedges " << cp::fmt_i(rs.hedges) << " ("
-                << cp::fmt_i(rs.hedge_wins) << " won)\n"
-                << "  breaker:   " << cp::fmt_i(rs.breaker_opens)
-                << " opens, " << cp::fmt_i(rs.breaker_probes) << " probes, "
-                << cp::fmt_i(rs.breaker_closes) << " closes\n"
-                << "  health:    " << cp::fmt_i(rs.scrubs) << " scrubs, "
-                << cp::fmt_i(rs.proactive_remaps) << " proactive remaps, "
-                << cp::fmt_i(rs.wear_corruptions) << " wear corruptions\n"
-                << "  chaos:     " << cp::fmt_i(rs.chaos_episodes)
-                << " episodes, " << cp::fmt_i(rs.detected_corruptions)
-                << " corruptions detected, " << cp::fmt_i(rs.wrong_accepted)
-                << " wrong accepted\n";
-    }
-    if (rep.protocol_enabled) {
+    const auto& rs = rep.resilience;
+    std::cout << "resilience:  " << cp::fmt_i(rs.rejected_deadline)
+              << " rejected@deadline, " << cp::fmt_i(rs.timed_out)
+              << " timed out, " << cp::fmt_i(rs.shed) << " shed, "
+              << cp::fmt_i(rs.failed) << " failed\n"
+              << "  retries:   " << cp::fmt_i(rs.retries) << " ("
+              << cp::fmt_i(rs.retry_budget_denied) << " budget-denied)"
+              << ", hedges " << cp::fmt_i(rs.hedges) << " ("
+              << cp::fmt_i(rs.hedge_wins) << " won)\n"
+              << "  breaker:   " << cp::fmt_i(rs.breaker_opens)
+              << " opens, " << cp::fmt_i(rs.breaker_probes) << " probes, "
+              << cp::fmt_i(rs.breaker_closes) << " closes\n"
+              << "  health:    " << cp::fmt_i(rs.scrubs) << " scrubs, "
+              << cp::fmt_i(rs.proactive_remaps) << " proactive remaps, "
+              << cp::fmt_i(rs.wear_corruptions) << " wear corruptions\n"
+              << "  chaos:     " << cp::fmt_i(rs.chaos_episodes)
+              << " episodes, " << cp::fmt_i(rs.detected_corruptions)
+              << " corruptions detected, " << cp::fmt_i(rs.wrong_accepted)
+              << " wrong accepted\n";
+    if (cfg.protocol.enabled()) {
       const auto& ps = rep.protocol;
       std::cout << "protocol:    " << ps.kind;
       if (ps.shares > 0) std::cout << " (" << ps.shares << " shares)";

@@ -6,15 +6,13 @@
 // CLI smoke tests on --trace output.
 //
 // --events: arguments are serve-events JSONL logs. Every line must
-// parse; the first must be a {"schema":"serve-events/1"} or
-// {"schema":"serve-events/2"} header whose "records" count matches the
-// body ("streamed":true headers carry no count — the log was written
-// live and the total was unknowable up front); every record needs
-// "ev" + "cycle" (for /2, also "chip" — the fleet-era field stamped on
-// every record, control included); request-scoped records (everything
-// but the control set: carve, bank_failure, and the fleet chip_crash /
-// chip_brownout / chip_corruption_storm / chip_drain / chip_rejoin /
-// reshard) also need "trace" and "tenant".
+// parse; the first must be a {"schema":"serve-events/2"} header whose
+// "records" count matches the body ("streamed":true headers carry no
+// count — the log was written live and the total was unknowable up
+// front); every record needs "ev", "cycle" and "chip"; request-scoped
+// records (everything but the control set: carve, bank_failure, and the
+// fleet chip_crash / chip_brownout / chip_corruption_storm / chip_drain
+// / chip_rejoin / reshard) also need "trace" and "tenant".
 //
 // --journal: arguments are journal/1 write-ahead journals
 // (runtime/journal.h). Every line is "<crc32 hex8> <payload>"; the CRC
@@ -26,15 +24,18 @@
 // *followed by valid ones* is mid-file corruption and rejected.
 //
 // --serving: arguments are `serve --json` reports. The document must
-// carry report.schema "serving/2" with a "backend" provenance field
-// (gate | word | analytic) and the windowed "series" section (schema
-// "timeseries/1"); when an "slo" section is present it must be schema
-// "slo/1" with summary + windows.
+// carry report.schema "serving/3" and that schema's one shape: a
+// "backend" provenance field (gate | word | analytic), the "resilience"
+// ledger, the fleet context (chip, migrated, lost_in_flight,
+// chip_corruptions, chip_failed), the "protocol" block (kind none | kem
+// | bgv-mul | threshold), "rejected_deadline" on every tenant, and the
+// windowed "series" section (schema "timeseries/1"). The optional "slo"
+// section, when present, must be schema "slo/1" with summary + windows.
 //
 // --fleet: arguments are `serve --fleet --json` reports (schema
 // "fleet/1"): the "chips" array length must match the "fleet" count,
-// every per-chip entry must be a serving/2 report carrying its "chip"
-// id, and the final-fate counters must conserve:
+// every per-chip entry must pass the --serving checks and carry its own
+// "chip" id, and the final-fate counters must conserve:
 // submitted == completed + rejected + shed + timed_out + failed + queued.
 //
 // Exit 0 iff every file validates.
@@ -77,7 +78,6 @@ bool check_events(const std::string& path, const std::string& text) {
   std::size_t lineno = 0;
   std::uint64_t declared = 0;
   std::uint64_t records = 0;
-  bool v2 = false;
   bool streamed = false;
   while (std::getline(is, line)) {
     ++lineno;
@@ -93,10 +93,9 @@ bool check_events(const std::string& path, const std::string& text) {
     if (lineno == 1) {
       const std::string schema =
           j.contains("schema") ? j.at("schema").as_string() : "";
-      if (schema != "serve-events/1" && schema != "serve-events/2") {
-        return fail(path, "missing serve-events/1|2 header");
+      if (schema != "serve-events/2") {
+        return fail(path, "missing serve-events/2 header");
       }
-      v2 = schema == "serve-events/2";
       // Streamed logs are written record-by-record as the run progresses
       // (and may be a crash's prefix), so the header cannot declare a
       // count; buffered logs must, and it must match.
@@ -110,13 +109,9 @@ bool check_events(const std::string& path, const std::string& text) {
       continue;
     }
     ++records;
-    if (!j.contains("ev") || !j.contains("cycle")) {
+    if (!j.contains("ev") || !j.contains("cycle") || !j.contains("chip")) {
       return fail(path, "line " + std::to_string(lineno) +
-                            ": record lacks ev/cycle");
-    }
-    if (v2 && !j.contains("chip")) {
-      return fail(path, "line " + std::to_string(lineno) +
-                            ": serve-events/2 record lacks chip");
+                            ": record lacks ev/cycle/chip");
     }
     const std::string ev = j.at("ev").as_string();
     if (!kControl.contains(ev) &&
@@ -141,8 +136,8 @@ bool check_events(const std::string& path, const std::string& text) {
     return fail(path, "header declares " + std::to_string(declared) +
                           " records, found " + std::to_string(records));
   }
-  std::cout << "ok " << path << " (" << records << " events, serve-events/"
-            << (v2 ? "2" : "1") << (streamed ? ", streamed" : "") << ")\n";
+  std::cout << "ok " << path << " (" << records << " events, serve-events/2"
+            << (streamed ? ", streamed" : "") << ")\n";
   return true;
 }
 
@@ -272,6 +267,89 @@ bool check_journal(const std::string& path, const std::string& text) {
   return true;
 }
 
+/// The serving/3 report checks shared by --serving and --fleet. Returns
+/// the first problem found, or "" for a valid report.
+std::string serving_report_error(const Json& rep) {
+  if (!rep.is_object() || !rep.contains("schema") ||
+      rep.at("schema").as_string() != "serving/3") {
+    return "not a serving/3 report";
+  }
+  // Backend provenance: which execution tier produced (and verified)
+  // the functional results this report describes.
+  if (!rep.contains("backend")) return "missing 'backend' field";
+  const std::string backend = rep.at("backend").as_string();
+  if (backend != "gate" && backend != "word" && backend != "analytic") {
+    return "unknown backend '" + backend + "'";
+  }
+  for (const char* f : {"chip", "migrated", "lost_in_flight",
+                        "chip_corruptions", "chip_failed"}) {
+    if (!rep.contains(f)) return std::string("missing '") + f + "' field";
+  }
+  if (!rep.contains("resilience") || !rep.at("resilience").is_object()) {
+    return "missing 'resilience' section";
+  }
+  const Json& res = rep.at("resilience");
+  for (const char* f :
+       {"rejected_deadline", "timed_out", "shed", "retries",
+        "retry_budget_denied", "failed", "hedges", "hedge_wins",
+        "hedge_cancelled", "breaker_opens", "breaker_probes",
+        "breaker_closes", "scrubs", "proactive_remaps", "wear_corruptions",
+        "chaos_episodes", "detected_corruptions", "wrong_accepted"}) {
+    if (!res.contains(f)) return std::string("resilience lacks '") + f + "'";
+  }
+  if (!rep.contains("tenants") || !rep.at("tenants").is_array()) {
+    return "missing 'tenants' array";
+  }
+  for (const Json& t : rep.at("tenants").items()) {
+    if (!t.contains("rejected_deadline")) {
+      return "tenant entry lacks 'rejected_deadline'";
+    }
+  }
+  if (!rep.contains("series")) return "missing 'series' section";
+  const Json& series = rep.at("series");
+  if (!series.contains("schema") ||
+      series.at("schema").as_string() != "timeseries/1" ||
+      !series.contains("windows")) {
+    return "series is not a timeseries/1 document";
+  }
+  if (!rep.contains("rolling")) return "missing 'rolling' rates";
+  if (rep.contains("slo")) {
+    const Json& slo = rep.at("slo");
+    if (!slo.contains("schema") || slo.at("schema").as_string() != "slo/1" ||
+        !slo.contains("summary") || !slo.contains("windows")) {
+      return "slo is not a slo/1 document";
+    }
+  }
+  // Protocol block: DAG-granularity request accounting over the
+  // op-granularity main counters (kind "none" and all zero for raw runs).
+  if (!rep.contains("protocol") || !rep.at("protocol").is_object()) {
+    return "missing 'protocol' section";
+  }
+  const Json& proto = rep.at("protocol");
+  if (!proto.contains("kind")) return "protocol lacks 'kind'";
+  const std::string kind = proto.at("kind").as_string();
+  if (kind != "none" && kind != "kem" && kind != "bgv-mul" &&
+      kind != "threshold") {
+    return "unknown protocol kind '" + kind + "'";
+  }
+  for (const char* f :
+       {"shares", "ops_per_request", "requests", "completed", "failed",
+        "rejected", "ops_completed", "ops_cancelled", "host_ops", "joins",
+        "join_mismatches"}) {
+    if (!proto.contains(f)) return std::string("protocol lacks '") + f + "'";
+  }
+  if (!proto.contains("latency") || !proto.at("latency").is_object()) {
+    return "protocol lacks a 'latency' histogram";
+  }
+  if (!proto.contains("op_classes") || !proto.at("op_classes").is_array()) {
+    return "protocol lacks an 'op_classes' array";
+  }
+  for (const Json& row : proto.at("op_classes").items()) {
+    if (!row.contains("cls")) return "protocol op_classes entry lacks 'cls'";
+  }
+  return "";
+}
+
 bool check_serving(const std::string& path, const std::string& text) {
   const auto r = parse_json(text);
   if (!r.ok) return fail(path, r.error);
@@ -280,65 +358,11 @@ bool check_serving(const std::string& path, const std::string& text) {
   const Json& rep = doc.is_object() && doc.contains("report")
                         ? doc.at("report")
                         : doc;
-  if (!rep.is_object() || !rep.contains("schema") ||
-      rep.at("schema").as_string() != "serving/2") {
-    return fail(path, "not a serving/2 report");
+  if (const std::string err = serving_report_error(rep); !err.empty()) {
+    return fail(path, err);
   }
-  // Backend provenance: which execution tier produced (and verified)
-  // the functional results this report describes.
-  if (!rep.contains("backend")) return fail(path, "missing 'backend' field");
-  const std::string backend = rep.at("backend").as_string();
-  if (backend != "gate" && backend != "word" && backend != "analytic") {
-    return fail(path, "unknown backend '" + backend + "'");
-  }
-  if (!rep.contains("series")) return fail(path, "missing 'series' section");
-  const Json& series = rep.at("series");
-  if (!series.contains("schema") ||
-      series.at("schema").as_string() != "timeseries/1" ||
-      !series.contains("windows")) {
-    return fail(path, "series is not a timeseries/1 document");
-  }
-  if (!rep.contains("rolling")) return fail(path, "missing 'rolling' rates");
-  if (rep.contains("slo")) {
-    const Json& slo = rep.at("slo");
-    if (!slo.contains("schema") || slo.at("schema").as_string() != "slo/1" ||
-        !slo.contains("summary") || !slo.contains("windows")) {
-      return fail(path, "slo is not a slo/1 document");
-    }
-  }
-  // Protocol block (present only for --protocol runs): DAG-granularity
-  // request accounting over the op-granularity main counters.
-  if (rep.contains("protocol")) {
-    const Json& proto = rep.at("protocol");
-    if (!proto.is_object()) return fail(path, "protocol is not an object");
-    if (!proto.contains("kind")) return fail(path, "protocol lacks 'kind'");
-    const std::string kind = proto.at("kind").as_string();
-    if (kind != "kem" && kind != "bgv-mul" && kind != "threshold") {
-      return fail(path, "unknown protocol kind '" + kind + "'");
-    }
-    for (const char* f :
-         {"ops_per_request", "requests", "completed", "failed", "rejected",
-          "ops_completed", "ops_cancelled", "host_ops", "joins",
-          "join_mismatches"}) {
-      if (!proto.contains(f)) {
-        return fail(path, std::string("protocol lacks '") + f + "'");
-      }
-    }
-    if (!proto.contains("latency") || !proto.at("latency").is_object()) {
-      return fail(path, "protocol lacks a 'latency' histogram");
-    }
-    if (!proto.contains("op_classes") ||
-        !proto.at("op_classes").is_array()) {
-      return fail(path, "protocol lacks an 'op_classes' array");
-    }
-    for (const Json& row : proto.at("op_classes").items()) {
-      if (!row.contains("cls")) {
-        return fail(path, "protocol op_classes entry lacks 'cls'");
-      }
-    }
-  }
-  std::cout << "ok " << path << " (serving/2, "
-            << series.at("windows").size() << " windows)\n";
+  std::cout << "ok " << path << " (serving/3, "
+            << rep.at("series").at("windows").size() << " windows)\n";
   return true;
 }
 
@@ -371,17 +395,12 @@ bool check_fleet(const std::string& path, const std::string& text) {
   }
   for (std::size_t i = 0; i < per_chip.size(); ++i) {
     const Json& c = per_chip[i];
-    if (!c.is_object() || !c.contains("schema") ||
-        c.at("schema").as_string() != "serving/2") {
-      return fail(path, "chip " + std::to_string(i) +
-                            " is not a serving/2 report");
+    if (const std::string err = serving_report_error(c); !err.empty()) {
+      return fail(path, "chip " + std::to_string(i) + ": " + err);
     }
-    if (!c.contains("chip") || c.at("chip").as_u64() != i) {
+    if (c.at("chip").as_u64() != i) {
       return fail(path, "chip " + std::to_string(i) +
-                            " report lacks (or misnumbers) its chip id");
-    }
-    if (!c.contains("backend")) {
-      return fail(path, "chip " + std::to_string(i) + " lacks backend");
+                            " report misnumbers its chip id");
     }
   }
   // Final-fate conservation: every submitted request is counted exactly
