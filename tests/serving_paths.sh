@@ -2,7 +2,8 @@
 # Byte pin of the serving runtime's request paths: runs a fixed list of
 # `cryptopim serve` commands, validates every output with json_check (the
 # report JSON as serving/3 or fleet/1, the event log as serve-events/2,
-# and the journal of the --journal runs as journal/1), then checks the
+# and every journal of the --journal runs as journal/1: a single chip's
+# journal.log, a fleet's fleet.log and chip-<i>.log), then checks the
 # sha256 of each against a committed manifest. Validating first means a
 # --write regeneration cannot pin an invalid document.
 #
@@ -77,11 +78,14 @@ serve journal_raw --chaos --deadline 300 --arrival-rate 600000 \
   --duration 800 --seed 6 --journal journal_raw --snapshot-every 100
 serve journal_kem --protocol kem --chaos --retries 1 --arrival-rate 200000 \
   --duration 800 --seed 6 --journal journal_kem
+serve fleet_journal --fleet 3 --fleet-chaos --chaos --retries 1 \
+  --arrival-rate 200000 --duration 3000 --seed 1 --journal fleet_journal \
+  --snapshot-every 500
 
-"$check" --journal ./*/journal.log > /dev/null
+"$check" --journal ./*/*.log > /dev/null
 
 if [ "${4:-}" = "--write" ]; then
-  sha256sum ./*.json ./*.jsonl ./*/journal.log > "$manifest"
+  sha256sum ./*.json ./*.jsonl ./*/*.log > "$manifest"
 else
   sha256sum -c "$manifest"
 fi
