@@ -8,15 +8,14 @@
 // same seed schedule the same events in the same order and therefore
 // produce bit-identical reports.
 //
-// Fleet serving merges N of these clocks (one per chip, plus one for the
-// fleet's own control events) into a single timeline. The merge is only
-// deterministic if same-cycle events of *different* chips have a total
-// order too, so each queue can carry a chip namespace: the chip id is
-// folded into the high bits of every sequence number it assigns. Within
-// one queue the namespace is a constant prefix (ordering unchanged);
-// across queues, (cycle, seq) becomes a strict total order with the chip
-// id as the same-cycle tie-break — which is what makes same-seed fleet
-// reports byte-identical.
+// A fleet puts N chips on one timeline. Every push names the namespace
+// it schedules in — a chip id, or one past the last chip for the
+// fleet's own control events — and the namespace is folded into the
+// high bits of the sequence number above one push counter shared by all
+// namespaces. Two events of one chip still compare in push order;
+// same-cycle events of different chips compare by chip id, the fleet's
+// last. So (cycle, seq) is a strict total order over the whole fleet,
+// which is what makes same-seed fleet reports byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +37,8 @@ enum class EventKind : std::uint8_t {
   kHedge,         ///< straggler check: duplicate onto a second lane
   kHealth,        ///< periodic health-monitor tick (scrubs, metrics)
   kChaos,         ///< a chaos fault episode strikes a lane
-  // -- fleet layer (scheduled only by runtime::FleetRuntime; a chip's
-  // own event loop never sees these) ----------------------------------------
+  // -- fleet layer (scheduled only by runtime::FleetRuntime in its own
+  // namespace; a chip never handles these) ----------------------------------
   kFleetArrival,     ///< a request enters the fleet front-end router
   kFleetRetry,       ///< a backed-off cross-chip retry re-dispatches
   kFleetHedgeCheck,  ///< straggler check: duplicate onto a replica chip
@@ -59,30 +58,23 @@ struct Event {
 
 class EventQueue {
  public:
-  /// Bit position of the chip namespace in assigned sequence numbers:
-  /// the low 40 bits count pushes (~10^12 per chip — far beyond any
-  /// simulated run), the bits above carry the chip id.
+  /// Bit position of the namespace in assigned sequence numbers: the
+  /// low 40 bits count pushes (~10^12 — far beyond any simulated run),
+  /// the bits above carry the namespace.
   static constexpr unsigned kChipShift = 40;
 
   /// `first_seq` seeds the tie-breaking sequence counter; the default is
   /// what the runtime uses. A non-zero start exists for tests probing
   /// ordering stability near the counter's (unreachable in practice —
-  /// ~1.8e19 pushes) wrap-around. `chip` is the queue's namespace: it is
-  /// folded into the high bits of every assigned seq so same-cycle
-  /// events of different chips still compare deterministically when a
-  /// fleet merges several queues into one timeline.
-  explicit EventQueue(std::uint64_t first_seq = 0, std::uint32_t chip = 0)
-      : next_seq_(first_seq),
-        chip_bits_(static_cast<std::uint64_t>(chip) << kChipShift) {}
+  /// ~1.8e19 pushes) wrap-around.
+  explicit EventQueue(std::uint64_t first_seq = 0) : next_seq_(first_seq) {}
 
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t size() const noexcept { return heap_.size(); }
-  std::uint32_t chip() const noexcept {
-    return static_cast<std::uint32_t>(chip_bits_ >> kChipShift);
-  }
 
-  void push(Event e) {
-    e.seq = chip_bits_ | next_seq_++;
+  /// Schedules `e` in namespace `ns` (a chip id, or the fleet's own).
+  void push(Event e, std::uint32_t ns = 0) {
+    e.seq = (static_cast<std::uint64_t>(ns) << kChipShift) | next_seq_++;
     heap_.push(std::move(e));
   }
 
@@ -95,6 +87,11 @@ class EventQueue {
 
   const Event& peek() const { return heap_.top(); }
 
+  /// The namespace `e` was pushed in.
+  static std::uint32_t ns(const Event& e) noexcept {
+    return static_cast<std::uint32_t>(e.seq >> kChipShift);
+  }
+
  private:
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -105,7 +102,27 @@ class EventQueue {
 
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t chip_bits_ = 0;  ///< chip id pre-shifted into seq position
+};
+
+/// One timeline: the event heap plus the global event index that
+/// journals record. Whoever drives the loop owns it — a single-chip
+/// ServingRuntime its own, a FleetRuntime one for all of its chips.
+struct Clock {
+  EventQueue events;
+  /// Events handled so far on this timeline.
+  std::uint64_t event_index = 0;
+
+  /// Schedules an event of `kind` at `cycle` in namespace `ns`;
+  /// `dispatch_id` and `r` as Event documents them per kind.
+  void push(std::uint32_t ns, EventKind kind, std::uint64_t cycle,
+            std::uint64_t dispatch_id = 0, Request r = {}) {
+    Event e;
+    e.cycle = cycle;
+    e.kind = kind;
+    e.dispatch_id = dispatch_id;
+    e.request = std::move(r);
+    events.push(std::move(e), ns);
+  }
 };
 
 }  // namespace cryptopim::runtime

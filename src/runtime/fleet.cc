@@ -1,11 +1,7 @@
 #include "runtime/fleet.h"
 
 #include <algorithm>
-#include <csignal>
-#include <filesystem>
 #include <stdexcept>
-
-#include "runtime/snapshot.h"
 
 namespace cryptopim::runtime {
 
@@ -13,6 +9,8 @@ namespace {
 
 /// Observed chip service times before a p99-derived hedge delay is trusted.
 constexpr std::uint64_t kHedgeMinSamples = 64;
+/// Cap of the doubling cross-chip retry backoff.
+constexpr std::uint64_t kRetryBackoffCapCycles = 1 << 20;
 /// Chip health tick period, simulated us.
 constexpr double kHealthPeriodUs = 100.0;
 /// Drain a chip when its terminal-failure ratio over one health tick
@@ -180,8 +178,7 @@ struct FleetRuntime::Outstanding {
   std::uint32_t last_chip = 0;
 };
 
-FleetRuntime::FleetRuntime(FleetConfig cfg)
-    : cfg_(std::move(cfg)), fleet_q_(0, cfg_.chips) {}
+FleetRuntime::FleetRuntime(FleetConfig cfg) : cfg_(std::move(cfg)) {}
 FleetRuntime::~FleetRuntime() = default;
 
 void FleetRuntime::set_event_log(obs::EventLog* log) noexcept {
@@ -219,14 +216,9 @@ void FleetRuntime::prime() {
   if (event_log_) event_log_->clear();
 
   if (durab_.enabled()) {
-    std::filesystem::create_directories(durab_.dir);
-    fleet_journal_ = std::make_unique<Journal>();
-    fleet_journal_->open(
-        durab_.dir + "/fleet.log",
-        Journal::header_payload("fleet", 0, cfg_.chip.workload.seed,
-                                fleet_config_to_json(cfg_)),
-        durab_.recover);
-    chip_journals_.clear();
+    fleet_journal_ = open_journal(durab_, "fleet.log", "fleet", 0,
+                                  cfg_.chip.workload.seed,
+                                  fleet_config_to_json(cfg_));
   }
 
   chips_.clear();
@@ -238,27 +230,15 @@ void FleetRuntime::prime() {
     // De-correlate per-lane chaos across chips: with one shared seed every
     // chip would strike in lockstep, defeating replication.
     if (cc.resilience.chaos.enabled) cc.resilience.chaos.seed += i;
-    // Per-chip journal header: fingerprints the chip's *effective* config
-    // (post chip_id / chaos-seed rewrite), built before the move below.
-    std::string chip_hdr;
-    if (durab_.enabled()) {
-      chip_hdr = Journal::header_payload("chip", i, cc.workload.seed,
-                                         serving_config_to_json(cc));
-    }
-    auto chip = std::make_unique<ServingRuntime>(std::move(cc));
+    auto chip = std::make_unique<ServingRuntime>(std::move(cc), clock_);
     chip->set_event_log(event_log_);
     chip->set_outcome_sink(
         [this, i](const Request& r, Outcome o, std::uint64_t cycle) {
           on_outcome(i, r, o, cycle);
         });
-    if (durab_.enabled()) {
-      auto cj = std::make_unique<Journal>();
-      cj->open(durab_.dir + "/chip-" + std::to_string(i) + ".log", chip_hdr,
-               durab_.recover);
-      chip->set_journal(cj.get());
-      chip->set_event_index_source(&event_index_);
-      chip_journals_.push_back(std::move(cj));
-    }
+    // The chip journal's header fingerprints the chip's *effective*
+    // config (post chip_id / chaos-seed rewrite).
+    chip->enable_durability(durab_);
     chip->prime();
     chips_.push_back(std::move(chip));
   }
@@ -282,71 +262,38 @@ void FleetRuntime::prime() {
   workload_ = std::make_unique<OpenLoopPoisson>(cfg_.chip.workload,
                                                 rate_per_cycle, horizon_);
   for (const auto& a : workload_->initial()) {
-    Event e;
-    e.cycle = a.cycle;
-    e.kind = EventKind::kFleetArrival;
-    e.request = a.request;
-    fleet_q_.push(std::move(e));
+    push_event(EventKind::kFleetArrival, a.cycle, 0, a.request);
   }
 
   if (cfg_.chaos.enabled) arm_chaos_episode();
   if (cfg_.kill_chip_at_us > 0 && cfg_.kill_chip < cfg_.chips) {
-    Event e;
-    e.cycle = static_cast<std::uint64_t>(cfg_.kill_chip_at_us * cyc_per_us);
-    e.kind = EventKind::kFleetChaos;
-    e.dispatch_id = std::uint64_t{cfg_.kill_chip} + 1;  // forced crash marker
-    fleet_q_.push(std::move(e));
+    push_event(EventKind::kFleetChaos,
+               static_cast<std::uint64_t>(cfg_.kill_chip_at_us * cyc_per_us),
+               std::uint64_t{cfg_.kill_chip} + 1);  // forced crash marker
   }
   arm_health_tick();
 }
 
 void FleetRuntime::main_loop() {
-  // Merge N+1 event queues into one timeline: pop whichever holds the
-  // globally earliest (cycle, chip-namespaced seq) event. The namespace
-  // makes the comparison a strict total order, so the interleaving —
-  // and therefore every counter and record — is deterministic.
-  for (;;) {
-    int best = -2;  // -1 = fleet queue, >= 0 = chip index
-    std::uint64_t best_cycle = 0, best_seq = 0;
-    if (!fleet_q_.empty()) {
-      best = -1;
-      best_cycle = fleet_q_.peek().cycle;
-      best_seq = fleet_q_.peek().seq;
+  // One timeline: pop the earliest (cycle, namespaced seq) event and hand
+  // it to the chip whose namespace it carries, or to the fleet's own
+  // handler. The order is strict and total, so the interleaving — and
+  // therefore every counter and record — is deterministic.
+  while (!clock_.events.empty()) {
+    if (fleet_journal_) {
+      durability_boundary(durab_, clock_.event_index, *fleet_journal_,
+                          [this] { return snapshot_state(); });
     }
-    for (std::size_t i = 0; i < chips_.size(); ++i) {
-      if (!chips_[i]->has_events()) continue;
-      const std::uint64_t c = chips_[i]->next_event_cycle();
-      const std::uint64_t s = chips_[i]->next_event_seq();
-      if (best == -2 || c < best_cycle ||
-          (c == best_cycle && s < best_seq)) {
-        best = static_cast<int>(i);
-        best_cycle = c;
-        best_seq = s;
-      }
-    }
-    if (best == -2) break;
-    // Durability hooks at the merged-event boundary (mirrors the
-    // single-chip loop in ServingRuntime::step): state is consistent
-    // here, so snapshots are replay-reproducible and a campaign SIGKILL
-    // can only tear the final journal line.
-    if (durab_.enabled()) {
-      if (durab_.snapshot_every > 0 && event_index_ > 0 &&
-          event_index_ % durab_.snapshot_every == 0) {
-        take_snapshot(event_index_);
-      }
-      if (durab_.kill_at_event > 0 &&
-          event_index_ + 1 == durab_.kill_at_event) {
-        std::raise(SIGKILL);
-      }
-    }
-    now_ = std::max(now_, best_cycle);
-    report_.drain_cycle = std::max(report_.drain_cycle, best_cycle);
-    if (best == -1) {
-      handle_fleet_event(fleet_q_.pop());
+    const Event e = clock_.events.pop();
+    now_ = std::max(now_, e.cycle);
+    report_.drain_cycle = std::max(report_.drain_cycle, e.cycle);
+    const std::uint32_t ns = EventQueue::ns(e);
+    if (ns == cfg_.chips) {
+      handle_fleet_event(e);
     } else {
-      chips_[static_cast<std::size_t>(best)]->step();
+      chips_[ns]->handle(e);
     }
-    event_index_ += 1;
+    clock_.event_index += 1;
   }
 }
 
@@ -378,7 +325,7 @@ FleetReport FleetRuntime::seal() {
   }
   if (fleet_journal_) {
     fleet_journal_->record(Journal::seal_payload(
-        event_index_, now_,
+        clock_.event_index, now_,
         {{"sub", report_.submitted},
          {"cmp", report_.completed},
          {"rej", report_.rejected},
@@ -393,20 +340,10 @@ FleetReport FleetRuntime::seal() {
   return report_;
 }
 
-void FleetRuntime::take_snapshot(std::uint64_t index) {
-  // See ServingRuntime::take_snapshot: the journal record's byte-compare
-  // under replay is the cross-check that the rebuilt state's CRC matches
-  // the pre-crash one.
-  std::uint32_t crc = 0;
-  const std::string file =
-      write_snapshot(durab_.dir, index, snapshot_state(), &crc);
-  fleet_journal_->record(Journal::snap_payload(index, file, crc));
-}
-
 obs::Json FleetRuntime::snapshot_state() const {
   obs::Json s = obs::Json::object();
   s.set("cycle", now_);
-  s.set("event_index", event_index_);
+  s.set("event_index", clock_.event_index);
 
   obs::Json counters = obs::Json::object();
   counters.set("submitted", report_.submitted);
@@ -447,13 +384,8 @@ obs::Json FleetRuntime::snapshot_state() const {
   s.set("parked", std::uint64_t{parked_.size()});
 
   obs::Json rngs = obs::Json::object();
-  char hex[24];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(workload_->rng_digest()));
-  rngs.set("workload", std::string(hex));
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(chaos_rng_.digest()));
-  rngs.set("chaos", std::string(hex));
+  rngs.set("workload", u64_hex(workload_->rng_digest()));
+  rngs.set("chaos", u64_hex(chaos_rng_.digest()));
   s.set("rng", std::move(rngs));
 
   // Every chip's own state dump: one fleet snapshot captures the whole
@@ -472,7 +404,7 @@ void FleetRuntime::handle_fleet_event(const Event& e) {
     case EventKind::kFleetHealth: handle_fleet_health(); break;
     case EventKind::kFleetChaos: handle_fleet_chaos(e); break;
     case EventKind::kFleetChipUp: handle_chip_up(e); break;
-    default: break;  // chip kinds never reach the fleet queue
+    default: break;  // chip kinds live in the chips' namespaces
   }
 }
 
@@ -482,11 +414,7 @@ void FleetRuntime::handle_fleet_arrival(const Event& e) {
   // fleet never throttles the offered stream.
   Arrival this_arrival{e.cycle, e.request};
   if (auto next = workload_->next_after_arrival(this_arrival)) {
-    Event ne;
-    ne.cycle = next->cycle;
-    ne.kind = EventKind::kFleetArrival;
-    ne.request = next->request;
-    fleet_q_.push(std::move(ne));
+    push_event(EventKind::kFleetArrival, next->cycle, 0, next->request);
   }
   retry_budget_->on_admitted(e.request.tenant);
   Outstanding ent;
@@ -496,7 +424,7 @@ void FleetRuntime::handle_fleet_arrival(const Event& e) {
   // (exactly one terminal fate), journaled before any chip sees it.
   if (fleet_journal_) {
     fleet_journal_->record(
-        Journal::admit_payload(event_index_, now_, e.request));
+        Journal::admit_payload(clock_.event_index, now_, e.request));
   }
   dispatch_to_fleet(e.request, /*first=*/true);
 }
@@ -527,23 +455,13 @@ bool FleetRuntime::dispatch_to_fleet(const Request& r, bool first) {
   chips_[target]->inject(r, now_);
   if (first) {
     report_.routed += 1;
-    if (elog_on()) {
-      obs::Json rec = obs::Json::object();
-      rec.set("ev", "route");
-      rec.set("cycle", now_);
-      rec.set("chip", std::uint64_t{target});
-      rec.set("trace", r.id);
-      rec.set("tenant", std::uint64_t{r.tenant});
-      event_log_->log(std::move(rec));
-    }
+    if (elog_on()) event_log_->log(ev_base("route", now_, target, &r));
     if (cfg_.hedge) {
-      const std::uint64_t delay = hedge_delay_cycles();
+      const std::uint64_t delay =
+          hedge_delay(cfg_.hedge_delay_us, cfg_.chip.cycles_per_us(),
+                      service_hist_, kHedgeMinSamples);
       if (delay > 0) {
-        Event he;
-        he.cycle = now_ + delay;
-        he.kind = EventKind::kFleetHedgeCheck;
-        he.dispatch_id = r.id;
-        fleet_q_.push(std::move(he));
+        push_event(EventKind::kFleetHedgeCheck, now_ + delay, r.id);
       }
     }
   }
@@ -576,7 +494,7 @@ void FleetRuntime::on_outcome(std::uint32_t chip, const Request& r, Outcome o,
     // Final-fate settlement: exactly one out record per fleet request.
     if (fleet_journal_) {
       fleet_journal_->record(Journal::outcome_payload(
-          event_index_, cycle, r.id, Outcome::kCompleted));
+          clock_.event_index, cycle, r.id, Outcome::kCompleted));
     }
     if (ent.live == 0) outstanding_.erase(it);
     return;
@@ -590,15 +508,10 @@ void FleetRuntime::on_outcome(std::uint32_t chip, const Request& r, Outcome o,
     if (retry_budget_->try_spend(r.tenant)) {
       ent.attempts += 1;
       report_.cross_retries += 1;
-      std::uint64_t backoff = cfg_.retry_backoff_cycles;
-      for (unsigned a = 1; a < ent.attempts && backoff < (1u << 20); ++a) {
-        backoff <<= 1;
-      }
-      Event re;
-      re.cycle = cycle + backoff;
-      re.kind = EventKind::kFleetRetry;
-      re.request = ent.original;
-      fleet_q_.push(std::move(re));
+      push_event(EventKind::kFleetRetry,
+                 cycle + retry_backoff(cfg_.retry_backoff_cycles,
+                                       kRetryBackoffCapCycles, ent.attempts),
+                 0, ent.original);
       return;
     }
     report_.retry_budget_denied += 1;
@@ -611,8 +524,8 @@ void FleetRuntime::on_outcome(std::uint32_t chip, const Request& r, Outcome o,
     default: report_.failed += 1; break;
   }
   if (fleet_journal_) {
-    fleet_journal_->record(
-        Journal::outcome_payload(event_index_, cycle, r.id, ent.last_bad));
+    fleet_journal_->record(Journal::outcome_payload(clock_.event_index, cycle,
+                                                    r.id, ent.last_bad));
   }
   outstanding_.erase(it);
 }
@@ -621,12 +534,8 @@ void FleetRuntime::handle_fleet_retry(const Event& e) {
   const auto it = outstanding_.find(e.request.id);
   if (it == outstanding_.end() || it->second.done) return;
   if (dispatch_to_fleet(e.request, /*first=*/false) && elog_on()) {
-    obs::Json rec = obs::Json::object();
-    rec.set("ev", "fleet_retry");
-    rec.set("cycle", now_);
-    rec.set("chip", std::uint64_t{it->second.last_chip});
-    rec.set("trace", e.request.id);
-    rec.set("tenant", std::uint64_t{e.request.tenant});
+    obs::Json rec =
+        ev_base("fleet_retry", now_, it->second.last_chip, &e.request);
     rec.set("attempt", std::uint64_t{it->second.attempts});
     event_log_->log(std::move(rec));
   }
@@ -648,13 +557,7 @@ void FleetRuntime::handle_hedge_check(const Event& e) {
   chips_[target]->inject(ent.original, now_);
   report_.hedges_launched += 1;
   if (elog_on()) {
-    obs::Json rec = obs::Json::object();
-    rec.set("ev", "fleet_hedge");
-    rec.set("cycle", now_);
-    rec.set("chip", std::uint64_t{target});
-    rec.set("trace", ent.original.id);
-    rec.set("tenant", std::uint64_t{ent.original.tenant});
-    event_log_->log(std::move(rec));
+    event_log_->log(ev_base("fleet_hedge", now_, target, &ent.original));
   }
 }
 
@@ -666,7 +569,7 @@ void FleetRuntime::handle_fleet_health() {
     if (cs.outcomes >= kHealthMinSamples &&
         static_cast<double>(cs.failures) >
             kDrainFailRate * static_cast<double>(cs.outcomes)) {
-      drain_chip(i, "health");
+      drain_chip(i);
     }
     cs.outcomes = 0;
     cs.failures = 0;
@@ -720,7 +623,7 @@ void FleetRuntime::handle_fleet_chaos(const Event& e) {
   arm_chaos_episode();
 }
 
-void FleetRuntime::drain_chip(std::uint32_t chip, const char*) {
+void FleetRuntime::drain_chip(std::uint32_t chip) {
   states_[chip].state = ChipState::State::kScrubbing;
   report_.drains += 1;
   log_control("chip_drain", chip);
@@ -759,26 +662,18 @@ void FleetRuntime::redispatch_all(std::vector<Request> work) {
     if (dispatch_to_fleet(r, /*first=*/false)) {
       report_.redispatched += 1;
       if (elog_on()) {
-        obs::Json rec = obs::Json::object();
-        rec.set("ev", "migrate");
-        rec.set("cycle", now_);
-        rec.set("chip", std::uint64_t{ent.last_chip});
-        rec.set("trace", r.id);
-        rec.set("tenant", std::uint64_t{r.tenant});
-        event_log_->log(std::move(rec));
+        event_log_->log(ev_base("migrate", now_, ent.last_chip, &r));
       }
     }
   }
 }
 
 void FleetRuntime::schedule_rejoin(std::uint32_t chip) {
-  Event e;
-  e.cycle = now_ + std::max<std::uint64_t>(
-                       1, static_cast<std::uint64_t>(
-                              cfg_.scrub_us * cfg_.chip.cycles_per_us()));
-  e.kind = EventKind::kFleetChipUp;
-  e.dispatch_id = chip;
-  fleet_q_.push(std::move(e));
+  push_event(EventKind::kFleetChipUp,
+             now_ + std::max<std::uint64_t>(
+                        1, static_cast<std::uint64_t>(
+                               cfg_.scrub_us * cfg_.chip.cycles_per_us())),
+             chip);
 }
 
 void FleetRuntime::handle_chip_up(const Event& e) {
@@ -827,12 +722,10 @@ void FleetRuntime::rebuild_shard_map(std::uint32_t trigger_chip) {
 void FleetRuntime::arm_health_tick() {
   if (health_armed_) return;
   health_armed_ = true;
-  Event e;
-  e.cycle = now_ + std::max<std::uint64_t>(
-                       1, static_cast<std::uint64_t>(
-                              kHealthPeriodUs * cfg_.chip.cycles_per_us()));
-  e.kind = EventKind::kFleetHealth;
-  fleet_q_.push(std::move(e));
+  push_event(EventKind::kFleetHealth,
+             now_ + std::max<std::uint64_t>(
+                        1, static_cast<std::uint64_t>(
+                               kHealthPeriodUs * cfg_.chip.cycles_per_us())));
 }
 
 void FleetRuntime::arm_chaos_episode() {
@@ -842,28 +735,11 @@ void FleetRuntime::arm_chaos_episode() {
       chaos_rng_, cfg_.chaos.mean_interval_us * cfg_.chip.cycles_per_us());
   const std::uint64_t at = now_ + gap;
   if (at > horizon_) return;
-  Event e;
-  e.cycle = at;
-  e.kind = EventKind::kFleetChaos;
-  fleet_q_.push(std::move(e));
-}
-
-std::uint64_t FleetRuntime::hedge_delay_cycles() const {
-  if (cfg_.hedge_delay_us > 0) {
-    return static_cast<std::uint64_t>(cfg_.hedge_delay_us *
-                                      cfg_.chip.cycles_per_us());
-  }
-  if (service_hist_.count() < kHedgeMinSamples) return 0;
-  return service_hist_.quantile(0.99);
+  push_event(EventKind::kFleetChaos, at);
 }
 
 void FleetRuntime::log_control(const char* ev, std::uint32_t chip) {
-  if (!elog_on()) return;
-  obs::Json rec = obs::Json::object();
-  rec.set("ev", ev);
-  rec.set("cycle", now_);
-  rec.set("chip", std::uint64_t{chip});
-  event_log_->log(std::move(rec));
+  if (elog_on()) event_log_->log(ev_base(ev, now_, chip));
 }
 
 }  // namespace cryptopim::runtime

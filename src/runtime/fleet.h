@@ -1,8 +1,8 @@
 // Fleet serving: N independent serving chips behind one front-end.
 //
 // A FleetRuntime drives N ServingRuntime instances — each a full chip
-// with its own lanes, admission queue, resilience stack and event clock
-// — under a single deterministic timeline. Chips never see each other;
+// with its own lanes, admission queue and resilience stack — on one
+// deterministic clock that the fleet owns. Chips never see each other;
 // the fleet owns everything between them:
 //
 //   * routing — a front-end Router (consistent-hash / least-loaded /
@@ -22,10 +22,12 @@
 //     rejoins after a scrub period. Whole-chip chaos episodes (seeded:
 //     crash, brownout, corruption-storm) exercise the same machinery.
 //
-// Determinism: the merge of N chip event queues plus the fleet's own is
-// a strict total order on (cycle, chip-namespaced seq) — see
-// runtime/event_queue.h — so a fixed (config, seed) yields byte-identical
-// fleet/1 reports, chaos and all.
+// Determinism: every chip schedules its events on the fleet's clock in
+// its own namespace, the fleet schedules its own one past the last chip,
+// and (cycle, namespaced seq) is a strict total order — see
+// runtime/event_queue.h. The fleet loop pops one event at a time and
+// hands it to that chip's handle() or to its own handler, so a fixed
+// (config, seed) yields byte-identical fleet/1 reports, chaos and all.
 #pragma once
 
 #include <cstdint>
@@ -181,10 +183,10 @@ class FleetRuntime {
 
   /// Durability (runtime/journal.h): one fleet-level journal
   /// (`dir`/fleet.log) plus one journal per chip (`dir`/chip-<i>.log),
-  /// all indexed by the merged loop's single global event counter so a
-  /// recovery replays every stream under the same total order. Snapshot
-  /// cadence and the crash-campaign kill hook live in the merged loop.
-  /// Call before run().
+  /// all indexed by the clock's global event index so a recovery replays
+  /// every stream under the same total order. The fleet loop crosses the
+  /// durability boundary (snapshot cadence, crash-campaign kill hook)
+  /// before every event. Call before run().
   void enable_durability(const DurabilityOptions& opts) { durab_ = opts; }
 
  private:
@@ -214,23 +216,27 @@ class FleetRuntime {
   std::vector<ChipView> candidates_for(std::uint32_t degree) const;
   std::size_t class_index(std::uint32_t degree) const;
   void rebuild_shard_map(std::uint32_t trigger_chip);
-  void drain_chip(std::uint32_t chip, const char* reason);
+  void drain_chip(std::uint32_t chip);
   void crash_chip(std::uint32_t chip);
   void schedule_rejoin(std::uint32_t chip);
   void redispatch_all(std::vector<Request> work);
   void arm_health_tick();
   void arm_chaos_episode();
-  void take_snapshot(std::uint64_t index);
+  /// Schedule an event in the fleet's namespace (one past the last chip).
+  void push_event(EventKind kind, std::uint64_t cycle,
+                  std::uint64_t dispatch_id = 0, Request r = {}) {
+    clock_.push(cfg_.chips, kind, cycle, dispatch_id, std::move(r));
+  }
   /// Fleet-level snapshot state: chip membership + shard map + cross-chip
   /// retry/hedge bookkeeping + RNG digests + every chip's own state dump.
   obs::Json snapshot_state() const;
-  std::uint64_t hedge_delay_cycles() const;
   void log_control(const char* ev, std::uint32_t chip);
   bool elog_on() const noexcept {
     return event_log_ != nullptr && event_log_->enabled();
   }
 
   FleetConfig cfg_;
+  Clock clock_;  ///< every chip's events and the fleet's own
   std::vector<std::unique_ptr<ServingRuntime>> chips_;
   std::vector<ChipState> states_;
   /// chip -> ordered placement per degree class (class-major).
@@ -238,7 +244,6 @@ class FleetRuntime {
   std::unique_ptr<Router> router_;
   std::unique_ptr<WorkloadGenerator> workload_;
   std::unique_ptr<RetryBudget> retry_budget_;
-  EventQueue fleet_q_;  ///< namespace = cfg.chips (one past the chips)
   std::uint64_t now_ = 0;
   std::uint64_t horizon_ = 0;
   bool health_armed_ = false;
@@ -248,13 +253,9 @@ class FleetRuntime {
   std::vector<Request> parked_;  ///< unroutable until a chip rejoins
   obs::EventLog* event_log_ = nullptr;
 
-  // -- durability (inert when durab_.dir is empty) -----------------------------
+  // -- durability (inert when durab_.dir is empty; chips own theirs) ----------
   DurabilityOptions durab_;
   std::unique_ptr<Journal> fleet_journal_;
-  std::vector<std::unique_ptr<Journal>> chip_journals_;
-  /// Merged-loop global event counter: the shared index source for the
-  /// fleet's and every chip's journal records.
-  std::uint64_t event_index_ = 0;
 
   FleetReport report_;
 };

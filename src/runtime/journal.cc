@@ -1,5 +1,6 @@
 #include "runtime/journal.h"
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -9,6 +10,7 @@
 #include "obs/json.h"
 #include "runtime/fleet.h"
 #include "runtime/serving.h"
+#include "runtime/snapshot.h"
 
 namespace cryptopim::runtime {
 
@@ -283,6 +285,37 @@ void Journal::record(const std::string& payload) {
   out_ << frame(payload);
   out_.flush();
   ++appended_;
+}
+
+std::unique_ptr<Journal> open_journal(const DurabilityOptions& opts,
+                                      const std::string& file,
+                                      const char* mode, std::uint32_t chip_id,
+                                      std::uint64_t seed,
+                                      const obs::Json& config) {
+  std::filesystem::create_directories(opts.dir);
+  auto j = std::make_unique<Journal>();
+  j->open(opts.dir + "/" + file,
+          Journal::header_payload(mode, chip_id, seed, config), opts.recover);
+  return j;
+}
+
+void durability_boundary(const DurabilityOptions& opts, std::uint64_t index,
+                         Journal& journal,
+                         const std::function<obs::Json()>& state) {
+  if (opts.snapshot_every > 0 && index > 0 &&
+      index % opts.snapshot_every == 0) {
+    // Always (re)write the document — a replay passing this index
+    // rebuilds byte-identical state, so the rename lands the same
+    // content — then journal the CRC. During recovery the record
+    // byte-compare *is* the cross-check: a CRC drift from the pre-crash
+    // record throws.
+    std::uint32_t crc = 0;
+    const std::string file = write_snapshot(opts.dir, index, state(), &crc);
+    journal.record(Journal::snap_payload(index, file, crc));
+  }
+  if (opts.kill_at_event > 0 && index + 1 == opts.kill_at_event) {
+    std::raise(SIGKILL);
+  }
 }
 
 // -- payload builders ---------------------------------------------------------

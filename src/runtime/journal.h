@@ -42,7 +42,9 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,5 +151,27 @@ class Journal {
   bool torn_ = false;
   bool sealed_ = false;
 };
+
+/// Opens `opts.dir`/`file` — creating the directory — as Journal::open
+/// does, recovering it under opts.recover; the header carries `mode`,
+/// `chip_id`, `seed` and the fingerprint of `config`. Every journal of a
+/// run (a single chip's journal.log, a fleet's fleet.log and each
+/// chip-<i>.log) is opened here.
+std::unique_ptr<Journal> open_journal(const DurabilityOptions& opts,
+                                      const std::string& file,
+                                      const char* mode, std::uint32_t chip_id,
+                                      std::uint64_t seed,
+                                      const obs::Json& config);
+
+/// The durability boundary before global event `index`, where the
+/// runtime's state is consistent; the single-chip and the fleet loop
+/// both cross it before every event. A snapshot taken here (of
+/// `state()`, called only when one is due) is exactly reproducible by a
+/// replay that handled the same number of events, and the crash
+/// campaign's SIGKILL lands between events, so the journal's only
+/// possible damage is the torn tail the loader already tolerates.
+void durability_boundary(const DurabilityOptions& opts, std::uint64_t index,
+                         Journal& journal,
+                         const std::function<obs::Json()>& state);
 
 }  // namespace cryptopim::runtime

@@ -48,6 +48,23 @@ double RetryBudget::tokens(std::uint32_t tenant) const {
   return tenant < tokens_.size() ? tokens_[tenant] : 0.0;
 }
 
+std::uint64_t retry_backoff(std::uint64_t base, std::uint64_t cap,
+                            unsigned attempt) {
+  std::uint64_t b = base;
+  for (unsigned i = 1; i < attempt && b < cap; ++i) b <<= 1;
+  return std::min(b, cap);
+}
+
+// -- hedging ------------------------------------------------------------------
+
+std::uint64_t hedge_delay(double fixed_us, double cycles_per_us,
+                          const obs::Histogram& service,
+                          std::uint64_t min_samples) {
+  if (fixed_us > 0) return static_cast<std::uint64_t>(fixed_us * cycles_per_us);
+  if (service.count() < min_samples) return 0;
+  return service.quantile(0.99);
+}
+
 // -- CircuitBreaker -----------------------------------------------------------
 
 bool CircuitBreaker::can_accept(std::uint64_t now) const {

@@ -42,6 +42,7 @@
 
 #include "common/rng.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "reliability/fault_model.h"
 
 namespace cryptopim::runtime {
@@ -133,6 +134,21 @@ class RetryBudget {
   double ratio_;
   double cap_;
 };
+
+/// Capped exponential backoff before retry number `attempt` (1-based):
+/// `base` doubled per earlier attempt, never above `cap`. The chip's
+/// retries and the fleet's cross-chip retries both back off by it.
+std::uint64_t retry_backoff(std::uint64_t base, std::uint64_t cap,
+                            unsigned attempt);
+
+/// Delay before a straggler is hedged, in cycles: `fixed_us` when one is
+/// configured (> 0), otherwise the p99 of the observed `service` times
+/// once it holds `min_samples` — until then 0, and stragglers run
+/// unhedged. The chip hedges onto a second lane, the fleet onto a
+/// replica chip; both derive the delay here.
+std::uint64_t hedge_delay(double fixed_us, double cycles_per_us,
+                          const obs::Histogram& service,
+                          std::uint64_t min_samples);
 
 /// Per-lane circuit breaker: closed -> (K consecutive failures) -> open
 /// -> (open period elapses) -> half-open probe -> closed on success,

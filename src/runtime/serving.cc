@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <csignal>
-#include <filesystem>
 #include <set>
 #include <stdexcept>
 
@@ -15,7 +13,6 @@
 #include "reliability/verifier.h"
 #include "runtime/backend.h"
 #include "runtime/protocol_ops.h"
-#include "runtime/snapshot.h"
 
 namespace cryptopim::runtime {
 
@@ -194,7 +191,11 @@ struct ServingRuntime::InFlight {
 };
 
 ServingRuntime::ServingRuntime(ServingConfig cfg)
-    : cfg_(std::move(cfg)), events_(0, cfg_.chip_id) {}
+    : cfg_(std::move(cfg)),
+      own_clock_(std::make_unique<Clock>()),
+      clock_(*own_clock_) {}
+ServingRuntime::ServingRuntime(ServingConfig cfg, Clock& fleet_clock)
+    : cfg_(std::move(cfg)), clock_(fleet_clock) {}
 ServingRuntime::~ServingRuntime() = default;
 
 const ServingRuntime::LaneGeometry& ServingRuntime::geometry(
@@ -231,19 +232,9 @@ void ServingRuntime::schedule_scan(std::uint64_t cycle) {
   push_event(EventKind::kQueueScan, cycle);
 }
 
-void ServingRuntime::push_event(EventKind kind, std::uint64_t cycle,
-                                std::uint64_t dispatch_id, Request r) {
-  Event e;
-  e.cycle = cycle;
-  e.kind = kind;
-  e.dispatch_id = dispatch_id;
-  e.request = std::move(r);
-  events_.push(std::move(e));
-}
-
 ServingReport ServingRuntime::run() {
   prime();
-  while (!events_.empty()) step();
+  while (has_events()) step();
   return seal();
 }
 
@@ -290,7 +281,7 @@ void ServingRuntime::prime() {
   report_.slo = obs::SloAccountant(cfg_.slo, window, cyc_per_us);
   // A fleet shares one event log across every chip; the fleet clears it
   // once, before priming, so a chip must not wipe its siblings' records.
-  if (event_log_ && !cfg_.external_arrivals) event_log_->clear();
+  if (event_log_ && !fleet_driven()) event_log_->clear();
 
   report_.protocol.kind = protocol_name(cfg_.protocol.kind);
   if (cfg_.protocol.enabled()) {
@@ -317,9 +308,8 @@ void ServingRuntime::prime() {
     report_.tenants.emplace(t, std::move(ts));
   }
 
-  // Fleet drive: no internal generator — the front-end injects arrivals
-  // and the queue starts empty.
-  if (!cfg_.external_arrivals) {
+  // Fleet drive: no internal generator — the front-end injects arrivals.
+  if (!fleet_driven()) {
     if (cfg_.closed_loop_clients > 0) {
       const auto think =
           static_cast<std::uint64_t>(cfg_.think_time_us * cyc_per_us);
@@ -365,23 +355,15 @@ void ServingRuntime::prime() {
 }
 
 void ServingRuntime::step() {
-  // Durability hooks fire at the event boundary, where the runtime's
-  // state is consistent: a snapshot taken here is exactly reproducible
-  // by a replay that processed the same number of events, and the crash
-  // campaign's SIGKILL lands between events so the journal's only
-  // possible damage is the torn tail the loader already tolerates.
-  // (Fleet mode leaves both with the fleet's merged loop.)
-  if (owned_journal_) {
-    if (durab_.snapshot_every > 0 && event_index_ > 0 &&
-        event_index_ % durab_.snapshot_every == 0) {
-      take_snapshot(event_index_);
-    }
-    if (durab_.kill_at_event > 0 &&
-        event_index_ + 1 == durab_.kill_at_event) {
-      std::raise(SIGKILL);
-    }
+  if (journal_) {
+    durability_boundary(durab_, clock_.event_index, *journal_,
+                        [this] { return snapshot_state(); });
   }
-  const Event e = events_.pop();
+  handle(clock_.events.pop());
+  clock_.event_index += 1;
+}
+
+void ServingRuntime::handle(const Event& e) {
   now_ = e.cycle;
   report_.drain_cycle = std::max(report_.drain_cycle, now_);
   switch (e.kind) {
@@ -397,9 +379,9 @@ void ServingRuntime::step() {
     case EventKind::kHedge: handle_hedge(e); break;
     case EventKind::kHealth: handle_health(e); break;
     case EventKind::kChaos: handle_chaos(e); break;
-    default: break;  // fleet kinds never reach a chip's queue
+    default: break;  // fleet kinds live in the fleet's namespace
   }
-  event_index_ += 1;
+  handled_events_ += 1;
 }
 
 ServingReport ServingRuntime::seal() {
@@ -426,9 +408,9 @@ ServingReport ServingRuntime::seal() {
   // Clean end of run: the seal pins the final conservation counters, so
   // a validator can check the whole ledger without the serving report
   // and --recover can tell "finished" from "interrupted".
-  if (journal_ != nullptr) {
+  if (journal_) {
     journal_->record(Journal::seal_payload(
-        jidx(), now_,
+        clock_.event_index, now_,
         {{"sub", report_.submitted},
          {"adm", report_.admitted},
          {"cmp", report_.completed},
@@ -458,15 +440,14 @@ void ServingRuntime::emit_outcome(const Request& r, Outcome o) {
   // Journal the terminal commitment *before* handing it to the fleet:
   // if the process dies between the two, recovery re-delivers (the fleet
   // replays deterministically too), never loses, the outcome.
-  if (journal_ != nullptr) {
-    journal_->record(Journal::outcome_payload(jidx(), now_, r.id, o));
+  if (journal_) {
+    journal_->record(
+        Journal::outcome_payload(clock_.event_index, now_, r.id, o));
   }
   if (outcome_sink_) outcome_sink_(r, o, now_);
 }
 
 // -- durability ---------------------------------------------------------------
-
-namespace {
 
 std::string u64_hex(std::uint64_t v) {
   char buf[24];
@@ -475,35 +456,21 @@ std::string u64_hex(std::uint64_t v) {
   return std::string(buf);
 }
 
-}  // namespace
-
 void ServingRuntime::enable_durability(const DurabilityOptions& opts) {
   durab_ = opts;
   if (!durab_.enabled()) return;
-  std::filesystem::create_directories(durab_.dir);
-  owned_journal_ = std::make_unique<Journal>();
-  const std::string hdr =
-      Journal::header_payload("single", cfg_.chip_id, cfg_.workload.seed,
-                              serving_config_to_json(cfg_));
-  owned_journal_->open(durab_.dir + "/journal.log", hdr, durab_.recover);
-  journal_ = owned_journal_.get();
-}
-
-void ServingRuntime::take_snapshot(std::uint64_t index) {
-  // Always (re)write the document — a replay passing this index rebuilds
-  // byte-identical state, so the rename lands the same content — then
-  // journal the CRC. During recovery the record byte-compare *is* the
-  // cross-check: a CRC drift from the pre-crash record throws.
-  std::uint32_t crc = 0;
-  const std::string file =
-      write_snapshot(durab_.dir, index, snapshot_state(), &crc);
-  journal_->record(Journal::snap_payload(index, file, crc));
+  const bool chip = fleet_driven();
+  journal_ = open_journal(
+      durab_,
+      chip ? "chip-" + std::to_string(cfg_.chip_id) + ".log" : "journal.log",
+      chip ? "chip" : "single", cfg_.chip_id, cfg_.workload.seed,
+      serving_config_to_json(cfg_));
 }
 
 obs::Json ServingRuntime::snapshot_state() const {
   obs::Json s = obs::Json::object();
   s.set("cycle", now_);
-  s.set("event_index", event_index_);
+  s.set("event_index", handled_events_);
   s.set("next_dispatch_id", next_dispatch_id_);
   s.set("pending", std::uint64_t{pending_.size()});
   s.set("in_flight", std::uint64_t{in_flight_.size()});
@@ -658,13 +625,16 @@ void ServingRuntime::corrupt_window(std::uint64_t until_cycle) {
   chip_corrupt_until_ = std::max(chip_corrupt_until_, until_cycle);
 }
 
-obs::Json ServingRuntime::ev_base(const char* name, const Request& r) const {
+obs::Json ev_base(const char* name, std::uint64_t cycle, std::uint32_t chip,
+                  const Request* r) {
   obs::Json rec = obs::Json::object();
   rec.set("ev", name);
-  rec.set("cycle", now_);
-  rec.set("chip", std::uint64_t{cfg_.chip_id});
-  rec.set("trace", r.id);
-  rec.set("tenant", std::uint64_t{r.tenant});
+  rec.set("cycle", cycle);
+  rec.set("chip", std::uint64_t{chip});
+  if (r != nullptr) {
+    rec.set("trace", r->id);
+    rec.set("tenant", std::uint64_t{r->tenant});
+  }
   return rec;
 }
 
@@ -710,7 +680,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     if (dag) report_.protocol.rejected += 1;
     record_bad_outcome("rejected");
     if (elog_on()) {
-      obs::Json rec = ev_base("rejected", origin);
+      obs::Json rec = ev_base("rejected", now_, cfg_.chip_id, &origin);
       rec.set("reason", reason);
       event_log_->log(std::move(rec));
     }
@@ -773,11 +743,11 @@ void ServingRuntime::handle_arrival(const Event& e) {
   report_.series.count("admitted", now_, n_ops);
   // One admission commitment per request: a DAG's op expansion below is
   // a pure function of its origin, so replay re-derives every op.
-  if (journal_ != nullptr) {
-    journal_->record(Journal::admit_payload(jidx(), now_, origin));
+  if (journal_) {
+    journal_->record(Journal::admit_payload(clock_.event_index, now_, origin));
   }
   if (elog_on()) {
-    obs::Json rec = ev_base("admitted", origin);
+    obs::Json rec = ev_base("admitted", now_, cfg_.chip_id, &origin);
     rec.set("degree", std::uint64_t{degree});
     if (origin.deadline_cycle > 0) rec.set("deadline", origin.deadline_cycle);
     if (dag) {
@@ -812,7 +782,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     }
     if (hard_deadline) push_event(EventKind::kTimeout, r.deadline_cycle, r.id);
     if (dag && elog_on()) {
-      obs::Json rec = ev_base("protocol_op", r);
+      obs::Json rec = ev_base("protocol_op", now_, cfg_.chip_id, &r);
       rec.set("proto", pid);
       rec.set("op", std::uint64_t{r.op_index});
       rec.set("cls", op_class_name(r.op_class));
@@ -975,10 +945,7 @@ ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
             "runtime", now_, cfg_.repartition_cycles);
   }
   if (elog_on()) {
-    obs::Json rec = obs::Json::object();
-    rec.set("ev", "carve");
-    rec.set("cycle", now_);
-    rec.set("chip", std::uint64_t{cfg_.chip_id});
+    obs::Json rec = ev_base("carve", now_, cfg_.chip_id);
     rec.set("lane", std::uint64_t{lanes_.size()});
     rec.set("degree", std::uint64_t{degree});
     rec.set("ready", lane.free_at);
@@ -1068,7 +1035,8 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
     report_.series.observe("queue_wait_cycles", t0, t0 - r.arrival_cycle);
   }
   if (elog_on()) {
-    obs::Json rec = ev_base(hedge_of != 0 ? "hedge" : "dispatched", r);
+    obs::Json rec = ev_base(hedge_of != 0 ? "hedge" : "dispatched", now_,
+                            cfg_.chip_id, &r);
     rec.set("dispatch", id);
     if (hedge_of != 0) rec.set("parent", hedge_of);
     if (lane != nullptr) {
@@ -1107,7 +1075,9 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
     // delay, duplicate it onto a second lane (first result wins). The
     // check lands after the nominal completion only when the lane is
     // chaos-slowed — exactly the straggler case hedging targets.
-    const std::uint64_t delay = hedge_delay_cycles();
+    const std::uint64_t delay =
+        hedge_delay(cfg_.resilience.hedge_delay_us, cfg_.cycles_per_us(),
+                    service_hist_, kHedgeMinSamples);
     if (delay > 0) push_event(EventKind::kHedge, t0 + delay, id);
   }
   return id;
@@ -1149,7 +1119,7 @@ void ServingRuntime::on_op_complete(const Request& r,
     }
   }
   if (elog_on()) {
-    obs::Json rec = ev_base("join", done.origin);
+    obs::Json rec = ev_base("join", now_, cfg_.chip_id, &done.origin);
     rec.set("proto", done.origin.id + 1);
     rec.set("ops", std::uint64_t{done.op_count});
     rec.set("latency", latency);
@@ -1188,7 +1158,8 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
   report_.protocol.ops_cancelled += cancelled;
   report_.protocol.failed += 1;
   if (elog_on()) {
-    obs::Json rec = ev_base("proto_failed", st.origin);
+    obs::Json rec =
+        ev_base("proto_failed", now_, cfg_.chip_id, &st.origin);
     rec.set("proto", st.origin.id + 1);
     rec.set("ops_cancelled", cancelled);
     event_log_->log(std::move(rec));
@@ -1217,7 +1188,7 @@ void ServingRuntime::fail(const Request& r, Outcome o,
   counter += 1;
   record_bad_outcome(what);
   if (elog_on()) {
-    obs::Json rec = ev_base(what, r);
+    obs::Json rec = ev_base(what, now_, cfg_.chip_id, &r);
     if (o == Outcome::kShed) rec.set("sojourn", now_ - r.arrival_cycle);
     event_log_->log(std::move(rec));
   }
@@ -1265,7 +1236,8 @@ void ServingRuntime::handle_completion(const Event& e) {
              : report_.resilience.detected_corruptions) += 1;
       if (elog_on()) {
         obs::Json rec = ev_base(
-            storm ? "chip_corruption_detected" : "corruption_detected", r);
+            storm ? "chip_corruption_detected" : "corruption_detected", now_,
+            cfg_.chip_id, &r);
         rec.set("dispatch", e.dispatch_id);
         rec.set("lane", std::uint64_t{inf.lane});
         event_log_->log(std::move(rec));
@@ -1301,7 +1273,7 @@ void ServingRuntime::handle_completion(const Event& e) {
     ts.deadline_misses += 1;
   }
   if (elog_on()) {
-    obs::Json rec = ev_base("completed", r);
+    obs::Json rec = ev_base("completed", now_, cfg_.chip_id, &r);
     rec.set("dispatch", e.dispatch_id);
     if (lane != nullptr) {
       rec.set("lane", std::uint64_t{inf.lane});
@@ -1337,10 +1309,7 @@ void ServingRuntime::handle_bank_failure(const Event&) {
   failed_banks_ += cfg_.fail_banks;
   report_.series.count("bank_failures", now_, cfg_.fail_banks);
   if (elog_on()) {
-    obs::Json rec = obs::Json::object();
-    rec.set("ev", "bank_failure");
-    rec.set("cycle", now_);
-    rec.set("chip", std::uint64_t{cfg_.chip_id});
+    obs::Json rec = ev_base("bank_failure", now_, cfg_.chip_id);
     rec.set("banks", std::uint64_t{cfg_.fail_banks});
     event_log_->log(std::move(rec));
   }
@@ -1368,7 +1337,8 @@ void ServingRuntime::handle_bank_failure(const Event&) {
       return;  // its protocol was already torn down whole this failure
     }
     if (elog_on()) {
-      obs::Json rec = ev_base("torn_down", inf.request);
+      obs::Json rec =
+          ev_base("torn_down", now_, cfg_.chip_id, &inf.request);
       rec.set("lane", std::uint64_t{inf.lane});
       event_log_->log(std::move(rec));
     }
@@ -1585,8 +1555,10 @@ void ServingRuntime::handle_chaos(const Event&) {
 }
 
 bool ServingRuntime::schedule_retry(Request r, bool count_as_bank_retry) {
-  if (r.attempts >= cfg_.resilience.max_retries) return false;
-  const std::uint64_t backoff = retry_backoff(r.attempts + 1);
+  const ResilienceConfig& res = cfg_.resilience;
+  if (r.attempts >= res.max_retries) return false;
+  const std::uint64_t backoff = retry_backoff(
+      res.retry_backoff_cycles, res.retry_backoff_cap_cycles, r.attempts + 1);
   // A retry that cannot finish by the deadline is not worth a token.
   if (r.deadline_cycle > 0 &&
       now_ + backoff + r.service_cycles > r.deadline_cycle) {
@@ -1601,7 +1573,7 @@ bool ServingRuntime::schedule_retry(Request r, bool count_as_bank_retry) {
   report_.series.count("retries", now_);
   if (count_as_bank_retry) report_.retried += 1;
   if (elog_on()) {
-    obs::Json rec = ev_base("retry", r);
+    obs::Json rec = ev_base("retry", now_, cfg_.chip_id, &r);
     rec.set("attempt", std::uint64_t{r.attempts});
     rec.set("backoff", backoff);
     event_log_->log(std::move(rec));
@@ -1634,7 +1606,8 @@ void ServingRuntime::cancel_in_flight(std::uint64_t dispatch_id) {
   const std::size_t lane_idx = it->second.lane;
   const bool was_probe = it->second.is_probe;
   if (elog_on()) {
-    obs::Json rec = ev_base("cancelled", it->second.request);
+    obs::Json rec =
+        ev_base("cancelled", now_, cfg_.chip_id, &it->second.request);
     rec.set("dispatch", dispatch_id);
     rec.set("lane", std::uint64_t{lane_idx});
     event_log_->log(std::move(rec));
@@ -1670,27 +1643,6 @@ void ServingRuntime::remap_drained_lane(Lane& lane, std::size_t lane_idx) {
     tr.emit(runtime_track_base(), "wear remap lane " + std::to_string(lane_idx),
             "resilience", now_, cfg_.repartition_cycles);
   }
-}
-
-std::uint64_t ServingRuntime::hedge_delay_cycles() const {
-  const ResilienceConfig& res = cfg_.resilience;
-  if (res.hedge_delay_us > 0) {
-    return static_cast<std::uint64_t>(res.hedge_delay_us *
-                                      cfg_.cycles_per_us());
-  }
-  // p99-derived: hedge only after enough service-time samples to make
-  // the tail estimate meaningful; until then stragglers run unhedged.
-  if (service_hist_.count() < kHedgeMinSamples) return 0;
-  return service_hist_.quantile(0.99);
-}
-
-std::uint64_t ServingRuntime::retry_backoff(unsigned attempts) const {
-  const ResilienceConfig& res = cfg_.resilience;
-  std::uint64_t b = res.retry_backoff_cycles;
-  for (unsigned i = 1; i < attempts && b < res.retry_backoff_cap_cycles; ++i) {
-    b <<= 1;
-  }
-  return std::min(b, res.retry_backoff_cap_cycles);
 }
 
 void ServingRuntime::arm_health_tick(std::uint64_t delay) {

@@ -101,7 +101,7 @@ enum class Outcome : std::uint8_t {
 };
 
 struct ServingConfig {
-  /// Fleet identity: folded into the event queue's sequence namespace,
+  /// Fleet identity: the namespace of the chip's events on the clock,
   /// stamped on event-log records, and offset into the trace track ids.
   /// 0 for the classic single-chip `serve` path.
   std::uint32_t chip_id = 0;
@@ -256,9 +256,25 @@ struct ServingReport {
   obs::Json to_json() const;
 };
 
+/// A lifecycle record skeleton: {"ev":name,"cycle":cycle,"chip":chip},
+/// then "trace":r->id and "tenant":r->tenant for a request's record
+/// (control records carry none). Chips and the fleet front-end build
+/// every event-log record on it, add event-specific fields and hand it
+/// to EventLog::log().
+obs::Json ev_base(const char* name, std::uint64_t cycle, std::uint32_t chip,
+                  const Request* r = nullptr);
+
+/// `v` as 16 hex digits: how snapshot states carry 64-bit RNG digests
+/// (a JSON number would round them).
+std::string u64_hex(std::uint64_t v);
+
 class ServingRuntime {
  public:
+  /// A single chip on its own clock.
   explicit ServingRuntime(ServingConfig cfg);
+  /// A fleet chip on the fleet's clock (not owned): the fleet injects its
+  /// arrivals, pops its events and hands them to handle().
+  ServingRuntime(ServingConfig cfg, Clock& fleet_clock);
   ~ServingRuntime();
 
   ServingRuntime(const ServingRuntime&) = delete;
@@ -278,24 +294,22 @@ class ServingRuntime {
   /// an unknown policy name or an empty degree mix.
   ServingReport run();
 
-  // -- fleet drive (stepping) API --------------------------------------------
-  // run() == prime(); while (has_events()) step(); seal(). A fleet
-  // front-end interleaves many chips instead: it primes each chip, then
-  // repeatedly steps whichever chip (or fleet queue) holds the globally
-  // earliest (cycle, seq) event — the chip-namespaced seq makes that
-  // merge a strict total order, so fleet runs are bit-deterministic.
+  // -- stepping API -----------------------------------------------------------
+  // run() == prime(); while (has_events()) step(); seal(). A fleet drives
+  // its chips on its own clock instead: it primes each chip, pops every
+  // event itself and hands a chip's events to that chip's handle() — the
+  // chip-namespaced seq makes the one timeline a strict total order, so
+  // fleet runs are bit-deterministic.
 
-  /// Everything run() does before the event loop. With
-  /// cfg.external_arrivals no workload generator is built: the queue
-  /// starts empty and the fleet injects arrivals.
+  /// Everything run() does before the event loop. A fleet chip builds no
+  /// workload generator: the fleet injects its arrivals.
   void prime();
-  bool has_events() const noexcept { return !events_.empty(); }
-  std::uint64_t next_event_cycle() const { return events_.peek().cycle; }
-  /// Chip-namespaced sequence of the earliest event: the fleet's
-  /// same-cycle tie-break across chips.
-  std::uint64_t next_event_seq() const { return events_.peek().seq; }
-  /// Pop and handle exactly one event.
+  bool has_events() const noexcept { return !clock_.events.empty(); }
+  /// Cross the durability boundary, then pop and handle exactly one
+  /// event (single chip).
   void step();
+  /// Handle one event of this chip's namespace.
+  void handle(const Event& e);
   /// Everything run() does after the loop; returns the final report.
   ServingReport seal();
 
@@ -334,21 +348,13 @@ class ServingRuntime {
   std::size_t in_flight_count() const noexcept { return in_flight_.size(); }
   std::uint64_t now() const noexcept { return now_; }
 
-  // -- durability (runtime/journal.h; inert unless wired) ----------------------
-  /// Single-chip mode: open (or recover) `opts.dir`/journal.log and own
-  /// it for the run. Call before prime()/run(). The stepping loop then
-  /// honours opts.snapshot_every and opts.kill_at_event.
+  // -- durability (runtime/journal.h; inert unless enabled) -------------------
+  /// Open (or recover) this chip's journal — `opts.dir`/journal.log for a
+  /// single chip, `opts.dir`/chip-<id>.log for a fleet chip — indexed by
+  /// the clock's global event index. Call before prime()/run(). A single
+  /// chip's step() then honours opts.snapshot_every and
+  /// opts.kill_at_event; a fleet crosses the boundary in its own loop.
   void enable_durability(const DurabilityOptions& opts);
-  /// Fleet mode: commitments go to a fleet-owned chip journal, indexed
-  /// by the fleet's merged event counter (snapshot/kill cadence stays
-  /// with the fleet). Neither pointer is owned.
-  void set_journal(Journal* j) noexcept { journal_ = j; }
-  void set_event_index_source(const std::uint64_t* idx) noexcept {
-    ext_event_index_ = idx;
-  }
-  /// Events processed so far (the journal's global index in single-chip
-  /// mode).
-  std::uint64_t event_index() const noexcept { return event_index_; }
   /// Full determinism-relevant state dump for snapshot/1 documents: lane
   /// geometry and breaker/wear state, bank pool, WFQ ledgers, RNG
   /// position digests, queue and in-flight occupancy, counters.
@@ -400,19 +406,16 @@ class ServingRuntime {
   void verify_result(const Request& r);
   unsigned usable_banks() const noexcept;
   void schedule_scan(std::uint64_t cycle);
-  /// Schedule an event on this chip's clock; `dispatch_id` and `r` as
-  /// Event documents them per kind.
+  /// Schedule an event in this chip's namespace on the clock.
   void push_event(EventKind kind, std::uint64_t cycle,
-                  std::uint64_t dispatch_id = 0, Request r = {});
+                  std::uint64_t dispatch_id = 0, Request r = {}) {
+    clock_.push(cfg_.chip_id, kind, cycle, dispatch_id, std::move(r));
+  }
 
   // -- observability -----------------------------------------------------------
   bool elog_on() const noexcept {
     return event_log_ != nullptr && event_log_->enabled();
   }
-  /// A lifecycle record skeleton: {"ev":name,"cycle":now,"trace":r.id,
-  /// "tenant":r.tenant}. Callers add event-specific fields and hand it
-  /// to event_log_->log().
-  obs::Json ev_base(const char* name, const Request& r) const;
   /// Terminal-outcome bookkeeping shared by every "bad" exit (rejected /
   /// shed / timed out / failed): windowed counter + SLO error.
   void record_bad_outcome(const char* counter);
@@ -451,8 +454,6 @@ class ServingRuntime {
   void cancel_in_flight(std::uint64_t dispatch_id);
   /// Remap a fully drained worn lane onto fresh banks.
   void remap_drained_lane(Lane& lane, std::size_t lane_idx);
-  std::uint64_t hedge_delay_cycles() const;
-  std::uint64_t retry_backoff(unsigned attempts) const;
   void arm_health_tick(std::uint64_t cycle);
   void arm_chaos_episode();
 
@@ -481,7 +482,13 @@ class ServingRuntime {
   std::unique_ptr<ExecutionBackend> backend_;
   std::unique_ptr<WorkloadGenerator> workload_;
 
-  EventQueue events_;
+  /// The timeline this chip's events live on: its own, or a fleet's —
+  /// which is what makes the chip fleet-driven.
+  std::unique_ptr<Clock> own_clock_;
+  Clock& clock_;
+  bool fleet_driven() const noexcept { return own_clock_ == nullptr; }
+  /// Events this chip handled (its snapshot's event_index).
+  std::uint64_t handled_events_ = 0;
   std::uint64_t now_ = 0;
   std::uint64_t horizon_ = 0;
   std::vector<Request> pending_;  ///< admitted, waiting for a lane
@@ -516,18 +523,9 @@ class ServingRuntime {
   obs::EventLog* event_log_ = nullptr;  ///< not owned; may be null
   OutcomeSink outcome_sink_;            ///< fleet callback; may be empty
 
-  // -- durability (inert when no journal is wired) -----------------------------
-  /// Journal index of the commitment being written: the fleet's merged
-  /// counter when driven externally, this chip's own otherwise.
-  std::uint64_t jidx() const noexcept {
-    return ext_event_index_ != nullptr ? *ext_event_index_ : event_index_;
-  }
-  void take_snapshot(std::uint64_t index);
-  DurabilityOptions durab_;                 ///< single-chip mode only
-  std::unique_ptr<Journal> owned_journal_;  ///< single-chip mode only
-  Journal* journal_ = nullptr;              ///< owned or fleet-provided
-  const std::uint64_t* ext_event_index_ = nullptr;  ///< fleet merged clock
-  std::uint64_t event_index_ = 0;
+  // -- durability (inert when no journal is open) -----------------------------
+  DurabilityOptions durab_;
+  std::unique_ptr<Journal> journal_;
 
   // -- whole-chip episode state (set only by a fleet's chip chaos) ------------
   std::uint64_t chip_slow_until_ = 0;

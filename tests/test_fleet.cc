@@ -1,11 +1,11 @@
 // Fleet serving: N chips behind one deterministic front-end
 // (src/runtime/fleet.*), plus the chip-namespaced EventQueue ordering
-// that makes the merged timeline a strict total order.
+// that makes the fleet's one timeline a strict total order.
 //
 // The integration tests drive real FleetRuntime runs — routing,
 // placement, cross-chip retry/hedging and the drain/re-shard machinery
-// only count if they hold up with N live ServingRuntime chips under the
-// merged clock. Routers also get direct unit tests.
+// only count if they hold up with N live ServingRuntime chips on the
+// fleet's clock. Routers also get direct unit tests.
 
 #include "runtime/fleet.h"
 
@@ -62,67 +62,61 @@ std::uint64_t fleet_wrong_accepted(const FleetReport& r) {
 // ------------------------------------------------- EventQueue namespace --
 
 TEST(EventQueueNamespace, SeqCarriesChipInHighBits) {
-  EventQueue q0(0, /*chip=*/0);
-  EventQueue q1(0, /*chip=*/1);
-  EXPECT_EQ(q0.chip(), 0u);
-  EXPECT_EQ(q1.chip(), 1u);
+  EventQueue q;
   Event a;
   a.cycle = 10;
-  q0.push(a);
-  q1.push(a);
-  EXPECT_EQ(q0.peek().seq >> EventQueue::kChipShift, 0u);
-  EXPECT_EQ(q1.peek().seq >> EventQueue::kChipShift, 1u);
-  // Within the namespace the counter still starts at the seeded value.
-  EXPECT_EQ(q0.peek().seq & ((std::uint64_t{1} << EventQueue::kChipShift) - 1),
-            0u);
+  q.push(a, /*ns=*/0);
+  q.push(a, /*ns=*/1);
+  const Event first = q.pop();
+  const Event second = q.pop();
+  EXPECT_EQ(first.seq >> EventQueue::kChipShift, 0u);
+  EXPECT_EQ(second.seq >> EventQueue::kChipShift, 1u);
+  EXPECT_EQ(EventQueue::ns(first), 0u);
+  EXPECT_EQ(EventQueue::ns(second), 1u);
+  // Below the namespace, one push counter serves every namespace.
+  const std::uint64_t low = (std::uint64_t{1} << EventQueue::kChipShift) - 1;
+  EXPECT_EQ(first.seq & low, 0u);
+  EXPECT_EQ(second.seq & low, 1u);
 }
 
 TEST(EventQueueNamespace, InterleavedTwoChipMergeIsAStrictTotalOrder) {
-  // Two chips emit events at overlapping cycles; the merge (always pop
-  // the globally earliest (cycle, seq)) must be deterministic, with
-  // same-cycle ties broken by the chip namespace then push order.
-  EventQueue chip0(0, 0);
-  EventQueue chip1(0, 1);
-  for (std::uint64_t cyc : {5u, 5u, 9u, 12u}) {
+  // Two chips schedule events at overlapping cycles on one queue, pushes
+  // interleaved; the pop order must be the strict total order on
+  // (cycle, seq), with same-cycle ties broken by the namespace first and
+  // push order within a namespace second.
+  EventQueue q;
+  const auto push = [&q](std::uint64_t cycle, std::uint32_t chip) {
     Event e;
-    e.cycle = cyc;
-    e.dispatch_id = 100 + cyc;  // payload marker
-    chip0.push(e);
-  }
-  for (std::uint64_t cyc : {5u, 7u, 9u}) {
-    Event e;
-    e.cycle = cyc;
-    e.dispatch_id = 200 + cyc;
-    chip1.push(e);
-  }
+    e.cycle = cycle;
+    e.dispatch_id = 100 * (chip + 1) + cycle;  // payload marker
+    q.push(e, chip);
+  };
+  push(5, 1);
+  push(5, 0);
+  push(7, 1);
+  push(5, 0);
+  push(9, 1);
+  push(9, 0);
+  push(12, 0);
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> order;  // cycle, seq
+  std::vector<std::uint32_t> chips;
   std::set<std::uint64_t> seqs;
-  while (!chip0.empty() || !chip1.empty()) {
-    EventQueue* next = nullptr;
-    if (chip0.empty()) next = &chip1;
-    else if (chip1.empty()) next = &chip0;
-    else {
-      const auto& a = chip0.peek();
-      const auto& b = chip1.peek();
-      next = (a.cycle != b.cycle ? a.cycle < b.cycle : a.seq < b.seq)
-                 ? &chip0
-                 : &chip1;
-    }
-    const Event e = next->pop();
+  while (!q.empty()) {
+    const Event e = q.pop();
     EXPECT_TRUE(seqs.insert(e.seq).second) << "duplicate seq " << e.seq;
+    EXPECT_EQ(e.dispatch_id, 100 * (EventQueue::ns(e) + 1) + e.cycle);
     order.emplace_back(e.cycle, e.seq);
+    chips.push_back(EventQueue::ns(e));
   }
   ASSERT_EQ(order.size(), 7u);
   // Strict total order on (cycle, seq).
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_TRUE(order[i - 1] < order[i]);
   }
-  // Both chips pushed at cycle 5; chip 0's namespace sorts first, so the
-  // merged prefix is chip0, chip0, chip1 — not push-arrival order.
-  EXPECT_EQ(order[0].second >> EventQueue::kChipShift, 0u);
-  EXPECT_EQ(order[1].second >> EventQueue::kChipShift, 0u);
-  EXPECT_EQ(order[2].second >> EventQueue::kChipShift, 1u);
+  // Chip 1 pushed at cycle 5 first, but chip 0's namespace sorts first:
+  // the prefix is chip0, chip0, chip1 — not push order. Cycle 9 likewise.
+  EXPECT_EQ(chips, (std::vector<std::uint32_t>{0, 0, 1, 1, 0, 1, 0}));
 }
 
 // ------------------------------------------------------------- Routers --
