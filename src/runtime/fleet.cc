@@ -9,7 +9,8 @@ namespace {
 
 /// Observed chip service times before a p99-derived hedge delay is trusted.
 constexpr std::uint64_t kHedgeMinSamples = 64;
-/// Cap of the doubling cross-chip retry backoff.
+/// Cross-chip retry backoff: doubled per attempt up to the cap.
+constexpr std::uint64_t kRetryBackoffCycles = 2048;
 constexpr std::uint64_t kRetryBackoffCapCycles = 1 << 20;
 /// Chip health tick period, simulated us.
 constexpr double kHealthPeriodUs = 100.0;
@@ -226,7 +227,6 @@ void FleetRuntime::prime() {
   for (std::uint32_t i = 0; i < cfg_.chips; ++i) {
     ServingConfig cc = cfg_.chip;
     cc.chip_id = i;
-    cc.external_arrivals = true;
     // De-correlate per-lane chaos across chips: with one shared seed every
     // chip would strike in lockstep, defeating replication.
     if (cc.resilience.chaos.enabled) cc.resilience.chaos.seed += i;
@@ -509,7 +509,7 @@ void FleetRuntime::on_outcome(std::uint32_t chip, const Request& r, Outcome o,
       ent.attempts += 1;
       report_.cross_retries += 1;
       push_event(EventKind::kFleetRetry,
-                 cycle + retry_backoff(cfg_.retry_backoff_cycles,
+                 cycle + retry_backoff(kRetryBackoffCycles,
                                        kRetryBackoffCapCycles, ent.attempts),
                  0, ent.original);
       return;

@@ -67,13 +67,12 @@ struct FleetConfig {
   /// Per-chip template: policy / backend / chip geometry / per-lane
   /// resilience. Its workload, arrival_rate_per_s and duration_us are
   /// FLEET-wide (the front-end generates one stream and routes it);
-  /// chip_id and external_arrivals are overwritten per chip.
+  /// chip_id is overwritten per chip.
   ServingConfig chip;
 
   // -- cross-chip retry / hedging (fleet granularity) -------------------------
   unsigned max_retries = 2;          ///< re-dispatches per request
   double retry_budget_ratio = 0.1;   ///< fleet retry tokens per admitted
-  std::uint64_t retry_backoff_cycles = 2048;  ///< doubled per attempt
   bool hedge = false;
   double hedge_delay_us = 0.0;       ///< 0 = p99 of observed service
 

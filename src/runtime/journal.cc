@@ -68,7 +68,6 @@ const char* outcome_name(Outcome o) {
 obs::Json serving_config_to_json(const ServingConfig& cfg) {
   obs::Json j = obs::Json::object();
   j.set("chip_id", std::uint64_t{cfg.chip_id});
-  j.set("external_arrivals", cfg.external_arrivals);
   j.set("policy", cfg.policy);
   j.set("backend", cfg.backend);
   obs::Json chip = obs::Json::object();
@@ -150,7 +149,6 @@ obs::Json fleet_config_to_json(const FleetConfig& cfg) {
   j.set("chip", serving_config_to_json(cfg.chip));
   j.set("max_retries", std::uint64_t{cfg.max_retries});
   j.set("retry_budget_ratio", cfg.retry_budget_ratio);
-  j.set("retry_backoff_cycles", cfg.retry_backoff_cycles);
   j.set("hedge", cfg.hedge);
   j.set("hedge_delay_us", cfg.hedge_delay_us);
   j.set("scrub_us", cfg.scrub_us);

@@ -105,10 +105,6 @@ struct ServingConfig {
   /// stamped on event-log records, and offset into the trace track ids.
   /// 0 for the classic single-chip `serve` path.
   std::uint32_t chip_id = 0;
-  /// Fleet drive mode: no internal workload generator — arrivals are
-  /// injected by the fleet front-end via inject(), and terminal request
-  /// outcomes are reported through the outcome sink.
-  bool external_arrivals = false;
 
   arch::ChipConfig chip = arch::ChipConfig::paper_chip();
   std::string policy = "fifo";
