@@ -6,14 +6,31 @@
 
 namespace cryptopim::model {
 
+LaneTiming lane_timing(const arch::ChipConfig& chip, std::uint32_t degree,
+                       unsigned failed_banks) {
+  const auto plan = chip.plan_for_degree(degree, failed_banks);
+  // The stage timing evaluates the paper_latency formulas, depends on n
+  // alone and costs microseconds per call, so it is memoized (a fleet
+  // primes the same degrees on every chip).
+  thread_local std::map<std::uint32_t, PipelinePerf> memo;
+  const std::uint32_t n = std::min(degree, chip.design_max_n);
+  auto it = memo.find(n);
+  if (it == memo.end()) it = memo.emplace(n, cryptopim_pipelined(n)).first;
+  const PipelinePerf& perf = it->second;
+  LaneTiming t;
+  t.superbanks = plan.superbanks;
+  t.banks = plan.banks_per_superbank;
+  t.segments = plan.segments;
+  t.beat = perf.slowest_stage_cycles;
+  t.fill = static_cast<std::uint64_t>(perf.depth) * perf.slowest_stage_cycles;
+  return t;
+}
+
 double class_capacity_per_s(const arch::ChipConfig& chip, std::uint32_t degree,
                             unsigned failed_banks, double cycle_ns) {
-  const auto plan = chip.plan_for_degree(degree, failed_banks);
-  const auto perf = cryptopim_pipelined(std::min(degree, chip.design_max_n));
-  const double occupancy_cycles =
-      static_cast<double>(plan.segments) * perf.slowest_stage_cycles;
+  const LaneTiming t = lane_timing(chip, degree, failed_banks);
   const double cycles_per_s = 1e9 / cycle_ns;
-  return plan.superbanks * cycles_per_s / occupancy_cycles;
+  return t.superbanks * cycles_per_s / static_cast<double>(t.occupancy());
 }
 
 ScheduleResult ChipScheduler::schedule(std::span<const Job> jobs) const {

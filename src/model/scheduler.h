@@ -41,6 +41,28 @@ struct ScheduleResult {
   double throughput_per_s = 0;
 };
 
+/// The timing law of one degree class's superbank lanes on `chip`: how
+/// many lanes fit and their bank footprint and segment count
+/// (plan_for_degree, degraded by `failed_banks`), and the pipeline's beat
+/// and fill (cryptopim_pipelined at min(degree, design_max_n)). A lane
+/// accepts one request per `occupancy()` cycles and delivers it
+/// `service()` cycles after it entered. The serving runtime's lanes and
+/// class_capacity_per_s both run on it. Throws (from plan_for_degree)
+/// when the chip cannot host a single lane of the class.
+struct LaneTiming {
+  unsigned superbanks = 0;  ///< lanes that fit the chip
+  unsigned banks = 0;       ///< banks per superbank
+  unsigned segments = 1;    ///< >1 for degrees above the design point
+  std::uint64_t beat = 0;   ///< slowest-stage cycles
+  std::uint64_t fill = 0;   ///< depth * beat
+  std::uint64_t service() const noexcept {
+    return fill + (segments - 1) * beat;
+  }
+  std::uint64_t occupancy() const noexcept { return segments * beat; }
+};
+LaneTiming lane_timing(const arch::ChipConfig& chip, std::uint32_t degree,
+                       unsigned failed_banks = 0);
+
 /// Bank-limited steady-state service capacity of one degree class, in
 /// requests per second: live superbank lanes divided by the lane
 /// occupancy (`segments * slowest-stage beat`). `failed_banks` prices a

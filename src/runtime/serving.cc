@@ -5,7 +5,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "model/performance.h"
 #include "ntt/ntt.h"
 #include "ntt/params.h"
 #include "ntt/poly.h"
@@ -21,16 +20,6 @@ namespace {
 /// Lane index of a laneless protocol host op (sampling / aggregation):
 /// InFlight entries carrying it never touch lanes_.
 constexpr std::size_t kHostLane = ~std::size_t{0};
-
-/// The pipeline's stage timing at degree n. It evaluates the paper_latency
-/// formulas, depends on n alone and costs microseconds per call, so it
-/// is memoized (a fleet primes the same degrees on every chip).
-const model::PipelinePerf& pipeline_perf(std::uint32_t n) {
-  thread_local std::map<std::uint32_t, model::PipelinePerf> memo;
-  auto it = memo.find(n);
-  if (it == memo.end()) it = memo.emplace(n, model::cryptopim_pipelined(n)).first;
-  return it->second;
-}
 
 }  // namespace
 
@@ -198,22 +187,15 @@ ServingRuntime::ServingRuntime(ServingConfig cfg, Clock& fleet_clock)
     : cfg_(std::move(cfg)), clock_(fleet_clock) {}
 ServingRuntime::~ServingRuntime() = default;
 
-const ServingRuntime::LaneGeometry& ServingRuntime::geometry(
-    std::uint32_t degree) {
+const model::LaneTiming& ServingRuntime::geometry(std::uint32_t degree) {
   if (const auto it = geometry_.find(degree); it != geometry_.end()) {
     return it->second;
   }
   // Banks per superbank and segments are degree-intrinsic for this chip;
   // failed banks only shrink how many lanes fit, which the runtime's own
   // bank pool accounts for. Throws when no superbank of the class fits.
-  const auto plan = cfg_.chip.plan_for_degree(degree);
-  const auto& perf = pipeline_perf(std::min(degree, cfg_.chip.design_max_n));
-  LaneGeometry g;
-  g.banks = plan.banks_per_superbank;
-  g.segments = plan.segments;
-  g.beat = perf.slowest_stage_cycles;
-  g.fill = static_cast<std::uint64_t>(perf.depth) * perf.slowest_stage_cycles;
-  return geometry_.emplace(degree, g).first->second;
+  return geometry_.emplace(degree, model::lane_timing(cfg_.chip, degree))
+      .first->second;
 }
 
 unsigned ServingRuntime::usable_banks() const noexcept {
@@ -672,7 +654,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
   }
 
   // All-or-nothing admission at the DAG's lane degree.
-  const LaneGeometry& g = geometry(degree);
+  const model::LaneTiming& g = geometry(degree);
   const auto reject = [&](const char* reason, std::uint64_t& counter,
                           std::uint64_t& tenant_counter) {
     counter += n_ops;
@@ -905,7 +887,7 @@ ServingRuntime::Lane* ServingRuntime::acquire_lane(const Request& r,
   if (free_now) return free_now;
   if (straggler) return nullptr;  // hedges only use lanes free right now
 
-  const LaneGeometry& g = geometry(degree);
+  const model::LaneTiming& g = geometry(degree);
   const unsigned usable = usable_banks();
   unsigned free_banks = usable > allocated_banks_ ? usable - allocated_banks_
                                                   : 0;
@@ -924,7 +906,7 @@ ServingRuntime::Lane* ServingRuntime::acquire_lane(const Request& r,
 }
 
 ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
-  const LaneGeometry& g = geometry(degree);
+  const model::LaneTiming& g = geometry(degree);
   Lane lane;
   lane.degree = degree;
   lane.banks = g.banks;
@@ -985,7 +967,7 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
   // the host is outside the crossbar fault domain.
   std::uint64_t service = std::max<std::uint64_t>(r.service_cycles, 1);
   if (lane != nullptr) {
-    const LaneGeometry& g = geometry(r.degree);
+    const model::LaneTiming& g = geometry(r.degree);
     inf.lane = static_cast<std::size_t>(lane - lanes_.data());
     inf.is_probe = lane->breaker.note_dispatch(t0);
     if (inf.is_probe) report_.resilience.breaker_probes += 1;

@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "arch/chip.h"
+#include "model/scheduler.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -360,20 +361,6 @@ class ServingRuntime {
   struct Lane;
   struct InFlight;
 
-  /// Cycle geometry of one superbank lane configured for a degree class:
-  /// one request enters per `segments * beat` cycles and completes a fill
-  /// (plus any extra segment beats) after entering.
-  struct LaneGeometry {
-    unsigned banks = 0;  ///< banks_per_superbank
-    unsigned segments = 1;
-    std::uint64_t beat = 0;  ///< slowest-stage cycles
-    std::uint64_t fill = 0;  ///< depth * beat
-    std::uint64_t service() const noexcept {
-      return fill + (segments - 1) * beat;
-    }
-    std::uint64_t occupancy() const noexcept { return segments * beat; }
-  };
-
   /// Admission of one request as a whole DAG (a raw polymul is one op).
   void handle_arrival(const Event& e);
   void handle_completion(const Event& e);
@@ -383,7 +370,7 @@ class ServingRuntime {
   /// This chip's geometry for a degree class, from its own
   /// plan_for_degree; prime() builds the table for the workload's
   /// degrees, so a class no superbank of this chip fits throws there.
-  const LaneGeometry& geometry(std::uint32_t degree);
+  const model::LaneTiming& geometry(std::uint32_t degree);
   /// A lane of r's degree class that can accept r *now*, carving a new
   /// one from free banks if needed; nullptr when r must wait (a wake-up
   /// scan is scheduled whenever one is known). A fan-out op avoids lanes
@@ -488,7 +475,7 @@ class ServingRuntime {
   std::uint64_t now_ = 0;
   std::uint64_t horizon_ = 0;
   std::vector<Request> pending_;  ///< admitted, waiting for a lane
-  std::map<std::uint32_t, LaneGeometry> geometry_;  ///< by degree class
+  std::map<std::uint32_t, model::LaneTiming> geometry_;  ///< by degree class
   std::vector<Lane> lanes_;
   std::map<std::uint64_t, InFlight> in_flight_;
   std::uint64_t next_dispatch_id_ = 1;
