@@ -85,8 +85,6 @@ class EventQueue {
     return e;
   }
 
-  const Event& peek() const { return heap_.top(); }
-
   /// The namespace `e` was pushed in.
   static std::uint32_t ns(const Event& e) noexcept {
     return static_cast<std::uint32_t>(e.seq >> kChipShift);

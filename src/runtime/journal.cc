@@ -1,6 +1,5 @@
 #include "runtime/journal.h"
 
-#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -297,23 +296,15 @@ std::unique_ptr<Journal> open_journal(const DurabilityOptions& opts,
   return j;
 }
 
-void durability_boundary(const DurabilityOptions& opts, std::uint64_t index,
-                         Journal& journal,
-                         const std::function<obs::Json()>& state) {
-  if (opts.snapshot_every > 0 && index > 0 &&
-      index % opts.snapshot_every == 0) {
-    // Always (re)write the document — a replay passing this index
-    // rebuilds byte-identical state, so the rename lands the same
-    // content — then journal the CRC. During recovery the record
-    // byte-compare *is* the cross-check: a CRC drift from the pre-crash
-    // record throws.
-    std::uint32_t crc = 0;
-    const std::string file = write_snapshot(opts.dir, index, state(), &crc);
-    journal.record(Journal::snap_payload(index, file, crc));
-  }
-  if (opts.kill_at_event > 0 && index + 1 == opts.kill_at_event) {
-    std::raise(SIGKILL);
-  }
+void persist_snapshot(const std::string& dir, std::uint64_t index,
+                      const obs::Json& state, Journal& journal) {
+  // Always (re)write the document — a replay passing this index rebuilds
+  // byte-identical state, so the rename lands the same content — then
+  // journal the CRC. During recovery the record byte-compare *is* the
+  // cross-check: a CRC drift from the pre-crash record throws.
+  std::uint32_t crc = 0;
+  const std::string file = write_snapshot(dir, index, state, &crc);
+  journal.record(Journal::snap_payload(index, file, crc));
 }
 
 // -- payload builders ---------------------------------------------------------

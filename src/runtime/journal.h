@@ -40,9 +40,9 @@
 // and so replay matching can compare raw payload strings byte-for-byte.
 #pragma once
 
+#include <csignal>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -163,15 +163,29 @@ std::unique_ptr<Journal> open_journal(const DurabilityOptions& opts,
                                       std::uint64_t seed,
                                       const obs::Json& config);
 
+/// Persists `state` as the snapshot of global event `index` under `dir`
+/// (runtime/snapshot.h) and journals its CRC in a `snap` record.
+void persist_snapshot(const std::string& dir, std::uint64_t index,
+                      const obs::Json& state, Journal& journal);
+
 /// The durability boundary before global event `index`, where the
 /// runtime's state is consistent; the single-chip and the fleet loop
 /// both cross it before every event. A snapshot taken here (of
 /// `state()`, called only when one is due) is exactly reproducible by a
 /// replay that handled the same number of events, and the crash
 /// campaign's SIGKILL lands between events, so the journal's only
-/// possible damage is the torn tail the loader already tolerates.
+/// possible damage is the torn tail the loader already tolerates. With
+/// nothing due it costs two comparisons.
+template <typename StateFn>
 void durability_boundary(const DurabilityOptions& opts, std::uint64_t index,
-                         Journal& journal,
-                         const std::function<obs::Json()>& state);
+                         Journal& journal, StateFn&& state) {
+  if (opts.snapshot_every > 0 && index > 0 &&
+      index % opts.snapshot_every == 0) {
+    persist_snapshot(opts.dir, index, state(), journal);
+  }
+  if (opts.kill_at_event > 0 && index + 1 == opts.kill_at_event) {
+    std::raise(SIGKILL);
+  }
+}
 
 }  // namespace cryptopim::runtime

@@ -343,7 +343,6 @@ class ServingRuntime {
   const ServingReport& live() const noexcept { return report_; }
   std::size_t pending_count() const noexcept { return pending_.size(); }
   std::size_t in_flight_count() const noexcept { return in_flight_.size(); }
-  std::uint64_t now() const noexcept { return now_; }
 
   // -- durability (runtime/journal.h; inert unless enabled) -------------------
   /// Open (or recover) this chip's journal — `opts.dir`/journal.log for a
