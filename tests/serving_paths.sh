@@ -15,7 +15,10 @@
 # `proto_failed`. (`rejected` with reason `unservable` needs more failed
 # banks than the chip has spares, which no CLI flag can inject; the
 # TerminalPaths matrix in test_serving_paths.cc drives it instead.)
-# Protocol runs carry no --deadline.
+# kem_wear_teardown is the protocol run with a --deadline: with a low
+# wear limit and no retries, timed-out and failed ops tear their KEM
+# requests down while sibling ops still run on lanes that wear has set
+# draining.
 #
 # usage: serving_paths.sh CLI JSON_CHECK MANIFEST [--write]
 #   --write regenerates MANIFEST from this CLI's outputs.
@@ -62,6 +65,9 @@ serve bgv_mul --protocol bgv-mul --arrival-rate 200000 --duration 600 \
 serve threshold --protocol threshold --shares 4 --chaos --retries 0 \
   --arrival-rate 200000 --duration 1500 --seed 3 --policy wfq \
   --verify-every 8
+serve kem_wear_teardown --protocol kem --chaos --retries 0 \
+  --arrival-rate 600000 --duration 1000 --seed 3 --wear-limit 100 \
+  --deadline 300 --breaker 1
 
 # -- fleet ----------------------------------------------------------------------
 serve fleet_kill --fleet 4 --arrival-rate 300000 --duration 5000 --seed 1 \
