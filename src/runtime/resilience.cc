@@ -161,89 +161,32 @@ bool CoDelShedder::should_drop(std::uint64_t sojourn, std::uint64_t now) {
   return true;
 }
 
-// -- HealthMonitor ------------------------------------------------------------
+// -- LaneHealth ---------------------------------------------------------------
 
 namespace {
-/// FaultModel block ids for lane wear: one id per (lane, remap epoch) so
-/// a remap onto fresh banks restarts the wear counter. Disjoint epochs
-/// per lane; 256 remaps per lane is far beyond any simulated run.
-constexpr std::uint32_t kEpochsPerLane = 256;
-/// Exponential decay applied to the failure score per recorded verify.
+/// Exponential decay applied to the failure score per recorded outcome.
 constexpr double kFailureDecay = 0.9;
-/// Health-score weight of one decayed failure.
+/// Weight of one decayed failure against the scrub threshold.
 constexpr double kFailureWeight = 0.25;
 }  // namespace
 
-HealthMonitor::HealthMonitor(const ResilienceConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg),
-      wear_model_([&] {
-        reliability::FaultConfig fc;
-        fc.endurance_limit = cfg.wear_limit;
-        fc.seed = seed;
-        return fc;
-      }()) {}
-
-std::uint32_t HealthMonitor::block_id(std::size_t lane) const {
-  const auto& h = lanes_[lane];
-  return static_cast<std::uint32_t>(lane) * kEpochsPerLane + h.epoch;
+bool LaneHealth::note_dispatch() {
+  if (wear_limit_ == 0) return false;
+  return ++wear_ == wear_limit_;
 }
 
-HealthMonitor::LaneHealth& HealthMonitor::state(std::size_t lane) {
-  if (lane >= lanes_.size()) lanes_.resize(lane + 1);
-  return lanes_[lane];
+void LaneHealth::record(bool ok) {
+  failure_score_ = failure_score_ * kFailureDecay + (ok ? 0.0 : 1.0);
 }
 
-bool HealthMonitor::note_dispatch(std::size_t lane) {
-  state(lane);
-  if (cfg_.wear_limit == 0) return false;
-  return wear_model_.note_wear(block_id(lane), /*col=*/0);
+bool LaneHealth::wants_drain() const {
+  if (wear_limit_ == 0) return false;
+  return static_cast<double>(wear_) / static_cast<double>(wear_limit_) >=
+         drain_fraction_;
 }
 
-void HealthMonitor::record_verify(std::size_t lane, bool ok) {
-  LaneHealth& h = state(lane);
-  h.verifies += 1;
-  h.failure_score = h.failure_score * kFailureDecay + (ok ? 0.0 : 1.0);
-}
-
-void HealthMonitor::on_remap(std::size_t lane) {
-  LaneHealth& h = state(lane);
-  h.epoch += 1;
-  h.failure_score = 0.0;
-}
-
-void HealthMonitor::on_scrub(std::size_t lane) {
-  state(lane).failure_score = 0.0;
-}
-
-std::uint64_t HealthMonitor::wear_writes(std::size_t lane) const {
-  if (lane >= lanes_.size() || cfg_.wear_limit == 0) return 0;
-  return wear_model_.wear(block_id(lane), /*col=*/0);
-}
-
-double HealthMonitor::wear_fraction(std::size_t lane) const {
-  if (cfg_.wear_limit == 0) return 0.0;
-  return static_cast<double>(wear_writes(lane)) /
-         static_cast<double>(cfg_.wear_limit);
-}
-
-bool HealthMonitor::wants_drain(std::size_t lane) const {
-  if (cfg_.wear_limit == 0 || lane >= lanes_.size()) return false;
-  return wear_fraction(lane) >= cfg_.drain_fraction;
-}
-
-double HealthMonitor::score(std::size_t lane) const {
-  if (lane >= lanes_.size()) return 1.0;
-  const double burden = wear_fraction(lane) +
-                        kFailureWeight * lanes_[lane].failure_score;
-  return std::clamp(1.0 - burden, 0.0, 1.0);
-}
-
-bool HealthMonitor::wants_scrub(std::size_t lane) const {
-  if (lane >= lanes_.size()) return false;
-  // Scrubbing re-programs cells: it forgives transient failure history
-  // but cannot un-wear a column, so pure wear burden never triggers it.
-  return lanes_[lane].failure_score * kFailureWeight >
-         1.0 - cfg_.scrub_threshold;
+bool LaneHealth::wants_scrub() const {
+  return failure_score_ * kFailureWeight > 1.0 - scrub_threshold_;
 }
 
 // -- ResilienceStats ----------------------------------------------------------

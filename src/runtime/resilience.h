@@ -18,11 +18,10 @@
 //     interval, the head request is dropped and the drop cadence
 //     tightens by the 1/sqrt(count) control law, keeping queue delay
 //     bounded instead of letting the backlog run away;
-//   * HealthMonitor — consumes the reliability layer's FaultModel wear
-//     counters plus per-lane verification outcomes to score lane health,
-//     requests background scrub passes for unhealthy-but-idle lanes, and
-//     proactively drains/remaps a lane approaching its wear limit
-//     *before* it starts corrupting traffic;
+//   * LaneHealth — a lane's wear (dispatches since it last moved onto
+//     fresh banks) and decayed verification-failure score: a lane
+//     approaching its wear limit is drained and remapped *before* it
+//     starts corrupting traffic, and an unhealthy idle lane is scrubbed;
 //   * ChaosConfig — a seeded generator of lane fault episodes (slowdowns
 //     and corrupting windows) composed with live traffic, so the whole
 //     stack can be exercised and asserted on deterministically
@@ -43,7 +42,6 @@
 #include "common/rng.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "reliability/fault_model.h"
 
 namespace cryptopim::runtime {
 
@@ -95,7 +93,6 @@ struct ResilienceConfig {
 
   // -- health / wear ----------------------------------------------------------
   /// Dispatches a lane survives before wearing out (0 = wear off).
-  /// Backed by reliability::FaultModel wear counters.
   std::uint64_t wear_limit = 0;
   /// Drain and remap at this fraction of the wear limit.
   double drain_fraction = 0.9;
@@ -218,51 +215,45 @@ class CoDelShedder {
   std::uint32_t drop_count_ = 0;
 };
 
-/// Per-lane health scoring and proactive wear management.
-///
-/// Wear is accounted through the reliability layer's FaultModel — each
-/// dispatch writes the lane's crossbars once, note_wear()'d against the
-/// configured endurance limit — so the serving stack and the
-/// device-level campaigns share one wear bookkeeping. A lane that
-/// crosses the limit grows a real (modeled) corruption; the monitor's
-/// job is to drain and remap it at `drain_fraction` of the limit, before
-/// that happens. Verification outcomes feed an exponentially-decayed
-/// failure score; scrubs reset a lane's transient state.
-class HealthMonitor {
+/// One lane's health, held by the lane beside its CircuitBreaker. Each
+/// multiplication writes the lane's superbank crossbars end to end once
+/// (§III-D), so wear is the number of dispatches since the lane last
+/// moved onto fresh banks; a remap starts a fresh LaneHealth. A lane
+/// that reaches `wear_limit` corrupts from then on, so the runtime drains
+/// and remaps it at `drain_fraction` of the limit, before that happens.
+/// Outcomes feed an exponentially decayed failure score; a scrub
+/// forgives it.
+class LaneHealth {
  public:
-  HealthMonitor(const ResilienceConfig& cfg, std::uint64_t seed);
+  LaneHealth() = default;
+  LaneHealth(std::uint64_t wear_limit, double drain_fraction,
+             double scrub_threshold)
+      : wear_limit_(wear_limit),
+        drain_fraction_(drain_fraction),
+        scrub_threshold_(scrub_threshold) {}
 
-  /// Account one dispatch on `lane`. Returns true when the lane *crossed
-  /// its wear limit* on this write — it is now corrupting traffic (the
-  /// failure mode proactive drains exist to prevent).
-  bool note_dispatch(std::size_t lane);
-  void record_verify(std::size_t lane, bool ok);
-  /// Lane remapped onto fresh banks: wear restarts from zero.
-  void on_remap(std::size_t lane);
-  /// Scrub finished: transient failure history is forgiven.
-  void on_scrub(std::size_t lane);
-
-  /// Wear of `lane` as a fraction of the limit (0 when wear is off).
-  double wear_fraction(std::size_t lane) const;
-  bool wants_drain(std::size_t lane) const;
-  /// Health in [0, 1]: 1 - wear burden - decayed failure burden.
-  double score(std::size_t lane) const;
-  bool wants_scrub(std::size_t lane) const;
-
-  std::uint64_t wear_writes(std::size_t lane) const;
+  /// Account one dispatch (nothing counts while wear is off). Returns
+  /// true on exactly the write that reaches the wear limit: the lane
+  /// corrupts from here on. Counting goes on past the limit.
+  bool note_dispatch();
+  /// Record a request outcome on the decayed failure score.
+  void record(bool ok);
+  /// Wear has reached `drain_fraction` of the limit.
+  bool wants_drain() const;
+  /// The decayed failures outweigh the scrub threshold. Scrubbing
+  /// re-programs cells: it forgives failures but cannot un-wear a
+  /// column, so wear alone never asks for one.
+  bool wants_scrub() const;
+  void scrub() noexcept { failure_score_ = 0.0; }
+  /// Dispatches since the last remap (0 while wear is off).
+  std::uint64_t wear() const noexcept { return wear_; }
 
  private:
-  struct LaneHealth {
-    std::uint32_t epoch = 0;      ///< bumped per remap (fresh FaultModel id)
-    double failure_score = 0.0;   ///< decayed count of recent failures
-    std::uint64_t verifies = 0;
-  };
-  std::uint32_t block_id(std::size_t lane) const;
-  LaneHealth& state(std::size_t lane);
-
-  ResilienceConfig cfg_;
-  reliability::FaultModel wear_model_;
-  std::vector<LaneHealth> lanes_;
+  std::uint64_t wear_limit_ = 0;  ///< 0 = wear off
+  double drain_fraction_ = 0.0;
+  double scrub_threshold_ = 0.0;
+  std::uint64_t wear_ = 0;
+  double failure_score_ = 0.0;  ///< decayed count of recent failures
 };
 
 /// Resilience ledger, embedded in every ServingReport.

@@ -162,10 +162,19 @@ struct ServingRuntime::Lane {
 
   // -- resilience (inert defaults when the layer is off) ---------------------
   CircuitBreaker breaker;
+  LaneHealth health;
   std::uint64_t slow_until = 0;     ///< chaos slowdown episode end
   std::uint64_t corrupt_until = 0;  ///< chaos/wear corruption end (kForever
                                     ///< for wear: only a remap clears it)
   bool draining = false;            ///< worn: no new work, remap when empty
+
+  /// Fresh banks (a carve or a remap): a closed breaker, no wear and no
+  /// failure history.
+  void reset_resilience(const ResilienceConfig& res) {
+    breaker = CircuitBreaker(res.breaker_k, res.breaker_open_cycles);
+    health = LaneHealth(res.wear_limit, res.drain_fraction,
+                        res.scrub_threshold);
+  }
 };
 
 struct ServingRuntime::InFlight {
@@ -326,9 +335,7 @@ void ServingRuntime::prime() {
   shedder_ = CoDelShedder(
       static_cast<std::uint64_t>(res.codel_target_us * cyc_per_us),
       static_cast<std::uint64_t>(res.codel_interval_us * cyc_per_us));
-  health_ = res.wear_limit > 0 || res.chaos.enabled
-                ? std::make_unique<HealthMonitor>(res, cfg_.workload.seed)
-                : nullptr;
+  health_ = res.wear_limit > 0 || res.chaos.enabled;
   chaos_rng_ = Xoshiro256(res.chaos.seed);
   service_hist_ = obs::Histogram{};
   health_tick_armed_ = false;
@@ -494,7 +501,7 @@ obs::Json ServingRuntime::snapshot_state() const {
     lj.set("breaker_failures",
            std::uint64_t{lane.breaker.consecutive_failures()});
     lj.set("breaker_open_until", lane.breaker.open_until());
-    lj.set("wear_writes", health_ ? health_->wear_writes(i) : 0);
+    lj.set("wear_writes", lane.health.wear());
     lanes.push_back(std::move(lj));
   }
   s.set("lanes", std::move(lanes));
@@ -913,8 +920,7 @@ ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
   lane.free_at = now_ + cfg_.repartition_cycles;
   lane.track =
       runtime_track_base() + 1 + static_cast<std::uint32_t>(lanes_.size());
-  lane.breaker = CircuitBreaker(cfg_.resilience.breaker_k,
-                                cfg_.resilience.breaker_open_cycles);
+  lane.reset_resilience(cfg_.resilience);
   allocated_banks_ += g.banks;
   report_.repartitions += 1;
   report_.series.count("repartitions", now_);
@@ -971,7 +977,7 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
     inf.lane = static_cast<std::size_t>(lane - lanes_.data());
     inf.is_probe = lane->breaker.note_dispatch(t0);
     if (inf.is_probe) report_.resilience.breaker_probes += 1;
-    if (health_ && health_->note_dispatch(inf.lane)) {
+    if (lane->health.note_dispatch()) {
       // The lane crossed its wear limit on this very write: it corrupts
       // from here on and only a remap onto fresh banks clears it. This
       // is the failure mode the proactive drain exists to prevent.
@@ -979,7 +985,7 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
       lane->draining = true;
       report_.resilience.wear_corruptions += 1;
     }
-    if (health_ && health_->wants_drain(inf.lane)) lane->draining = true;
+    if (lane->health.wants_drain()) lane->draining = true;
     // Chaos episodes: a slowed lane stretches service, a corrupting one
     // (or a worn one) spoils the result.
     if (lane->slow_until > t0) {
@@ -1224,7 +1230,7 @@ void ServingRuntime::handle_completion(const Event& e) {
         rec.set("lane", std::uint64_t{inf.lane});
         event_log_->log(std::move(rec));
       }
-      record_lane_outcome(*lane, inf.lane, false);
+      record_lane_outcome(*lane, false);
       if (lane->draining && lane->in_flight == 0) {
         remap_drained_lane(*lane, inf.lane);
       }
@@ -1238,7 +1244,7 @@ void ServingRuntime::handle_completion(const Event& e) {
     // Detection disabled: the corrupt result sails through as if good
     // (this counter existing at zero is what proves the checks work).
     if (inf.corrupt) report_.resilience.wrong_accepted += 1;
-    record_lane_outcome(*lane, inf.lane, /*ok=*/true);
+    record_lane_outcome(*lane, /*ok=*/true);
   }
 
   const std::uint64_t latency = now_ - r.arrival_cycle;
@@ -1471,7 +1477,7 @@ void ServingRuntime::handle_health(const Event&) {
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     Lane& lane = lanes_[i];
     if (lane.dead) continue;
-    if (health_ && health_->wants_drain(i)) lane.draining = true;
+    if (lane.health.wants_drain()) lane.draining = true;
     if (lane.draining && lane.in_flight == 0) {
       remap_drained_lane(lane, i);
       continue;
@@ -1479,10 +1485,10 @@ void ServingRuntime::handle_health(const Event&) {
     // Background scrub: an unhealthy lane with nothing in flight and no
     // imminent work re-programs its cells during the idle window. Scrubs
     // forgive transient failure history; they cannot un-wear a column.
-    if (health_ && health_->wants_scrub(i) && lane.in_flight == 0 &&
+    if (lane.health.wants_scrub() && lane.in_flight == 0 &&
         lane.free_at <= now_) {
       lane.free_at = now_ + kScrubCycles;
-      health_->on_scrub(i);
+      lane.health.scrub();
       report_.resilience.scrubs += 1;
       auto& tr = obs::tracer();
       if (tr.enabled()) {
@@ -1564,9 +1570,8 @@ bool ServingRuntime::schedule_retry(Request r, bool count_as_bank_retry) {
   return true;
 }
 
-void ServingRuntime::record_lane_outcome(Lane& lane, std::size_t lane_idx,
-                                         bool ok) {
-  if (health_) health_->record_verify(lane_idx, ok);
+void ServingRuntime::record_lane_outcome(Lane& lane, bool ok) {
+  lane.health.record(ok);
   if (!lane.breaker.enabled()) return;
   const auto prev = lane.breaker.state();
   if (lane.breaker.record(ok, now_)) report_.resilience.breaker_opens += 1;
@@ -1614,9 +1619,7 @@ void ServingRuntime::remap_drained_lane(Lane& lane, std::size_t lane_idx) {
   lane.slow_until = 0;
   lane.corrupt_until = 0;
   lane.free_at = std::max(lane.free_at, now_) + cfg_.repartition_cycles;
-  lane.breaker = CircuitBreaker(cfg_.resilience.breaker_k,
-                                cfg_.resilience.breaker_open_cycles);
-  if (health_) health_->on_remap(lane_idx);
+  lane.reset_resilience(cfg_.resilience);
   report_.resilience.proactive_remaps += 1;
   report_.repartitions += 1;
   schedule_scan(lane.free_at);

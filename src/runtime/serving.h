@@ -46,11 +46,12 @@
 // deadlines with admission feasibility rejection and queued-timeout
 // cancellation, budgeted retries with capped exponential backoff, hedged
 // duplicates for stragglers (first result wins), CoDel-style load
-// shedding, per-lane circuit breakers, and a HealthMonitor that scores
-// lanes from FaultModel wear counters + verification outcomes, scrubs
-// unhealthy idle lanes and proactively drains/remaps worn lanes before
-// they corrupt traffic. `--chaos` composes seeded lane fault episodes
-// with live traffic to exercise the whole stack deterministically.
+// shedding, and per-lane state: each lane holds a CircuitBreaker and a
+// LaneHealth (wear in dispatches since its last remap, plus a decayed
+// verification-failure score), so worn lanes drain and remap before they
+// corrupt traffic and unhealthy idle lanes are scrubbed. `--chaos`
+// composes seeded lane fault episodes with live traffic to exercise the
+// whole stack deterministically.
 #pragma once
 
 #include <cstdint>
@@ -431,7 +432,7 @@ class ServingRuntime {
   /// retry was scheduled.
   bool schedule_retry(Request r, bool count_as_bank_retry);
   /// Record a request outcome on its lane's breaker + health state.
-  void record_lane_outcome(Lane& lane, std::size_t lane_idx, bool ok);
+  void record_lane_outcome(Lane& lane, bool ok);
   /// Cancel an in-flight entry (hedge loser / torn-down duplicate).
   void cancel_in_flight(std::uint64_t dispatch_id);
   /// Remap a fully drained worn lane onto fresh banks.
@@ -487,7 +488,7 @@ class ServingRuntime {
   // -- resilience state (each part inert while its knob is off) ---------------
   std::unique_ptr<RetryBudget> retry_budget_;  ///< max_retries > 0
   CoDelShedder shedder_;
-  std::unique_ptr<HealthMonitor> health_;  ///< wear_limit > 0 or chaos
+  bool health_ = false;  ///< health ticks run: wear_limit > 0 or chaos
   Xoshiro256 chaos_rng_{1};
   bool health_tick_armed_ = false;
   obs::Histogram service_hist_;  ///< dispatch -> completion, for hedge p99

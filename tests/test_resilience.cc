@@ -4,8 +4,8 @@
 //
 // The serving-level tests drive real ServingRuntime runs: the resilience
 // machinery only counts if it holds up with arrivals, lane carving and
-// bank accounting all live. Primitives (budget, breaker, shedder,
-// monitor) also get direct state-machine tests.
+// bank accounting all live. Primitives (budget, breaker, shedder, lane
+// health) also get direct state-machine tests.
 
 #include "runtime/resilience.h"
 
@@ -189,46 +189,51 @@ TEST(CoDelShedder, DisabledNeverDrops) {
   EXPECT_FALSE(s.should_drop(1u << 30, 1u << 30));
 }
 
-// ---------------------------------------------------------- HealthMonitor --
+// ------------------------------------------------------------ LaneHealth --
 
-TEST(HealthMonitor, WearCrossesLimitExactlyOnce) {
-  ResilienceConfig cfg;
-  cfg.wear_limit = 10;
-  HealthMonitor hm(cfg, /*seed=*/1);
+TEST(LaneHealth, WearCrossesLimitExactlyOnce) {
+  LaneHealth h(/*wear_limit=*/10, /*drain_fraction=*/0.9,
+               /*scrub_threshold=*/0.7);
   bool crossed = false;
-  for (int i = 0; i < 10; ++i) crossed = hm.note_dispatch(0);
+  for (int i = 0; i < 10; ++i) crossed = h.note_dispatch();
   EXPECT_TRUE(crossed);  // the 10th write crossed
-  EXPECT_FALSE(hm.note_dispatch(0));  // already past: no second crossing
-  EXPECT_EQ(hm.wear_writes(0), 11u);
+  EXPECT_FALSE(h.note_dispatch());  // already past: no second crossing
+  EXPECT_EQ(h.wear(), 11u);
 }
 
-TEST(HealthMonitor, DrainThresholdLeadsTheLimit) {
-  ResilienceConfig cfg;
-  cfg.wear_limit = 100;
-  cfg.drain_fraction = 0.9;
-  HealthMonitor hm(cfg, 1);
-  for (int i = 0; i < 89; ++i) EXPECT_FALSE(hm.note_dispatch(0));
-  EXPECT_FALSE(hm.wants_drain(0));
-  hm.note_dispatch(0);  // 90th write
-  EXPECT_TRUE(hm.wants_drain(0));
-  EXPECT_DOUBLE_EQ(hm.wear_fraction(0), 0.9);
-  // A remap restarts wear from zero (fresh banks).
-  hm.on_remap(0);
-  EXPECT_EQ(hm.wear_writes(0), 0u);
-  EXPECT_FALSE(hm.wants_drain(0));
+TEST(LaneHealth, DrainThresholdLeadsTheLimit) {
+  LaneHealth h(/*wear_limit=*/100, /*drain_fraction=*/0.9,
+               /*scrub_threshold=*/0.7);
+  for (int i = 0; i < 89; ++i) EXPECT_FALSE(h.note_dispatch());
+  EXPECT_FALSE(h.wants_drain());
+  h.note_dispatch();  // 90th write
+  EXPECT_TRUE(h.wants_drain());
+  EXPECT_EQ(h.wear(), 90u);
+  // A remap onto fresh banks starts a fresh LaneHealth: wear from zero.
+  h = LaneHealth(100, 0.9, 0.7);
+  EXPECT_EQ(h.wear(), 0u);
+  EXPECT_FALSE(h.wants_drain());
+  // With wear off nothing counts and nothing drains.
+  LaneHealth off(/*wear_limit=*/0, 0.9, 0.7);
+  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(off.note_dispatch());
+  EXPECT_EQ(off.wear(), 0u);
+  EXPECT_FALSE(off.wants_drain());
 }
 
-TEST(HealthMonitor, FailuresDepressScoreAndScrubForgivesThem) {
-  ResilienceConfig cfg;
-  cfg.scrub_threshold = 0.7;
-  HealthMonitor hm(cfg, 1);
-  EXPECT_DOUBLE_EQ(hm.score(0), 1.0);
-  for (int i = 0; i < 8; ++i) hm.record_verify(0, false);
-  EXPECT_LT(hm.score(0), 0.7);
-  EXPECT_TRUE(hm.wants_scrub(0));
-  hm.on_scrub(0);
-  EXPECT_DOUBLE_EQ(hm.score(0), 1.0);
-  EXPECT_FALSE(hm.wants_scrub(0));
+TEST(LaneHealth, FailuresRequestAScrubAndScrubForgivesThem) {
+  LaneHealth h(/*wear_limit=*/0, /*drain_fraction=*/0.9,
+               /*scrub_threshold=*/0.7);
+  EXPECT_FALSE(h.wants_scrub());
+  h.record(false);  // one failure weighs 0.25: below the 0.3 slack
+  EXPECT_FALSE(h.wants_scrub());
+  for (int i = 0; i < 7; ++i) h.record(false);
+  EXPECT_TRUE(h.wants_scrub());
+  h.scrub();
+  EXPECT_FALSE(h.wants_scrub());
+  // Successes decay the score back under the threshold without a scrub.
+  for (int i = 0; i < 8; ++i) h.record(false);
+  for (int i = 0; i < 20; ++i) h.record(true);
+  EXPECT_FALSE(h.wants_scrub());
 }
 
 // ------------------------------------------------- serving: deadlines ------
