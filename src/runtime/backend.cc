@@ -43,32 +43,18 @@ std::vector<BackendResult> ExecutionBackend::execute_batch(
 struct GateLevelBackend::Entry {
   ntt::NttParams params;
   sim::CryptoPimSimulator simulator;
-  std::unique_ptr<reliability::ReliabilityManager> manager;
-
-  Entry(const ntt::NttParams& p, const reliability::ReliabilityConfig* rc)
-      : params(p), simulator(p) {
-    if (rc) {
-      manager = std::make_unique<reliability::ReliabilityManager>(*rc, p);
-      simulator.set_reliability(manager.get());
-    }
-  }
+  explicit Entry(const ntt::NttParams& p) : params(p), simulator(p) {}
 };
 
 GateLevelBackend::GateLevelBackend() = default;
 GateLevelBackend::~GateLevelBackend() = default;
-
-void GateLevelBackend::set_fault_injection(
-    const reliability::ReliabilityConfig& rc) {
-  fault_cfg_ = std::make_unique<reliability::ReliabilityConfig>(rc);
-  cache_.clear();  // existing simulators were built reliability-free
-}
 
 GateLevelBackend::Entry& GateLevelBackend::entry_for(
     const ntt::NttParams& params) {
   for (auto& e : cache_) {
     if (e->params.n == params.n && e->params.q == params.q) return *e;
   }
-  cache_.push_back(std::make_unique<Entry>(params, fault_cfg_.get()));
+  cache_.push_back(std::make_unique<Entry>(params));
   return *cache_.back();
 }
 

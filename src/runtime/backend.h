@@ -5,9 +5,10 @@
 //
 //  * GateLevelBackend — the golden tier. Wraps CryptoPimSimulator
 //    (single multiplies) and PipelinedSimulator (batches): every
-//    arithmetic step runs in simulated crossbars, cycle accounting is
-//    measured, optional fault injection exercises the reliability
-//    stack. Slow (~ms per multiply) but authoritative.
+//    arithmetic step runs in simulated crossbars and cycle accounting is
+//    measured. Slow (~ms per multiply) but authoritative. Fault
+//    injection belongs to the simulator it wraps
+//    (CryptoPimSimulator::set_reliability), not to this tier.
 //  * WordLevelBackend — functional results at host speed from the
 //    flat-word `ntt::WordNttEngine` (Shoup/Barrett precompute, lazy
 //    [0, 2q) reduction), with cycle/energy accounting attached from the
@@ -33,7 +34,6 @@
 
 #include "ntt/params.h"
 #include "ntt/poly.h"
-#include "reliability/manager.h"
 
 namespace cryptopim::runtime {
 
@@ -76,10 +76,8 @@ class ExecutionBackend {
       const std::vector<std::pair<ntt::Poly, ntt::Poly>>& pairs);
 };
 
-/// Golden tier. With `set_fault_injection`, every cached simulator gets
-/// a ReliabilityManager (faults planted, write-verify, Freivalds,
-/// retry) — results stay correct, cycle accounting grows by the repair
-/// overhead.
+/// Golden tier: fault-free crossbar simulation, one cached simulator per
+/// (n, q).
 class GateLevelBackend final : public ExecutionBackend {
  public:
   GateLevelBackend();
@@ -93,14 +91,10 @@ class GateLevelBackend final : public ExecutionBackend {
       const ntt::NttParams& params,
       const std::vector<std::pair<ntt::Poly, ntt::Poly>>& pairs) override;
 
-  /// Enable fault injection for every simulator created after this call.
-  void set_fault_injection(const reliability::ReliabilityConfig& rc);
-
  private:
   struct Entry;
   Entry& entry_for(const ntt::NttParams& params);
   std::vector<std::unique_ptr<Entry>> cache_;
-  std::unique_ptr<reliability::ReliabilityConfig> fault_cfg_;
 };
 
 /// Host-speed functional tier with analytic accounting.

@@ -12,9 +12,9 @@
 // The randomized sweep covers every supported (n, q) pair (paper
 // parameterisations plus small custom-modulus sets), adversarial corner
 // inputs (all-zero, all q-1, impulses, alternating extremes, 2q-1
-// pre-normalize in the word engine's partial domain) and fault-injected
-// gate-level execution — over 1,000 differential cases under one pinned
-// seed.
+// pre-normalize in the word engine's partial domain) and the crossbar
+// simulator under fault injection — over 1,000 differential cases under
+// one pinned seed.
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -26,8 +26,10 @@
 #include "ntt/params.h"
 #include "ntt/poly.h"
 #include "ntt/word_ntt.h"
+#include "reliability/manager.h"
 #include "runtime/backend.h"
 #include "runtime/serving.h"
+#include "sim/simulator.h"
 
 namespace cp = cryptopim;
 using cp::Xoshiro256;
@@ -139,25 +141,31 @@ TEST_F(BackendDiff, AdversarialCornersMatchOnEveryPair) {
 }
 
 TEST_F(BackendDiff, FaultInjectedGateExecutionStillMatchesWord) {
-  // The golden tier with the reliability stack on: faults planted,
-  // write-verify, Freivalds, retry. Recovery must reproduce the exact
-  // same coefficients the fault-free word tier computes.
+  // The crossbar simulator with the reliability stack attached: faults
+  // planted, write-verify, Freivalds, retry. Recovery must reproduce the
+  // exact same coefficients the fault-free word tier computes.
   cp::reliability::ReliabilityConfig rc;
   rc.fault.stuck_rate = 1e-5;
   rc.fault.seed = 42;
-  gate_.set_fault_injection(rc);
 
   Xoshiro256 rng(kDiffSeed ^ 0xFA);
+  std::uint64_t planted = 0;
   for (const std::uint32_t n : {64u, 256u}) {
     const NttParams params = NttParams::for_degree(n);
+    cp::reliability::ReliabilityManager manager(rc, params);
+    cp::sim::CryptoPimSimulator gate(params);
+    gate.set_reliability(&manager);
     for (int r = 0; r < 8; ++r) {
       const Poly a = cp::ntt::sample_uniform(n, params.q, rng);
       const Poly b = cp::ntt::sample_uniform(n, params.q, rng);
-      const BackendResult gate = gate_.execute(params, a, b);
+      const Poly product = gate.multiply(a, b);
       const BackendResult word = word_.execute(params, a, b);
-      ASSERT_EQ(word.product, gate.product) << "faulty gate diverged, n=" << n;
+      ASSERT_EQ(word.product, product) << "faulty gate diverged, n=" << n;
+      EXPECT_TRUE(gate.report().reliability.verified);
+      planted += gate.report().reliability.faults_planted;
     }
   }
+  EXPECT_GT(planted, 0u);  // the faults were really there
 }
 
 TEST_F(BackendDiff, PinnedGateCycleCountsSurviveTheRefactor) {
