@@ -1,7 +1,6 @@
 #include "obs/event_log.h"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace cryptopim::obs {
@@ -40,23 +39,6 @@ void EventLog::close_stream() {
   if (!stream_.is_open()) return;
   stream_.flush();
   stream_.close();
-}
-
-std::string EventLog::to_jsonl() const {
-  std::ostringstream os;
-  Json header = Json::object();
-  header.set("schema", "serve-events/2");
-  header.set("records", static_cast<std::uint64_t>(records_.size()));
-  os << header.dump() << '\n';
-  for (const Json& r : records_) os << r.dump() << '\n';
-  return os.str();
-}
-
-void EventLog::write_jsonl(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("event log: cannot open " + path);
-  os << to_jsonl();
-  if (!os) throw std::runtime_error("event log: write failed: " + path);
 }
 
 }  // namespace cryptopim::obs

@@ -2,34 +2,31 @@
 //
 // The serving runtime emits one record per lifecycle transition
 // (admitted, dispatched, retry, hedge, completed, ...) as an obs::Json
-// object. The log buffers records in arrival order and serializes them
-// as JSON Lines: one compact JSON object per line, preceded by a header
-// line {"schema":"serve-events/2",...}. JSONL keeps the file greppable
-// and streamable — consumers never need the whole log in memory.
+// object. open_stream() writes the log as JSON Lines while the run goes:
+// a {"schema":"serve-events/2","streamed":true} header (no record count:
+// the total is unknowable while streaming), then one compact JSON object
+// per line. JSONL keeps the file greppable and streamable — consumers
+// never need the whole log in memory.
 //
-// Schema history: serve-events/2 added a "chip" field to every record
-// (control records included) so one log can interleave the lifecycle
-// streams of a whole fleet; trace ids stay stable across cross-chip
-// retries and hedges, so a request's causal chain reads across chips.
-// tools/json_check --events accepts both versions.
+// Schema: serve-events/2 puts a "chip" field on every record (control
+// records included) so one log can interleave the lifecycle streams of a
+// whole fleet; trace ids stay stable across cross-chip retries and
+// hedges, so a request's causal chain reads across chips.
+// tools/json_check --events validates the format.
 //
 // Like the Tracer, the log is disabled by default so the emit sites can
 // stay unconditional in the runtime; a disabled log drops records at
 // the door. Determinism: records carry only event-clock cycles and
 // stable ids, so the same seed + config yields byte-identical output.
 //
-// Durability: the buffered mode (log + write_jsonl at the end of the
-// run) loses everything on abnormal termination — untenable next to a
-// crash-recoverable runtime. open_stream() instead writes each record
-// as it is logged, with a {"schema":"serve-events/2","streamed":true}
-// header (no up-front "records" count: the total is unknowable while
-// streaming). Control records — cluster-level transitions with no
+// Durability: next to a crash-recoverable runtime the log must survive
+// an abnormal exit. Control records — cluster-level transitions with no
 // "trace" field (carve, bank_failure, chip_crash, reshard, ...) — are
 // flushed to the OS as they land, so after a crash the log is always a
 // parseable prefix whose control history is complete; the opt-in
 // line-buffered mode flushes *every* record for a fully-synced (slower)
-// log. Both modes still buffer in memory, so records()/to_jsonl() keep
-// working for in-process consumers.
+// log. Every record is also kept in memory, so records() serves
+// in-process consumers.
 #pragma once
 
 #include <cstdint>
@@ -68,11 +65,6 @@ class EventLog {
   bool streaming() const noexcept { return stream_.is_open(); }
   /// Final flush + close; the file is already complete (no trailer).
   void close_stream();
-
-  /// Header line followed by one compact JSON object per record.
-  std::string to_jsonl() const;
-  /// Writes to_jsonl() to `path`; throws std::runtime_error on I/O error.
-  void write_jsonl(const std::string& path) const;
 
  private:
   bool enabled_ = false;

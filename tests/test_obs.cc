@@ -409,8 +409,10 @@ TEST(Slo, DisabledAccountantIsInert) {
 // ------------------------------------------------------------- EventLog --
 
 TEST(EventLog, JsonlHasHeaderAndOneRecordPerLine) {
+  const std::string path = ::testing::TempDir() + "/event_log_unit.jsonl";
   EventLog log;
-  log.set_enabled(true);
+  log.open_stream(path, /*line_buffered=*/false);
+  EXPECT_TRUE(log.enabled());
   Json a = Json::object();
   a.set("ev", "admitted");
   a.set("cycle", 10);
@@ -419,9 +421,9 @@ TEST(EventLog, JsonlHasHeaderAndOneRecordPerLine) {
   b.set("ev", "completed");
   b.set("cycle", 20);
   log.log(std::move(b));
+  log.close_stream();
 
-  const std::string text = log.to_jsonl();
-  std::istringstream is(text);
+  std::ifstream is(path);
   std::string line;
   std::vector<Json> lines;
   while (std::getline(is, line)) {
@@ -431,9 +433,11 @@ TEST(EventLog, JsonlHasHeaderAndOneRecordPerLine) {
   }
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[0].at("schema").as_string(), "serve-events/2");
-  EXPECT_EQ(lines[0].at("records").as_u64(), 2u);
+  EXPECT_TRUE(lines[0].at("streamed").as_bool());
   EXPECT_EQ(lines[1].at("ev").as_string(), "admitted");
   EXPECT_EQ(lines[2].at("ev").as_string(), "completed");
+  EXPECT_EQ(log.size(), 2u);  // the in-memory mirror holds the same records
+  std::remove(path.c_str());
 }
 
 TEST(EventLog, DisabledLogDropsRecords) {
@@ -443,8 +447,10 @@ TEST(EventLog, DisabledLogDropsRecords) {
   rec.set("ev", "x");
   log.log(std::move(rec));
   EXPECT_EQ(log.size(), 0u);
-  EXPECT_THROW(log.write_jsonl("/nonexistent-dir/x.jsonl"),
+  EXPECT_THROW(log.open_stream(::testing::TempDir() + "/no-such-dir/x.jsonl",
+                               /*line_buffered=*/false),
                std::runtime_error);
+  EXPECT_FALSE(log.enabled());  // a stream that failed to open enables nothing
 }
 
 // ------------------------------------------------------ Tracer flows --
@@ -537,7 +543,11 @@ TEST(ServingObs, EventLogAndReportAreByteDeterministic) {
   const auto rep_b = rt_b.run();
 
   EXPECT_GT(log_a.size(), 0u);
-  EXPECT_EQ(log_a.to_jsonl(), log_b.to_jsonl());
+  ASSERT_EQ(log_a.size(), log_b.size());
+  for (std::size_t i = 0; i < log_a.size(); ++i) {
+    ASSERT_EQ(log_a.records()[i].dump(), log_b.records()[i].dump())
+        << "record " << i;
+  }
   EXPECT_EQ(rep_a.to_json().dump(), rep_b.to_json().dump());
 }
 
