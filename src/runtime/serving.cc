@@ -485,8 +485,7 @@ obs::Json ServingRuntime::snapshot_state() const {
   // windows): the state whose drift under replay would change dispatch
   // decisions.
   obs::Json lanes = obs::Json::array();
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const Lane& lane = lanes_[i];
+  for (const Lane& lane : lanes_) {
     obs::Json lj = obs::Json::object();
     lj.set("degree", std::uint64_t{lane.degree});
     lj.set("banks", std::uint64_t{lane.banks});
@@ -1127,21 +1126,12 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
   std::uint64_t cancelled = std::erase_if(
       pending_, [proto_id](const Request& p) { return p.proto_id == proto_id; });
   for (auto f = in_flight_.begin(); f != in_flight_.end();) {
-    if (f->second.request.proto_id != proto_id) {
+    if (f->second.request.proto_id == proto_id) {
+      f = drop_in_flight(f);
+      cancelled += 1;
+    } else {
       ++f;
-      continue;
     }
-    if (f->second.lane != kHostLane) {
-      Lane& lane = lanes_[f->second.lane];
-      lane.in_flight -= 1;
-      if (f->second.is_probe) {
-        // Same hazard as cancel_in_flight: a cancelled half-open probe
-        // reports no outcome and would wedge the breaker.
-        lane.breaker.note_cancelled(now_);
-      }
-    }
-    cancelled += 1;
-    f = in_flight_.erase(f);  // its kCompletion event will find nothing
   }
   report_.protocol.ops_cancelled += cancelled;
   report_.protocol.failed += 1;
@@ -1231,9 +1221,7 @@ void ServingRuntime::handle_completion(const Event& e) {
         event_log_->log(std::move(rec));
       }
       record_lane_outcome(*lane, false);
-      if (lane->draining && lane->in_flight == 0) {
-        remap_drained_lane(*lane, inf.lane);
-      }
+      remap_if_drained(*lane);
       if (!schedule_retry(r, /*count_as_bank_retry=*/false)) {
         fail(r, Outcome::kFailed,
              storm ? report_.chip_failed : report_.resilience.failed);
@@ -1285,9 +1273,7 @@ void ServingRuntime::handle_completion(const Event& e) {
   // backend), not per-op with Freivalds.
   if (r.verify && r.proto_id == 0) verify_result(r);
 
-  if (lane != nullptr && lane->draining && lane->in_flight == 0) {
-    remap_drained_lane(*lane, inf.lane);
-  }
+  if (lane != nullptr) remap_if_drained(*lane);
   settle(r, Outcome::kCompleted, inf.dispatched_at);
   try_dispatch();
 }
@@ -1474,14 +1460,10 @@ void ServingRuntime::handle_hedge(const Event& e) {
 
 void ServingRuntime::handle_health(const Event&) {
   health_tick_armed_ = false;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    Lane& lane = lanes_[i];
+  for (Lane& lane : lanes_) {
     if (lane.dead) continue;
     if (lane.health.wants_drain()) lane.draining = true;
-    if (lane.draining && lane.in_flight == 0) {
-      remap_drained_lane(lane, i);
-      continue;
-    }
+    if (remap_if_drained(lane)) continue;
     // Background scrub: an unhealthy lane with nothing in flight and no
     // imminent work re-programs its cells during the idle window. Scrubs
     // forgive transient failure history; they cannot un-wear a column.
@@ -1588,33 +1570,38 @@ void ServingRuntime::record_lane_outcome(Lane& lane, bool ok) {
 void ServingRuntime::cancel_in_flight(std::uint64_t dispatch_id) {
   const auto it = in_flight_.find(dispatch_id);
   if (it == in_flight_.end()) return;  // already gone
-  Lane& lane = lanes_[it->second.lane];
-  lane.in_flight -= 1;
-  const std::size_t lane_idx = it->second.lane;
-  const bool was_probe = it->second.is_probe;
   if (elog_on()) {
     obs::Json rec =
         ev_base("cancelled", now_, cfg_.chip_id, &it->second.request);
     rec.set("dispatch", dispatch_id);
-    rec.set("lane", std::uint64_t{lane_idx});
+    rec.set("lane", std::uint64_t{it->second.lane});
     event_log_->log(std::move(rec));
   }
-  in_flight_.erase(it);  // its kCompletion event will find nothing
   report_.resilience.hedge_cancelled += 1;
-  if (was_probe) {
-    // A cancelled half-open probe reports no outcome; without this the
-    // breaker waits for it forever and the lane never accepts again.
-    lane.breaker.note_cancelled(now_);
-    if (!lane.breaker.can_accept(now_)) {
-      schedule_scan(lane.breaker.open_until());
-    }
-  }
-  if (lane.draining && lane.in_flight == 0) {
-    remap_drained_lane(lane, lane_idx);
-  }
+  drop_in_flight(it);
 }
 
-void ServingRuntime::remap_drained_lane(Lane& lane, std::size_t lane_idx) {
+ServingRuntime::InFlightMap::iterator ServingRuntime::drop_in_flight(
+    InFlightMap::iterator it) {
+  const InFlight& inf = it->second;
+  if (inf.lane != kHostLane) {
+    Lane& lane = lanes_[inf.lane];
+    lane.in_flight -= 1;
+    if (inf.is_probe) {
+      // A cancelled half-open probe reports no outcome; without this the
+      // breaker waits for it forever and the lane never accepts again.
+      lane.breaker.note_cancelled(now_);
+      if (!lane.breaker.can_accept(now_)) {
+        schedule_scan(lane.breaker.open_until());
+      }
+    }
+    remap_if_drained(lane);
+  }
+  return in_flight_.erase(it);  // its kCompletion event will find nothing
+}
+
+bool ServingRuntime::remap_if_drained(Lane& lane) {
+  if (!lane.draining || lane.in_flight > 0) return false;
   lane.draining = false;
   lane.slow_until = 0;
   lane.corrupt_until = 0;
@@ -1625,9 +1612,11 @@ void ServingRuntime::remap_drained_lane(Lane& lane, std::size_t lane_idx) {
   schedule_scan(lane.free_at);
   auto& tr = obs::tracer();
   if (tr.enabled()) {
-    tr.emit(runtime_track_base(), "wear remap lane " + std::to_string(lane_idx),
+    tr.emit(runtime_track_base(),
+            "wear remap lane " + std::to_string(&lane - lanes_.data()),
             "resilience", now_, cfg_.repartition_cycles);
   }
+  return true;
 }
 
 void ServingRuntime::arm_health_tick(std::uint64_t delay) {

@@ -433,10 +433,17 @@ class ServingRuntime {
   bool schedule_retry(Request r, bool count_as_bank_retry);
   /// Record a request outcome on its lane's breaker + health state.
   void record_lane_outcome(Lane& lane, bool ok);
-  /// Cancel an in-flight entry (hedge loser / torn-down duplicate).
+  /// Cancel a hedged pair's loser: log and count it, then drop it.
   void cancel_in_flight(std::uint64_t dispatch_id);
-  /// Remap a fully drained worn lane onto fresh banks.
-  void remap_drained_lane(Lane& lane, std::size_t lane_idx);
+  using InFlightMap = std::map<std::uint64_t, InFlight>;
+  /// Drop an in-flight entry that ends without an outcome (hedge loser,
+  /// protocol teardown); returns the next entry. Its lane loses one
+  /// request, a cancelled half-open probe re-opens the breaker, and a
+  /// draining lane left empty remaps now.
+  InFlightMap::iterator drop_in_flight(InFlightMap::iterator it);
+  /// Remap a draining lane with nothing in flight onto fresh banks;
+  /// returns whether it did.
+  bool remap_if_drained(Lane& lane);
   void arm_health_tick(std::uint64_t cycle);
   void arm_chaos_episode();
 
@@ -477,7 +484,7 @@ class ServingRuntime {
   std::vector<Request> pending_;  ///< admitted, waiting for a lane
   std::map<std::uint32_t, model::LaneTiming> geometry_;  ///< by degree class
   std::vector<Lane> lanes_;
-  std::map<std::uint64_t, InFlight> in_flight_;
+  InFlightMap in_flight_;
   std::uint64_t next_dispatch_id_ = 1;
 
   // -- protocol state (empty when cfg_.protocol is disabled) -------------------

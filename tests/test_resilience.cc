@@ -395,6 +395,55 @@ TEST(ResilientServing, HealthTickStopsWhenBacklogIsStranded) {
   expect_resilient_work_conserved(r);
 }
 
+TEST(ResilientServing, ProtocolTeardownRemapsTheDrainingLaneItEmpties) {
+  // The config of `serve --protocol kem --chaos --retries 0
+  // --arrival-rate 600000 --duration 1000 --seed 3 --wear-limit 100
+  // --deadline 300 --breaker 1`: timed-out and failed ops tear their KEM
+  // requests down while sibling ops still run on lanes that wear has set
+  // draining. A teardown that empties such a lane must remap it at once,
+  // as a completion or a hedge cancel does; otherwise the lane sits idle
+  // until the next health tick. So after every event no live lane may be
+  // draining with nothing in flight.
+  ServingConfig cfg;
+  cfg.protocol.kind = ProtocolKind::kKem;
+  cfg.workload.mix = {{kKemDegree, 1.0}};
+  cfg.workload.tenants = 4;
+  cfg.workload.seed = 3;
+  cfg.workload.verify_every = 64;
+  cfg.arrival_rate_per_s = 600000.0;
+  cfg.duration_us = 1000.0;
+  cfg.resilience = ResilienceConfig::chaos_preset(3);
+  cfg.resilience.deadline_us = 300.0;
+  cfg.resilience.max_retries = 0;
+  cfg.resilience.breaker_k = 1;
+  cfg.resilience.wear_limit = 100;
+
+  ServingRuntime rt(cfg);
+  rt.prime();
+  std::uint64_t stranded = 0;
+  std::string first;
+  while (rt.has_events()) {
+    rt.step();
+    const obs::Json state = rt.snapshot_state();
+    const auto& lanes = state.at("lanes").items();
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      if (!lanes[i].at("dead").as_bool() &&
+          lanes[i].at("draining").as_bool() &&
+          lanes[i].at("in_flight").as_u64() == 0) {
+        stranded += 1;
+        if (first.empty()) {
+          first = "lane " + std::to_string(i) + " at cycle " +
+                  std::to_string(state.at("cycle").as_u64());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(stranded, 0u) << "first: " << first;
+  const ServingReport r = rt.seal();
+  EXPECT_GT(r.protocol.ops_cancelled, 0u);  // teardown really ran
+  EXPECT_GT(r.resilience.proactive_remaps, 0u);  // and wear drained lanes
+}
+
 // ------------------------------------------------- serving: chaos ----------
 
 TEST(ResilientServing, ChaosRunIsDeterministic) {
