@@ -360,6 +360,7 @@ class ServingRuntime {
  private:
   struct Lane;
   struct InFlight;
+  using InFlightMap = std::map<std::uint64_t, InFlight>;
 
   /// Admission of one request as a whole DAG (a raw polymul is one op).
   void handle_arrival(const Event& e);
@@ -435,7 +436,6 @@ class ServingRuntime {
   void record_lane_outcome(Lane& lane, bool ok);
   /// Cancel a hedged pair's loser: log and count it, then drop it.
   void cancel_in_flight(std::uint64_t dispatch_id);
-  using InFlightMap = std::map<std::uint64_t, InFlight>;
   /// Drop an in-flight entry that ends without an outcome (hedge loser,
   /// protocol teardown); returns the next entry. Its lane loses one
   /// request, a cancelled half-open probe re-opens the breaker, and a
