@@ -20,6 +20,11 @@
 # requests down while sibling ops still run on lanes that wear has set
 # draining.
 #
+# Every scheduling policy orders a queue here: fifo (the default), edf
+# (raw_edf), sjf (raw_sjf) and wfq (raw_wfq, and over DAG ops in
+# threshold). raw_sjf and raw_wfq keep requests of all three degree
+# classes queued, so their outputs differ from the same run under fifo.
+#
 # usage: serving_paths.sh CLI JSON_CHECK MANIFEST [--write]
 #   --write regenerates MANIFEST from this CLI's outputs.
 set -eu
@@ -55,6 +60,8 @@ serve raw_timeout --wear-limit 50 --degrees 4096:1 --deadline 800 \
 serve raw_closed_loop --closed-loop 16 --chaos --duration 1500 --seed 4 \
   --retries 0
 serve raw_edf --policy edf --arrival-rate 2000000 --duration 500 --seed 2
+serve raw_sjf --policy sjf --arrival-rate 4000000 --duration 300 --seed 2
+serve raw_wfq --policy wfq --arrival-rate 4000000 --duration 300 --seed 2
 
 # -- protocol DAGs ------------------------------------------------------------
 serve kem --protocol kem --chaos --retries 0 --arrival-rate 300000 \
