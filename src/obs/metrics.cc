@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <stdexcept>
 
 namespace cryptopim::obs {
 
@@ -47,92 +46,6 @@ std::uint64_t Histogram::quantile(double p) const noexcept {
     }
   }
   return max_;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const std::string& unit) {
-  auto [it, inserted] = counters_.try_emplace(name);
-  if (inserted) it->second.unit_ = unit;
-  return it->second;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const std::string& unit) {
-  auto [it, inserted] = histograms_.try_emplace(name);
-  if (inserted) it->second.unit_ = unit;
-  return it->second;
-}
-
-void MetricsRegistry::reset() {
-  counters_.clear();
-  histograms_.clear();
-}
-
-Json MetricsRegistry::snapshot() const {
-  Json doc = Json::object();
-  doc.set("schema", 1);
-  Json cs = Json::object();
-  for (const auto& [name, c] : counters_) {
-    Json j = Json::object();
-    j.set("value", c.value());
-    j.set("unit", c.unit());
-    cs.set(name, std::move(j));
-  }
-  doc.set("counters", std::move(cs));
-  Json hs = Json::object();
-  for (const auto& [name, h] : histograms_) {
-    Json j = Json::object();
-    j.set("unit", h.unit());
-    j.set("count", h.count());
-    j.set("sum", h.sum());
-    j.set("min", h.min());
-    j.set("max", h.max());
-    j.set("mean", h.mean());
-    Json buckets = Json::array();
-    for (unsigned i = 0; i < Histogram::kBuckets; ++i) {
-      if (h.bucket(i) == 0) continue;
-      Json pair = Json::array();
-      pair.push_back(std::uint64_t{i});
-      pair.push_back(h.bucket(i));
-      buckets.push_back(std::move(pair));
-    }
-    j.set("buckets", std::move(buckets));
-    hs.set(name, std::move(j));
-  }
-  doc.set("histograms", std::move(hs));
-  return doc;
-}
-
-MetricsRegistry MetricsRegistry::from_snapshot(const Json& snap) {
-  if (!snap.is_object() || !snap.contains("counters") ||
-      !snap.contains("histograms")) {
-    throw std::runtime_error("metrics snapshot: missing sections");
-  }
-  MetricsRegistry reg;
-  for (const auto& [name, j] : snap.at("counters").members()) {
-    Counter& c = reg.counter(name, j.at("unit").as_string());
-    c.add(j.at("value").as_u64());
-  }
-  for (const auto& [name, j] : snap.at("histograms").members()) {
-    Histogram& h = reg.histogram(name, j.at("unit").as_string());
-    h.count_ = j.at("count").as_u64();
-    h.sum_ = j.at("sum").as_u64();
-    h.min_ = j.at("min").as_u64();
-    h.max_ = j.at("max").as_u64();
-    for (const auto& pair : j.at("buckets").items()) {
-      const std::uint64_t idx = pair[0].as_u64();
-      if (idx >= Histogram::kBuckets) {
-        throw std::runtime_error("metrics snapshot: bucket out of range");
-      }
-      h.buckets_[idx] = pair[1].as_u64();
-    }
-  }
-  return reg;
-}
-
-MetricsRegistry& metrics() {
-  static MetricsRegistry reg;
-  return reg;
 }
 
 }  // namespace cryptopim::obs

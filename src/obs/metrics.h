@@ -1,37 +1,15 @@
-// Named counters and histograms for the simulation stack.
+// Distribution summaries for the simulation stack's reports.
 //
-// Naming convention: `cryptopim.<subsystem>.<name>` — e.g.
-// `cryptopim.sim.cycles.butterfly`, `cryptopim.reduce.barrett_cycles`,
-// `cryptopim.exec.cols_peak`, `cryptopim.switch.transfer_bits`. Units are
-// free-form strings ("cycles", "bits", "columns", "ops").
-//
-// The registry replaces the ad-hoc threading of ExecStats through callers
-// as the way to *observe* a run; ExecStats itself stays as the per-block
-// accounting facade and publishes into a registry
-// (ExecStats::publish). Snapshots serialize to JSON and parse back
-// losslessly (round-trip tested).
+// obs::Histogram is the one distribution type: the serving runtime's
+// latency, queue-depth and per-op-class ledgers, the windowed series and
+// the fleet's hedge timing all keep one. Scalar counts live as plain
+// fields of the ledger that owns them (sim::SimReport, pim::ExecStats,
+// reliability::RelStats, runtime::ServingReport).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
-
-#include "obs/json.h"
 
 namespace cryptopim::obs {
-
-/// Monotonic sum.
-class Counter {
- public:
-  void add(std::uint64_t v) noexcept { value_ += v; }
-  std::uint64_t value() const noexcept { return value_; }
-  const std::string& unit() const noexcept { return unit_; }
-
- private:
-  friend class MetricsRegistry;
-  std::uint64_t value_ = 0;
-  std::string unit_;
-};
 
 /// Distribution summary: count/sum/min/max plus power-of-two buckets
 /// (bucket i counts samples in [2^(i-1), 2^i); bucket 0 counts zeros).
@@ -53,7 +31,6 @@ class Histogram {
     return count_ ? static_cast<double>(sum_) / static_cast<double>(count_) : 0;
   }
   std::uint64_t bucket(unsigned i) const { return buckets_[i]; }
-  const std::string& unit() const noexcept { return unit_; }
 
   /// Approximate p-quantile from the pow2 buckets: the upper edge of the
   /// bucket holding the p-th sample, clamped to [min, max] (so exact at
@@ -63,44 +40,11 @@ class Histogram {
   std::uint64_t quantile(double p) const noexcept;
 
  private:
-  friend class MetricsRegistry;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = 0;
   std::uint64_t max_ = 0;
   std::uint64_t buckets_[kBuckets] = {};
-  std::string unit_;
 };
-
-/// Name -> metric map. Metrics are created on first use; the unit given
-/// at creation sticks. Not thread-safe (single-threaded simulators).
-class MetricsRegistry {
- public:
-  Counter& counter(const std::string& name, const std::string& unit = "");
-  Histogram& histogram(const std::string& name, const std::string& unit = "");
-
-  const std::map<std::string, Counter>& counters() const noexcept {
-    return counters_;
-  }
-  const std::map<std::string, Histogram>& histograms() const noexcept {
-    return histograms_;
-  }
-
-  /// Drops every metric.
-  void reset();
-
-  /// {"schema":1,"counters":{name:{value,unit}},
-  ///  "histograms":{name:{unit,count,sum,min,max,buckets:[[i,n],...]}}}
-  Json snapshot() const;
-  /// Inverse of snapshot(); throws std::runtime_error on malformed input.
-  static MetricsRegistry from_snapshot(const Json& snap);
-
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Histogram> histograms_;
-};
-
-/// The process-global registry the simulators publish into.
-MetricsRegistry& metrics();
 
 }  // namespace cryptopim::obs

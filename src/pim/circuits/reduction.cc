@@ -4,28 +4,10 @@
 #include <cassert>
 
 #include "common/bitutil.h"
-#include "obs/metrics.h"
 
 namespace cryptopim::pim::circuits {
 
 namespace {
-
-// Reductions are the per-op cost the paper's Table I is built around;
-// record each call's cycle count so a run's Barrett-vs-Montgomery split
-// is observable without re-deriving it from stage totals. Reductions run
-// once per recorded stage program (not per bank), so this is cold code.
-struct ReduceMeter {
-  ReduceMeter(BlockExecutor& exec, const char* metric)
-      : exec_(exec), metric_(metric), start_(exec.stats().cycles) {}
-  ~ReduceMeter() {
-    obs::metrics()
-        .histogram(metric_, "cycles")
-        .add(exec_.stats().cycles - start_);
-  }
-  BlockExecutor& exec_;
-  const char* metric_;
-  std::uint64_t start_;
-};
 
 // Largest value representable by an operand (conservative static bound,
 // saturating at 64 bits).
@@ -47,7 +29,6 @@ Operand shrink(BlockExecutor& exec, Operand op, unsigned width) {
 Operand barrett_reduce(BlockExecutor& exec, const Operand& a,
                        const ntt::BarrettShiftAdd& spec, bool canonical) {
   const TraceScope span(exec, "barrett_reduce", "reduce");
-  const ReduceMeter meter(exec, "cryptopim.reduce.barrett_cycles");
   const std::uint64_t a_max = operand_max(a);
   assert(a_max <= spec.max_input());
 
@@ -97,7 +78,6 @@ Operand montgomery_reduce(BlockExecutor& exec, const Operand& a,
                           const ntt::MontgomeryShiftAdd& spec,
                           bool canonical) {
   const TraceScope span(exec, "montgomery_reduce", "reduce");
-  const ReduceMeter meter(exec, "cryptopim.reduce.montgomery_cycles");
   const unsigned r_bits = spec.r_bits();
   assert(operand_max(a) <= spec.max_input());
 
@@ -136,7 +116,6 @@ Operand barrett_reduce_by_multiplication(BlockExecutor& exec,
                                          const Operand& a, std::uint32_t q,
                                          bool canonical) {
   const TraceScope span(exec, "barrett_reduce_by_multiplication", "reduce");
-  const ReduceMeter meter(exec, "cryptopim.reduce.barrett_mult_cycles");
   // Classic Barrett: u = (a * m) >> k with m = floor(2^k / q), r = a - u*q,
   // both constant multiplications done as full in-memory multiplies.
   // k >= width(a) keeps the quotient approximation within one of the true

@@ -2,18 +2,9 @@
 
 #include <cassert>
 
-#include "obs/metrics.h"
 #include "pim/program.h"
 
 namespace cryptopim::pim {
-
-void ExecStats::publish(obs::MetricsRegistry& reg) const {
-  reg.counter("cryptopim.exec.cycles", "cycles").add(cycles);
-  reg.counter("cryptopim.exec.micro_ops", "ops").add(micro_ops);
-  reg.counter("cryptopim.exec.cell_events", "events").add(cell_events);
-  reg.counter("cryptopim.switch.transfer_bits", "bits").add(transfer_bits);
-  reg.histogram("cryptopim.exec.cols_peak", "columns").add(cols_peak);
-}
 
 BlockExecutor::BlockExecutor(MemoryBlock& block, RowMask mask,
                              DeviceModel device)

@@ -19,10 +19,6 @@
 #include "pim/device.h"
 #include "pim/isa.h"
 
-namespace cryptopim::obs {
-class MetricsRegistry;
-}
-
 namespace cryptopim::pim {
 
 class Program;  // pim/program.h
@@ -57,10 +53,7 @@ class Operand {
 };
 
 /// Cycle/energy accounting for one block (or one chained program).
-///
-/// This struct is the fast per-block ledger; for run-level observation it
-/// is a facade over the metrics registry — publish() mirrors the counters
-/// under `cryptopim.exec.*` (see src/obs/metrics.h).
+/// Summed over a run's banks it is sim::SimReport::totals.
 struct ExecStats {
   std::uint64_t cycles = 0;       ///< crossbar cycles consumed
   std::uint64_t micro_ops = 0;    ///< gate evaluations issued
@@ -80,10 +73,6 @@ struct ExecStats {
     if (o.cols_peak > cols_peak) cols_peak = o.cols_peak;
     return *this;
   }
-
-  /// Mirrors the ledger into `reg` as `cryptopim.exec.<field>` counters
-  /// (cols_peak as a histogram sample).
-  void publish(obs::MetricsRegistry& reg) const;
 };
 
 class BlockExecutor {

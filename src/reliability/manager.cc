@@ -6,25 +6,6 @@
 
 namespace cryptopim::reliability {
 
-void RelStats::publish(obs::MetricsRegistry& reg) const {
-  auto add = [&reg](const char* name, std::uint64_t v, const char* unit) {
-    reg.counter(std::string("cryptopim.reliability.") + name, unit).add(v);
-  };
-  add("faults_planted", faults_planted, "cells");
-  add("transient_flips", transient_flips, "bits");
-  add("parity_mismatches", parity_mismatches, "rows");
-  add("write_verify_failures", write_verify_failures, "bits");
-  add("verify_checks", verify_checks, "checks");
-  add("verify_failures", verify_failures, "checks");
-  add("retries", attempts > 0 ? attempts - 1 : 0, "attempts");
-  add("columns_remapped", columns_remapped, "columns");
-  add("banks_remapped", banks_remapped, "banks");
-  add("wear_failures", wear_failures, "columns");
-  add("verify_cycles", verify_cycles, "cycles");
-  add("repair_cycles", repair_cycles, "cycles");
-  add("retry_cycles", retry_cycles, "cycles");
-}
-
 ReliabilityManager::ReliabilityManager(ReliabilityConfig cfg,
                                        const ntt::NttParams& params)
     : cfg_(cfg),

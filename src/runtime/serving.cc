@@ -255,7 +255,7 @@ void ServingRuntime::prime() {
   const auto horizon =
       static_cast<std::uint64_t>(cfg_.duration_us * cyc_per_us);
   horizon_ = horizon;
-  report_ = ServingReport{};
+  report_ = ServingReport();
   report_.policy = cfg_.policy;
   report_.backend = cfg_.backend;
   report_.duration_cycles = horizon;

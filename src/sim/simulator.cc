@@ -123,20 +123,11 @@ void CryptoPimSimulator::accumulate(PolyState& st,
   }
 #endif
 
-  // Metrics: per-stage-kind cycle counters plus the ExecStats facade.
-  const std::string kind = stage_name.substr(0, stage_name.find('/'));
-  active_metrics_->counter("cryptopim.sim.cycles." + kind, "cycles")
-      .add(st.banks[0].exec->stats().cycles);
-  active_metrics_->counter("cryptopim.sim.stages", "stages").add(1);
-  stage_total.publish(*active_metrics_);
-
   // Banks run in lock-step, so the critical path is one bank's cycles.
   // B's softbank runs concurrently with A's: its stages cost energy but
   // no wall time (wall_enabled_ toggled around B's stage calls).
   if (wall_enabled_) {
     const std::uint64_t cycles = st.banks[0].exec->stats().cycles;
-    active_metrics_->histogram("cryptopim.sim.stage_cycles", "cycles")
-        .add(cycles);
     report_.wall_cycles += cycles;
     report_.stage_cycles.push_back(cycles);
     report_.stage_names.push_back(stage_name);
@@ -527,8 +518,6 @@ ntt::Poly CryptoPimSimulator::multiply(const ntt::Poly& a,
     if (c >= params_.q) throw std::invalid_argument("coefficient >= q");
   }
 
-  active_metrics_ =
-      custom_metrics_ != nullptr ? custom_metrics_ : &obs::metrics();
   obs::Tracer& tr = custom_tracer_ != nullptr ? *custom_tracer_ : obs::tracer();
   active_tracer_ = (CRYPTOPIM_TRACING && tr.enabled()) ? &tr : nullptr;
   if (active_tracer_ != nullptr) {
@@ -566,13 +555,11 @@ ntt::Poly CryptoPimSimulator::multiply(const ntt::Poly& a,
       }
     } catch (const reliability::UnrecoverableFault&) {
       report_.reliability = rel_->stats();
-      report_.reliability.publish(*active_metrics_);
       active_tracer_ = nullptr;
       throw;
     }
     rel_->finish_run(ok);
     report_.reliability = rel_->stats();
-    report_.reliability.publish(*active_metrics_);
     if (!ok) {
       active_tracer_ = nullptr;
       throw reliability::UnrecoverableFault(
@@ -588,9 +575,6 @@ ntt::Poly CryptoPimSimulator::multiply(const ntt::Poly& a,
 #endif
   }
 
-  active_metrics_->counter("cryptopim.sim.multiplies", "ops").add(1);
-  active_metrics_->counter("cryptopim.sim.wall_cycles", "cycles")
-      .add(report_.wall_cycles);
   active_tracer_ = nullptr;
   return c;
 }

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "ntt/ntt.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ntt/params.h"
 #include "ntt/poly.h"
@@ -82,9 +81,9 @@ class CryptoPimSimulator {
   const ntt::NttParams& params() const noexcept { return params_; }
 
   // -- observability ---------------------------------------------------------
-  // By default the simulator records into the process-global tracer and
-  // metrics registry (obs::tracer() / obs::metrics()); tracing only
-  // happens while the tracer is enabled. Tests may redirect both.
+  // The run's numbers are report(). By default the simulator traces into
+  // the process-global obs::tracer(), and only while it is enabled; tests
+  // may redirect it.
   //
   // Trace layout: track b = bank b of the critical (A) path; track
   // kSoftbankTrackBase + b = softbank b of the concurrent B path; track
@@ -93,7 +92,6 @@ class CryptoPimSimulator {
   static constexpr std::uint32_t kSoftbankTrackBase = 1u << 15;
   static constexpr std::uint32_t kPipelineTrack = 1u << 16;
   void set_tracer(obs::Tracer* tracer) noexcept { custom_tracer_ = tracer; }
-  void set_metrics(obs::MetricsRegistry* reg) noexcept { custom_metrics_ = reg; }
 
   // -- fault tolerance --------------------------------------------------------
   // With a manager attached, every stage block gets its faults planted
@@ -156,10 +154,8 @@ class CryptoPimSimulator {
   SimReport report_;
   pim::Controller microcode_;
   obs::Tracer* custom_tracer_ = nullptr;
-  obs::MetricsRegistry* custom_metrics_ = nullptr;
   // Resolved per multiply(): nullptr when tracing is off for the run.
   obs::Tracer* active_tracer_ = nullptr;
-  obs::MetricsRegistry* active_metrics_ = nullptr;
 };
 
 }  // namespace cryptopim::sim
