@@ -1,10 +1,10 @@
 // Scheduling policies for the serving runtime.
 //
-// A policy orders the admission queue: every time a superbank lane can
-// accept work, the runtime asks the policy which eligible request goes
-// next. Policies are stateless rankers — all queue and fairness state
-// lives in the runtime and is passed in through PolicyContext — so one
-// policy instance can serve any number of runs.
+// A policy is an ordering of the admission queue: every time a superbank
+// lane can accept work, the runtime serves the eligible request that
+// runs before every other eligible one. All queue and fairness state
+// lives in the runtime, which finds that request in the same scan that
+// tests eligibility (ServingRuntime::try_dispatch).
 //
 //   fifo  arrival order (baseline; head-of-line blocking under mixes)
 //   sjf   shortest service time first (best mean latency, can starve
@@ -19,8 +19,9 @@
 // total order and runs are reproducible.
 #pragma once
 
-#include <cstddef>
-#include <memory>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -30,32 +31,49 @@
 
 namespace cryptopim::runtime {
 
-struct PolicyContext {
-  std::uint64_t now = 0;
-  /// Per-tenant consumed bank-cycles divided by tenant weight (wfq).
-  std::span<const double> tenant_usage;
-};
+enum class Policy { kFifo, kSjf, kEdf, kWfq };
 
-class Policy {
- public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  virtual ~Policy() = default;
-  virtual std::string_view name() const noexcept = 0;
-
-  /// Index of the request to serve next among `queue` entries whose
-  /// `eligible` flag is set (the runtime masks degree classes that
-  /// cannot dispatch right now); npos when none is eligible.
-  virtual std::size_t pick(std::span<const Request> queue,
-                           const std::vector<bool>& eligible,
-                           const PolicyContext& ctx) const = 0;
-};
-
-/// Factory: "fifo", "sjf", "edf" or "wfq"; nullptr for unknown names
-/// (the CLI turns that into a usage error).
-std::unique_ptr<Policy> make_policy(std::string_view name);
+/// "fifo", "sjf", "edf" or "wfq"; nullopt for unknown names (the CLI
+/// turns that into a usage error).
+std::optional<Policy> parse_policy(std::string_view name);
 
 /// The recognised policy names, for --help and benches.
 const std::vector<std::string>& policy_names();
+
+/// True when `policy` serves `a` before `b`. `tenant_usage` is each
+/// tenant's consumed bank-cycles divided by its weight (read by wfq).
+inline bool runs_before(Policy policy, const Request& a, const Request& b,
+                        std::span<const double> tenant_usage) noexcept {
+  switch (policy) {
+    case Policy::kFifo:
+      break;
+    case Policy::kSjf:
+      if (a.service_cycles != b.service_cycles) {
+        return a.service_cycles < b.service_cycles;
+      }
+      break;
+    case Policy::kEdf: {
+      // deadline 0 = none: sorts after every real deadline.
+      constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
+      const std::uint64_t da = a.deadline_cycle ? a.deadline_cycle : kNone;
+      const std::uint64_t db = b.deadline_cycle ? b.deadline_cycle : kNone;
+      if (da != db) return da < db;
+      break;
+    }
+    case Policy::kWfq: {
+      const auto usage = [tenant_usage](const Request& r) {
+        return r.tenant < tenant_usage.size() ? tenant_usage[r.tenant] : 0.0;
+      };
+      const double ua = usage(a), ub = usage(b);
+      if (ua != ub) return ua < ub;
+      break;
+    }
+  }
+  // Stable final tie-break: older request first, then lower id.
+  if (a.arrival_cycle != b.arrival_cycle) {
+    return a.arrival_cycle < b.arrival_cycle;
+  }
+  return a.id < b.id;
+}
 
 }  // namespace cryptopim::runtime

@@ -230,10 +230,11 @@ ServingReport ServingRuntime::run() {
 }
 
 void ServingRuntime::prime() {
-  policy_ = make_policy(cfg_.policy);
-  if (!policy_) {
+  const std::optional<Policy> policy = parse_policy(cfg_.policy);
+  if (!policy) {
     throw std::invalid_argument("unknown scheduling policy: " + cfg_.policy);
   }
+  policy_ = *policy;
   backend_ = make_backend(cfg_.backend);
   if (!backend_) {
     throw std::invalid_argument("unknown execution backend: " + cfg_.backend);
@@ -758,7 +759,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     if (dag) {
       const ProtoOp& op = dag_.ops[i];
       // Op ids order the DAG by (protocol arrival, op index) under every
-      // policy's older() tie-break, and stay unique: op_count <= 64.
+      // policy's (arrival, id) tie-break, and stay unique: op_count <= 64.
       r.id = (origin.id << 6) | i;
       r.proto_id = pid;
       r.op_index = static_cast<std::uint32_t>(i);
@@ -800,25 +801,26 @@ void ServingRuntime::try_dispatch() {
   std::set<std::uint32_t> blocked;
   std::set<std::uint64_t> skipped;  // fan-out ops boxed out by siblings
   while (!pending_.empty()) {
-    std::vector<bool> eligible(pending_.size());
-    std::size_t n_eligible = 0;
+    // The policy's first eligible request. One that does not run before
+    // the current pick cannot replace it, so its eligibility is moot.
+    const std::size_t none = pending_.size();
+    std::size_t idx = none;
     for (std::size_t i = 0; i < pending_.size(); ++i) {
       const Request& p = pending_[i];
+      if (idx != none &&
+          !runs_before(policy_, p, pending_[idx], tenant_usage_)) {
+        continue;
+      }
       // Dependency frontier: a DAG op waits for its parents (a root op,
       // like a one-op DAG, has none to wait for). Host ops never touch
       // lanes, so a blocked degree class does not gate them.
-      const bool ok = (is_host_op(p) || !blocked.contains(p.degree)) &&
-                      !skipped.contains(p.id) &&
-                      (p.parent_mask == 0 || proto_ready(p));
-      eligible[i] = ok;
-      n_eligible += ok;
+      if ((is_host_op(p) || !blocked.contains(p.degree)) &&
+          !skipped.contains(p.id) &&
+          (p.parent_mask == 0 || proto_ready(p))) {
+        idx = i;
+      }
     }
-    if (n_eligible == 0) break;
-    PolicyContext ctx;
-    ctx.now = now_;
-    ctx.tenant_usage = tenant_usage_;
-    const std::size_t idx = policy_->pick(pending_, eligible, ctx);
-    if (idx == Policy::npos) break;
+    if (idx == none) break;
     Lane* lane = nullptr;
     if (!is_host_op(pending_[idx])) {
       lane = acquire_lane(pending_[idx]);

@@ -5,7 +5,7 @@
 // fixed job list?", the serving runtime answers the production question:
 // requests *arrive over time* (open-loop Poisson or closed-loop clients),
 // are admitted through a bounded queue with backpressure, and are
-// dispatched by a pluggable policy (fifo / sjf / edf / wfq) onto
+// dispatched in a scheduling policy's order (fifo / sjf / edf / wfq) onto
 // *superbank lanes* — superbanks carved on demand from the chip's bank
 // pool per degree class (arch::ChipConfig::plan_for_degree geometry,
 // including degraded chips once banks have failed).
@@ -468,7 +468,7 @@ class ServingRuntime {
   void fail_protocol(std::uint64_t proto_id, Outcome o);
 
   ServingConfig cfg_;
-  std::unique_ptr<Policy> policy_;
+  Policy policy_ = Policy::kFifo;
   std::unique_ptr<ExecutionBackend> backend_;
   std::unique_ptr<WorkloadGenerator> workload_;
 

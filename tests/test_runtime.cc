@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "model/performance.h"
@@ -129,58 +131,74 @@ Request make_request(std::uint64_t id, std::uint64_t arrival,
   return r;
 }
 
-TEST(Policy, FactoryKnowsAllNamesAndRejectsUnknown) {
-  for (const auto& name : policy_names()) {
-    const auto p = make_policy(name);
-    ASSERT_NE(p, nullptr) << name;
-    EXPECT_EQ(p->name(), name);
+/// Index of the request `policy` serves first: the dispatcher's pick
+/// when every request in `queue` is eligible.
+std::size_t first(Policy policy, const std::vector<Request>& queue,
+                  std::span<const double> usage = {}) {
+  const auto it = std::min_element(
+      queue.begin(), queue.end(), [&](const Request& a, const Request& b) {
+        return runs_before(policy, a, b, usage);
+      });
+  return static_cast<std::size_t>(it - queue.begin());
+}
+
+TEST(Policy, ParseKnowsAllNamesAndRejectsUnknown) {
+  const std::vector<Policy> all = {Policy::kFifo, Policy::kSjf, Policy::kEdf,
+                                   Policy::kWfq};
+  ASSERT_EQ(policy_names().size(), all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(parse_policy(policy_names()[i]), all[i]) << policy_names()[i];
   }
-  EXPECT_EQ(make_policy("lifo"), nullptr);
-  EXPECT_EQ(make_policy(""), nullptr);
+  EXPECT_EQ(parse_policy("lifo"), std::nullopt);
+  EXPECT_EQ(parse_policy(""), std::nullopt);
 }
 
 TEST(Policy, FifoPicksOldestEligible) {
-  const auto p = make_policy("fifo");
   const std::vector<Request> queue = {make_request(3, 30, 1),
                                       make_request(1, 10, 9),
                                       make_request(2, 20, 5)};
-  const PolicyContext ctx;
-  EXPECT_EQ(p->pick(queue, {true, true, true}, ctx), 1u);
-  // Masking the oldest moves the pick to the next-oldest.
-  EXPECT_EQ(p->pick(queue, {true, false, true}, ctx), 2u);
-  EXPECT_EQ(p->pick(queue, {false, false, false}, ctx), Policy::npos);
+  EXPECT_EQ(first(Policy::kFifo, queue), 1u);
+  // Without the oldest, the next-oldest goes first.
+  EXPECT_TRUE(runs_before(Policy::kFifo, queue[2], queue[0], {}));
+  EXPECT_FALSE(runs_before(Policy::kFifo, queue[0], queue[2], {}));
+  // A strict order: nothing runs before itself; equal arrivals fall back
+  // to the lower id.
+  EXPECT_FALSE(runs_before(Policy::kFifo, queue[1], queue[1], {}));
+  EXPECT_TRUE(runs_before(Policy::kFifo, make_request(4, 10, 1),
+                          make_request(5, 10, 1), {}));
 }
 
 TEST(Policy, SjfPicksShortestService) {
-  const auto p = make_policy("sjf");
   const std::vector<Request> queue = {make_request(1, 10, 900),
                                       make_request(2, 20, 100),
                                       make_request(3, 30, 100)};
-  const PolicyContext ctx;
   // Equal service times tie-break on arrival order.
-  EXPECT_EQ(p->pick(queue, {true, true, true}, ctx), 1u);
+  EXPECT_EQ(first(Policy::kSjf, queue), 1u);
+  EXPECT_TRUE(runs_before(Policy::kSjf, queue[2], queue[0], {}));
 }
 
 TEST(Policy, EdfPicksEarliestDeadlineAndRanksNoDeadlineLast) {
-  const auto p = make_policy("edf");
   const std::vector<Request> queue = {
       make_request(1, 10, 5, /*deadline=*/0),    // no deadline
       make_request(2, 20, 5, /*deadline=*/500),
       make_request(3, 30, 5, /*deadline=*/400)};
-  const PolicyContext ctx;
-  EXPECT_EQ(p->pick(queue, {true, true, true}, ctx), 2u);
-  // Only the deadline-free request eligible: it still gets served.
-  EXPECT_EQ(p->pick(queue, {true, false, false}, ctx), 0u);
+  EXPECT_EQ(first(Policy::kEdf, queue), 2u);
+  // The deadline-free request, though oldest, runs after any deadline;
+  // among deadline-free requests arrival order decides.
+  EXPECT_TRUE(runs_before(Policy::kEdf, queue[1], queue[0], {}));
+  EXPECT_FALSE(runs_before(Policy::kEdf, queue[0], queue[1], {}));
+  EXPECT_TRUE(runs_before(Policy::kEdf, queue[0],
+                          make_request(4, 40, 5, /*deadline=*/0), {}));
 }
 
 TEST(Policy, WfqPicksLeastNormalisedUsage) {
-  const auto p = make_policy("wfq");
   const std::vector<Request> queue = {make_request(1, 10, 5, 0, /*tenant=*/0),
                                       make_request(2, 20, 5, 0, /*tenant=*/1)};
   const std::vector<double> usage = {100.0, 10.0};
-  PolicyContext ctx;
-  ctx.tenant_usage = usage;
-  EXPECT_EQ(p->pick(queue, {true, true}, ctx), 1u);  // tenant 1 is behind
+  EXPECT_EQ(first(Policy::kWfq, queue, usage), 1u);  // tenant 1 is behind
+  // A tenant past the usage table has used nothing yet.
+  EXPECT_TRUE(runs_before(Policy::kWfq, make_request(3, 30, 5, 0, 7),
+                          queue[1], usage));
 }
 
 // ------------------------------------------------------------- Workloads --

@@ -767,7 +767,7 @@ int cmd_serve(const Options& opt) {
   }
 
   if (const int rc = reject_leftovers(args)) return rc;
-  if (!cp::runtime::make_policy(cfg.policy)) {
+  if (!cp::runtime::parse_policy(cfg.policy)) {
     throw UsageError("unknown policy '" + cfg.policy + "' (expected one of: "
                      "fifo, sjf, edf, wfq)");
   }
