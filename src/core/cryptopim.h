@@ -99,10 +99,6 @@ class Accelerator {
   model::PipelinePerf performance() const {
     return model::cryptopim_pipelined(params_.n);
   }
-  /// Modelled non-pipelined performance.
-  model::PipelinePerf performance_non_pipelined() const {
-    return model::cryptopim_non_pipelined(params_.n);
-  }
 
   /// How the paper's 128-bank chip would be partitioned for this degree.
   arch::DegreePlan chip_plan() const {

@@ -55,9 +55,6 @@ class GsNttEngine {
   const std::vector<std::uint32_t>& forward_twiddles() const noexcept {
     return tw_fwd_;
   }
-  const std::vector<std::uint32_t>& inverse_twiddles() const noexcept {
-    return tw_inv_;
-  }
   const std::vector<std::uint32_t>& psi_powers() const noexcept {
     return psi_pow_;
   }

@@ -24,11 +24,6 @@ const std::vector<std::uint32_t>& paper_degrees() {
   return degrees;
 }
 
-const std::vector<std::uint32_t>& fpga_degrees() {
-  static const std::vector<std::uint32_t> degrees = {256, 512, 1024};
-  return degrees;
-}
-
 NttParams NttParams::for_degree(std::uint32_t n) {
   return make(n, paper_modulus_for_degree(n));
 }

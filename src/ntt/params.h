@@ -43,7 +43,4 @@ unsigned paper_bitwidth_for_degree(std::uint32_t n);
 /// The eight degrees evaluated in the paper: 256 ... 32768.
 const std::vector<std::uint32_t>& paper_degrees();
 
-/// The three degrees with an FPGA comparator in Table II.
-const std::vector<std::uint32_t>& fpga_degrees();
-
 }  // namespace cryptopim::ntt

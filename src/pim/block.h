@@ -159,12 +159,6 @@ class MemoryBlock {
   /// column() (gates, host I/O, switch transfers); stuck faults remain
   /// addressed physically.
   void remap_column(Col logical, Col physical);
-  /// Physical column currently serving logical column `c`.
-  Col physical_column(Col c) const noexcept {
-    return remap_ ? (*remap_)[c] : c;
-  }
-  bool has_remaps() const noexcept { return remap_ != nullptr; }
-  void clear_remaps() noexcept { remap_.reset(); }
 
  private:
   std::vector<ColumnBits> cols_ = std::vector<ColumnBits>(kBlockCols);

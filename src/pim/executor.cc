@@ -185,14 +185,4 @@ std::vector<std::uint64_t> BlockExecutor::host_read(const Operand& op) const {
   return out;
 }
 
-void BlockExecutor::host_broadcast(const Operand& op, std::uint64_t value) {
-  for (std::size_t row = 0; row < kBlockRows; ++row) {
-    if (!mask_.get(row)) continue;
-    for (unsigned i = 0; i < op.width(); ++i) {
-      block_.column(op.col(i)).set(row, (value >> i) & 1u);
-    }
-  }
-  block_.enforce_faults();
-}
-
 }  // namespace cryptopim::pim

@@ -184,15 +184,12 @@ class BlockExecutor {
   /// current record slot. Pass nullptr to stop.
   void set_recording(Program* program) noexcept { recorder_ = program; }
   void set_record_slot(std::uint8_t slot) noexcept { record_slot_ = slot; }
-  std::uint8_t record_slot() const noexcept { return record_slot_; }
 
   // -- host I/O (write drivers; not charged as compute cycles) --------------
   /// Write one value per active row into `op` (bit i -> op.col(i)).
   void host_write(const Operand& op, std::span<const std::uint64_t> values);
   /// Read one value per active row.
   std::vector<std::uint64_t> host_read(const Operand& op) const;
-  /// Write the same value into every active row.
-  void host_broadcast(const Operand& op, std::uint64_t value);
 
   const ExecStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = ExecStats{}; }

@@ -90,7 +90,6 @@ unsigned FaultModel::plant(std::uint32_t block_id,
   for (const auto& f : faults) {
     blk.inject_stuck_at(f.col, f.row, f.value);
   }
-  planted_total_ += faults.size();
   return static_cast<unsigned>(faults.size());
 }
 

@@ -39,10 +39,6 @@ struct FaultConfig {
   /// Writes a column survives before wearing out (0 = unlimited).
   std::uint64_t endurance_limit = 0;
   std::uint64_t seed = 1;
-
-  bool any_faults() const noexcept {
-    return stuck_rate > 0 || transient_rate > 0 || endurance_limit > 0;
-  }
 };
 
 /// A stuck cell of one physical block.
@@ -87,7 +83,6 @@ class FaultModel {
   std::uint64_t wear(std::uint32_t block_id, pim::Col col) const;
 
   /// Totals for reporting.
-  std::uint64_t planted_total() const noexcept { return planted_total_; }
   std::uint64_t wear_failures() const noexcept {
     return static_cast<std::uint64_t>(wear_faults_.size());
   }
@@ -98,7 +93,6 @@ class FaultModel {
   std::map<std::uint32_t, std::vector<PlantedFault>> targeted_;
   std::map<std::uint32_t, std::vector<PlantedFault>> wear_faults_;
   std::map<std::pair<std::uint32_t, pim::Col>, std::uint64_t> wear_;
-  mutable std::uint64_t planted_total_ = 0;
 };
 
 }  // namespace cryptopim::reliability
