@@ -18,7 +18,9 @@
 # kem_wear_teardown is the protocol run with a --deadline: with a low
 # wear limit and no retries, timed-out and failed ops tear their KEM
 # requests down while sibling ops still run on lanes that wear has set
-# draining.
+# draining. raw_bank_wear fails a bank while a low wear limit has set
+# lanes draining, so the failure tears down a draining lane and re-forms
+# it on a spare.
 #
 # Every scheduling policy orders a queue here: fifo (the default), edf
 # (raw_edf), sjf (raw_sjf) and wfq (raw_wfq, and over DAG ops in
@@ -62,6 +64,8 @@ serve raw_closed_loop --closed-loop 16 --chaos --duration 1500 --seed 4 \
 serve raw_edf --policy edf --arrival-rate 2000000 --duration 500 --seed 2
 serve raw_sjf --policy sjf --arrival-rate 4000000 --duration 300 --seed 2
 serve raw_wfq --policy wfq --arrival-rate 4000000 --duration 300 --seed 2
+serve raw_bank_wear --degrees 4096:1 --arrival-rate 2000000 --duration 600 \
+  --wear-limit 50 --fail-bank-at 400 --seed 1 --verify-every 0
 
 # -- protocol DAGs ------------------------------------------------------------
 serve kem --protocol kem --chaos --retries 0 --arrival-rate 300000 \
