@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "common/rng.h"
 #include "model/performance.h"
@@ -139,6 +141,62 @@ TEST(Sim, CommutativityUnderDomainAsymmetry) {
   const auto a = ntt::sample_uniform(p.n, p.q, rng);
   const auto b = ntt::sample_uniform(p.n, p.q, rng);
   EXPECT_EQ(simu.multiply(a, b), simu.multiply(b, a));
+}
+
+SimReport report_of_random_multiply(std::uint32_t n, Xoshiro256& rng) {
+  const auto p = ntt::NttParams::for_degree(n);
+  CryptoPimSimulator simu(p);
+  const auto a = ntt::sample_uniform(n, p.q, rng);
+  const auto b = ntt::sample_uniform(n, p.q, rng);
+  simu.multiply(a, b);
+  return simu.report();
+}
+
+std::uint64_t slowest_stage(const SimReport& rep) {
+  return *std::max_element(rep.stage_cycles.begin(), rep.stage_cycles.end());
+}
+
+TEST(Sim, StageTraceIsDataIndependent) {
+  // The controller broadcasts fixed stage programs, so the per-stage
+  // cycle trace cannot depend on the operands. Lock-step pipelining rests
+  // on this: one product per slowest-stage beat after a depth x beat
+  // fill, the law model::lane_timing schedules lanes by.
+  const auto p = ntt::NttParams::for_degree(256);
+  CryptoPimSimulator simu(p);
+  Xoshiro256 rng(2);
+  std::vector<std::uint64_t> first;
+  for (int i = 0; i < 4; ++i) {
+    const auto a = ntt::sample_uniform(p.n, p.q, rng);
+    const auto b = ntt::sample_uniform(p.n, p.q, rng);
+    simu.multiply(a, b);
+    if (i == 0) {
+      first = simu.report().stage_cycles;
+      ASSERT_FALSE(first.empty());
+    } else {
+      EXPECT_EQ(simu.report().stage_cycles, first) << "pair " << i;
+    }
+  }
+}
+
+TEST(Sim, SlowestStageWithinBandOfModelBeat) {
+  Xoshiro256 rng(5);
+  // The functional stage programs (width-trimmed, q-width datapath) put
+  // the pipelined beat within 2.5x of the paper-formula model's.
+  const SimReport r512 = report_of_random_multiply(512, rng);
+  const double ratio =
+      static_cast<double>(model::cryptopim_pipelined(512).slowest_stage_cycles) /
+      static_cast<double>(slowest_stage(r512));
+  EXPECT_GT(ratio, 0.5);
+  EXPECT_LT(ratio, 2.5);
+
+  // Fig. 5's pipelining gain: one traversal takes more than ten beats, so
+  // a full pipeline delivers over ten times the non-pipelined rate.
+  const SimReport r256 = report_of_random_multiply(256, rng);
+  EXPECT_GT(r256.wall_cycles, 10 * slowest_stage(r256));
+
+  // The pipeline's depth is the wall path: psi, 10 forward levels,
+  // pointwise, 10 inverse levels, psi-inverse at n = 1024.
+  EXPECT_EQ(report_of_random_multiply(1024, rng).stage_cycles.size(), 23u);
 }
 
 TEST(Sim, StageCyclesSumToWallCycles) {
