@@ -56,7 +56,6 @@
 #include "runtime/policy.h"
 #include "runtime/serving.h"
 #include "runtime/workload.h"
-#include "sim/pipelined.h"
 #include "sim/simulator.h"
 
 namespace cryptopim {

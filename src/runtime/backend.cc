@@ -1,41 +1,25 @@
 #include "runtime/backend.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "model/performance.h"
 #include "ntt/word_ntt.h"
-#include "sim/pipelined.h"
 #include "sim/simulator.h"
 
 namespace cryptopim::runtime {
 
 BackendResult analytic_accounting(std::uint32_t degree) {
   // Cached per degree: the analytic evaluation walks the pipeline spec.
-  struct Cached {
-    std::uint64_t cycles;
-    double latency_us;
-    double energy_uj;
-  };
-  thread_local std::vector<std::pair<std::uint32_t, Cached>> cache;
-  for (const auto& [d, c] : cache) {
-    if (d == degree) {
-      return BackendResult{{}, c.cycles, c.latency_us, c.energy_uj};
-    }
+  thread_local std::vector<std::pair<std::uint32_t, std::uint64_t>> cache;
+  for (const auto& [d, cycles] : cache) {
+    if (d == degree) return BackendResult{{}, cycles};
   }
   const model::PipelinePerf perf = model::cryptopim_non_pipelined(degree);
-  const Cached c{perf.total_compute_cycles + perf.total_transfer_cycles,
-                 perf.latency_us, perf.energy_uj};
-  cache.emplace_back(degree, c);
-  return BackendResult{{}, c.cycles, c.latency_us, c.energy_uj};
-}
-
-std::vector<BackendResult> ExecutionBackend::execute_batch(
-    const ntt::NttParams& params,
-    const std::vector<std::pair<ntt::Poly, ntt::Poly>>& pairs) {
-  std::vector<BackendResult> out;
-  out.reserve(pairs.size());
-  for (const auto& [a, b] : pairs) out.push_back(execute(params, a, b));
-  return out;
+  const std::uint64_t cycles =
+      perf.total_compute_cycles + perf.total_transfer_cycles;
+  cache.emplace_back(degree, cycles);
+  return BackendResult{{}, cycles};
 }
 
 // -- gate tier ----------------------------------------------------------------
@@ -64,32 +48,8 @@ BackendResult GateLevelBackend::execute(const ntt::NttParams& params,
   Entry& e = entry_for(params);
   BackendResult r;
   r.product = e.simulator.multiply(a, b);
-  const sim::SimReport& rep = e.simulator.report();
-  r.sim_cycles = rep.wall_cycles;
-  r.latency_us = rep.latency_us;
-  r.energy_uj = rep.energy_uj;
+  r.sim_cycles = e.simulator.report().wall_cycles;
   return r;
-}
-
-std::vector<BackendResult> GateLevelBackend::execute_batch(
-    const ntt::NttParams& params,
-    const std::vector<std::pair<ntt::Poly, ntt::Poly>>& pairs) {
-  // Stream through the pipelined simulator: per-job accounting is the
-  // steady-state beat, matching how the hardware amortises a batch.
-  sim::PipelinedSimulator pipe(params);
-  const auto products = pipe.multiply_stream(pairs);
-  const sim::PipelineRunReport& rep = pipe.report();
-  std::vector<BackendResult> out;
-  out.reserve(products.size());
-  for (const auto& p : products) {
-    BackendResult r;
-    r.product = p;
-    r.sim_cycles = rep.beat_cycles;
-    r.latency_us = rep.jobs ? rep.makespan_us / static_cast<double>(rep.jobs)
-                            : 0.0;
-    out.push_back(std::move(r));
-  }
-  return out;
 }
 
 // -- word tier ----------------------------------------------------------------

@@ -3,15 +3,14 @@
 // Every way this repo can "execute" a negacyclic multiplication now sits
 // behind `ExecutionBackend`:
 //
-//  * GateLevelBackend — the golden tier. Wraps CryptoPimSimulator
-//    (single multiplies) and PipelinedSimulator (batches): every
-//    arithmetic step runs in simulated crossbars and cycle accounting is
-//    measured. Slow (~ms per multiply) but authoritative. Fault
-//    injection belongs to the simulator it wraps
+//  * GateLevelBackend — the golden tier. Wraps CryptoPimSimulator:
+//    every arithmetic step runs in simulated crossbars and cycle
+//    accounting is measured. Slow (~ms per multiply) but authoritative.
+//    Fault injection belongs to the simulator it wraps
 //    (CryptoPimSimulator::set_reliability), not to this tier.
 //  * WordLevelBackend — functional results at host speed from the
 //    flat-word `ntt::WordNttEngine` (Shoup/Barrett precompute, lazy
-//    [0, 2q) reduction), with cycle/energy accounting attached from the
+//    [0, 2q) reduction), with cycle accounting attached from the
 //    analytic model. Bit-exact vs the gate tier — proven by
 //    tests/test_backend_diff.cc — at ~10^4x the wall-clock rate.
 //  * AnalyticBackend — accounting only (model/latency.h +
@@ -20,7 +19,7 @@
 //
 // The word and analytic tiers share one accounting source
 // (`analytic_accounting`), so switching between them changes host
-// wall-clock only, never the simulated numbers. Accounting is keyed by
+// wall-clock only, never the simulated cycles. Accounting is keyed by
 // degree through the paper's parameterisation; a custom (n, q) pair
 // executes functionally with the paper accounting for its degree.
 #pragma once
@@ -29,7 +28,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "ntt/params.h"
@@ -38,17 +36,16 @@
 namespace cryptopim::runtime {
 
 /// One executed multiplication: the functional product (empty when the
-/// backend is not functional) plus the backend's cycle/energy claim.
+/// backend is not functional) plus the backend's cycle claim.
 struct BackendResult {
   ntt::Poly product;
   std::uint64_t sim_cycles = 0;  ///< simulated crossbar cycles, one multiply
-  double latency_us = 0;         ///< simulated latency
-  double energy_uj = 0;          ///< simulated energy
 };
 
-/// The analytic tier's accounting for one non-pipelined multiplication
-/// at `degree` (paper parameterisation). Shared by AnalyticBackend and
-/// WordLevelBackend so their simulated numbers agree exactly.
+/// The analytic tier's cycles for one non-pipelined multiplication at
+/// `degree` (paper parameterisation), with an empty product. Shared by
+/// AnalyticBackend and WordLevelBackend so their simulated cycles agree
+/// exactly.
 BackendResult analytic_accounting(std::uint32_t degree);
 
 class ExecutionBackend {
@@ -67,13 +64,6 @@ class ExecutionBackend {
   /// Engines/simulators are cached per (n, q) inside the backend.
   virtual BackendResult execute(const ntt::NttParams& params,
                                 const ntt::Poly& a, const ntt::Poly& b) = 0;
-
-  /// Batch execution. The gate tier streams the batch through the
-  /// pipelined simulator (beat-level overlap); the default loops over
-  /// execute().
-  virtual std::vector<BackendResult> execute_batch(
-      const ntt::NttParams& params,
-      const std::vector<std::pair<ntt::Poly, ntt::Poly>>& pairs);
 };
 
 /// Golden tier: fault-free crossbar simulation, one cached simulator per
@@ -87,9 +77,6 @@ class GateLevelBackend final : public ExecutionBackend {
   bool functional() const noexcept override { return true; }
   BackendResult execute(const ntt::NttParams& params, const ntt::Poly& a,
                         const ntt::Poly& b) override;
-  std::vector<BackendResult> execute_batch(
-      const ntt::NttParams& params,
-      const std::vector<std::pair<ntt::Poly, ntt::Poly>>& pairs) override;
 
  private:
   struct Entry;

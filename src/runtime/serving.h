@@ -84,7 +84,7 @@ class ProtocolHarness;   // runtime/protocol_ops.h
 
 /// Trace track ids used by the runtime: base + lane index (base itself
 /// is the control track carrying repartition/failure spans). Disjoint
-/// from the simulator tracks (0..banks, 1<<15, 1<<16, 1<<17 ranges).
+/// from the simulator tracks (0..banks, 1<<15 and 1<<16 ranges).
 /// Fleet chips each get their own window of kRuntimeTracksPerChip ids
 /// above the base so per-lane tracks never collide across chips.
 inline constexpr std::uint32_t kRuntimeTrackBase = 1u << 18;

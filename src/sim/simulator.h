@@ -48,8 +48,9 @@ struct SimReport {
   double latency_us = 0;          ///< wall_cycles * cycle time
   double energy_uj = 0;
   /// Per-stage cycle counts along the critical (A) path, in pipeline
-  /// order — the input the pipelined-streaming simulator beats on.
-  /// Invariant (tested): sum(stage_cycles) == wall_cycles.
+  /// order. Invariants (tested): sum(stage_cycles) == wall_cycles, and
+  /// the trace does not depend on the operands, which lock-step
+  /// pipelining (one product per slowest-stage beat) rests on.
   std::vector<std::uint64_t> stage_cycles;
   /// Stage names parallel to stage_cycles ("scale", "butterfly/s8", ...).
   std::vector<std::string> stage_names;

@@ -95,8 +95,6 @@ class BackendDiff : public ::testing::Test {
 
     // The word tier's accounting is the analytic tier's, exactly.
     EXPECT_EQ(word.sim_cycles, analytic.sim_cycles);
-    EXPECT_EQ(word.latency_us, analytic.latency_us);
-    EXPECT_EQ(word.energy_uj, analytic.energy_uj);
     EXPECT_TRUE(analytic.product.empty());
     EXPECT_GT(word.sim_cycles, 0u);
     ++cases_;
@@ -198,29 +196,6 @@ TEST_F(BackendDiff, WordMatchesOracleAtEveryPaperDegree) {
     ASSERT_EQ(word.product, oracle.negacyclic_multiply(a, b)) << "n=" << n;
     const BackendResult analytic = analytic_.execute(params, a, b);
     EXPECT_EQ(word.sim_cycles, analytic.sim_cycles) << "n=" << n;
-    EXPECT_EQ(word.energy_uj, analytic.energy_uj) << "n=" << n;
-  }
-}
-
-TEST_F(BackendDiff, BatchExecutionMatchesSingleExecution) {
-  // The gate tier streams batches through the pipelined simulator;
-  // products must be identical to one-at-a-time execution on both
-  // functional tiers.
-  Xoshiro256 rng(kDiffSeed ^ 0xBA);
-  const NttParams params = NttParams::make(64, 7681);
-  std::vector<std::pair<Poly, Poly>> pairs;
-  for (int i = 0; i < 4; ++i) {
-    pairs.emplace_back(cp::ntt::sample_uniform(64, 7681, rng),
-                       cp::ntt::sample_uniform(64, 7681, rng));
-  }
-  const auto gate_batch = gate_.execute_batch(params, pairs);
-  const auto word_batch = word_.execute_batch(params, pairs);
-  ASSERT_EQ(gate_batch.size(), pairs.size());
-  ASSERT_EQ(word_batch.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(gate_batch[i].product, word_batch[i].product) << "job " << i;
-    EXPECT_EQ(word_batch[i].product,
-              word_.execute(params, pairs[i].first, pairs[i].second).product);
   }
 }
 

@@ -14,7 +14,6 @@
 #include "reliability/fault_model.h"
 #include "reliability/manager.h"
 #include "reliability/verifier.h"
-#include "sim/pipelined.h"
 #include "sim/simulator.h"
 
 namespace cryptopim::reliability {
@@ -427,54 +426,6 @@ TEST(FaultCampaign, BitReproducibleAndZeroEscapes) {
   EXPECT_EQ(r1.cells[0].clean, r1.cells[0].trials);
   // The faulty cell actually exercised injection.
   EXPECT_GT(r1.cells[1].injected, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined simulator pass-through
-
-TEST(PipelinedReliability, StreamRecoversMidPipelineFaults) {
-  const auto params = ntt::NttParams::for_degree(256);
-  ReliabilityConfig rc;
-  rc.verify.points = 2;
-  ReliabilityManager rm(rc, params);
-  // A mid-pipeline stuck cell (stage 5 of bank 0) hits every job that
-  // flows through that stage.
-  rm.fault_model().add_stuck_at(5, 11, 3, true);
-  sim::PipelinedSimulator pipe(params);
-  pipe.set_reliability(&rm);
-  ntt::GsNttEngine engine(params);
-  Xoshiro256 rng(21);
-  std::vector<std::pair<ntt::Poly, ntt::Poly>> pairs;
-  for (int i = 0; i < 3; ++i) {
-    pairs.emplace_back(random_poly(params.n, params.q, rng),
-                       random_poly(params.n, params.q, rng));
-  }
-  const auto results = pipe.multiply_stream(pairs);
-  ASSERT_EQ(results.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(results[i],
-              engine.negacyclic_multiply(pairs[i].first, pairs[i].second))
-        << "job " << i;
-  }
-  const auto& s = pipe.report().reliability;
-  EXPECT_TRUE(s.enabled);
-  EXPECT_TRUE(s.verified);
-  // The first job hits the fault and repairs it; later jobs inherit the
-  // remap and pass on their first attempt.
-  EXPECT_GE(s.columns_remapped, 1u);
-  EXPECT_GE(s.attempts, static_cast<unsigned>(pairs.size()) + 1);
-}
-
-TEST(PipelinedReliability, NoManagerLeavesLedgerEmpty) {
-  const auto params = ntt::NttParams::for_degree(256);
-  sim::PipelinedSimulator pipe(params);
-  Xoshiro256 rng(22);
-  std::vector<std::pair<ntt::Poly, ntt::Poly>> pairs;
-  pairs.emplace_back(random_poly(params.n, params.q, rng),
-                     random_poly(params.n, params.q, rng));
-  pipe.multiply_stream(pairs);
-  EXPECT_FALSE(pipe.report().reliability.enabled);
-  EXPECT_EQ(pipe.report().reliability.overhead_cycles(), 0u);
 }
 
 }  // namespace
