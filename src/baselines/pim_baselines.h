@@ -25,13 +25,6 @@ enum class PimBaseline { kBp1, kBp2, kBp3, kCryptoPim };
 
 const char* to_string(PimBaseline b);
 
-inline const std::vector<PimBaseline>& all_pim_baselines() {
-  static const std::vector<PimBaseline> all = {
-      PimBaseline::kBp1, PimBaseline::kBp2, PimBaseline::kBp3,
-      PimBaseline::kCryptoPim};
-  return all;
-}
-
 /// Rectangular-width multiplication formulas (W x V bit operands).
 std::uint64_t mult_cycles_rect_cryptopim(unsigned w, unsigned v);
 std::uint64_t mult_cycles_rect_hajali(unsigned w, unsigned v);

@@ -54,18 +54,6 @@ void Table::print(std::ostream& os) const {
   print_rule(os, widths);
 }
 
-void Table::write_csv(std::ostream& os) const {
-  auto emit = [&os](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const Row& r : rows_) emit(r.cells);
-}
-
 std::string fmt_f(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", digits, v);
@@ -93,14 +81,6 @@ std::string fmt_pct(double fraction, int digits) {
   std::string s = fmt_f(pct, digits) + "%";
   if (pct >= 0) s.insert(s.begin(), '+');
   return s;
-}
-
-std::string fmt_time_s(double seconds, int digits) {
-  const double a = std::fabs(seconds);
-  if (a >= 1.0) return fmt_f(seconds, digits) + " s";
-  if (a >= 1e-3) return fmt_f(seconds * 1e3, digits) + " ms";
-  if (a >= 1e-6) return fmt_f(seconds * 1e6, digits) + " us";
-  return fmt_f(seconds * 1e9, digits) + " ns";
 }
 
 }  // namespace cryptopim

@@ -1,5 +1,5 @@
-// Plain-text aligned table printing + CSV export used by the benchmark
-// harness to regenerate the paper's tables and figure series.
+// Plain-text aligned table printing used by the benchmark harness to
+// regenerate the paper's tables and figure series.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +23,6 @@ class Table {
   void add_separator();
 
   void print(std::ostream& os) const;
-  /// Comma-separated export (separators skipped).
-  void write_csv(std::ostream& os) const;
 
   std::size_t row_count() const noexcept { return rows_.size(); }
 
@@ -46,7 +44,5 @@ std::string fmt_i(std::uint64_t v);
 std::string fmt_x(double v, int digits = 1);
 /// Percentage formatted as "+29.0%" / "-5.2%".
 std::string fmt_pct(double fraction, int digits = 1);
-/// Engineering formatting of seconds: "68.67 us", "1.81 ns", "12.76 ms".
-std::string fmt_time_s(double seconds, int digits = 2);
 
 }  // namespace cryptopim

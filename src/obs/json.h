@@ -32,7 +32,6 @@ class Json {
   static Json object() { Json j; j.kind_ = Kind::kObject; return j; }
 
   Kind kind() const noexcept { return kind_; }
-  bool is_null() const noexcept { return kind_ == Kind::kNull; }
   bool is_object() const noexcept { return kind_ == Kind::kObject; }
   bool is_array() const noexcept { return kind_ == Kind::kArray; }
 

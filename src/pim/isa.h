@@ -55,30 +55,6 @@ constexpr unsigned gate_cycles(GateKind k) noexcept {
   return 0;  // unreachable
 }
 
-/// Number of operand inputs a gate reads.
-constexpr unsigned gate_arity(GateKind k) noexcept {
-  switch (k) {
-    case GateKind::kSet0:
-    case GateKind::kSet1:
-      return 0;
-    case GateKind::kNot:
-    case GateKind::kCopy:
-      return 1;
-    case GateKind::kNor:
-    case GateKind::kNand:
-    case GateKind::kOr:
-    case GateKind::kAnd:
-    case GateKind::kXor2:
-      return 2;
-    case GateKind::kXor3:
-    case GateKind::kMaj3:
-    case GateKind::kMin3:
-    case GateKind::kMux:
-      return 3;
-  }
-  return 0;  // unreachable
-}
-
 /// One micro-op: dst column := gate(inputs), over the active row mask.
 /// `neg_a/b/c` complement the corresponding input before the gate
 /// (voltage-polarity trick, latency-free).

@@ -229,12 +229,10 @@ void Journal::open(const std::string& path, const std::string& header_payload,
   matched_ = 0;
   appended_ = 0;
   torn_ = false;
-  sealed_ = false;
   if (recover) {
     LoadResult r = load(path);
     if (!r.ok) throw std::runtime_error("journal: " + r.error);
     torn_ = r.torn_tail;
-    sealed_ = r.sealed;
     if (!r.payloads.empty() && r.payloads.front() != header_payload) {
       throw std::runtime_error(
           "journal: header mismatch in " + path +

@@ -121,7 +121,6 @@ class Journal {
   bool active() const noexcept { return !path_.empty(); }
   /// Still matching against pre-crash records?
   bool replaying() const noexcept { return cursor_ < loaded_.size(); }
-  bool sealed_on_load() const noexcept { return sealed_; }
   bool torn_tail() const noexcept { return torn_; }
   std::uint64_t matched() const noexcept { return matched_; }
   std::uint64_t appended() const noexcept { return appended_; }
@@ -149,7 +148,6 @@ class Journal {
   std::uint64_t matched_ = 0;
   std::uint64_t appended_ = 0;
   bool torn_ = false;
-  bool sealed_ = false;
 };
 
 /// Opens `opts.dir`/`file` — creating the directory — as Journal::open

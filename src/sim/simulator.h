@@ -105,9 +105,6 @@ class CryptoPimSimulator {
   void set_reliability(reliability::ReliabilityManager* rm) noexcept {
     rel_ = rm;
   }
-  reliability::ReliabilityManager* reliability_manager() const noexcept {
-    return rel_;
-  }
 
  private:
   struct PolyState;

@@ -100,13 +100,6 @@ TEST(Format, Numbers) {
   EXPECT_EQ(fmt_pct(-0.052, 1), "-5.2%");
 }
 
-TEST(Format, TimeUnits) {
-  EXPECT_EQ(fmt_time_s(1.5), "1.50 s");
-  EXPECT_EQ(fmt_time_s(68.67e-6), "68.67 us");
-  EXPECT_EQ(fmt_time_s(1.1e-9), "1.10 ns");
-  EXPECT_EQ(fmt_time_s(12.76e-3), "12.76 ms");
-}
-
 TEST(Table, AlignsAndSeparates) {
   Table t({"a", "bbbb"});
   t.add_row({"1", "2"});
@@ -127,15 +120,6 @@ TEST(Table, ShortRowsArePadded) {
   std::ostringstream os;
   t.print(os);  // must not crash; missing cells render empty
   EXPECT_NE(os.str().find("only"), std::string::npos);
-}
-
-TEST(Table, CsvExport) {
-  Table t({"n", "latency"});
-  t.add_row({"256", "68.67"});
-  t.add_row({"512", "75.90"});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(), "n,latency\n256,68.67\n512,75.90\n");
 }
 
 }  // namespace
