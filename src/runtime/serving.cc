@@ -1366,7 +1366,6 @@ void ServingRuntime::handle_bank_failure(const Event&) {
     if (!victim) break;
     tear_down_lane(static_cast<std::size_t>(victim - lanes_.data()));
     victim->in_flight = 0;
-    report_.repartitions += 1;
     auto& tr = obs::tracer();
     if (first && tr.enabled()) {
       tr.emit(runtime_track_base(), "bank failure", "runtime", now_,
@@ -1374,10 +1373,14 @@ void ServingRuntime::handle_bank_failure(const Event&) {
     }
     if (allocated_banks_ > usable_banks()) {
       // Beyond the spare pool: the lane's banks are gone for good.
+      report_.repartitions += 1;
       victim->dead = true;
       allocated_banks_ -= victim->banks;
-    } else {
+    } else if (!remap_if_drained(*victim)) {
       // A spare absorbed the failure; the lane re-forms after the remap.
+      // A draining victim, now empty, took the wear remap above instead,
+      // or it would take no work until the next health tick.
+      report_.repartitions += 1;
       victim->free_at = std::max(victim->free_at, now_) +
                         cfg_.repartition_cycles;
       schedule_scan(victim->free_at);

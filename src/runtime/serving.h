@@ -28,7 +28,9 @@
 // accepts work. A mid-stream bank failure (injected at a configured
 // cycle) consumes a spare bank when one is left — the victim lane pays a
 // repartition and its in-flight requests retry — and shrinks the pool
-// once spares are dry, exactly mirroring plan_for_degree(n, failed).
+// once spares are dry, exactly mirroring plan_for_degree(n, failed). A
+// victim that wear had set draining is empty after the teardown, so its
+// repartition is the wear remap and it accepts work straight after.
 //
 // Observability: every run fills per-tenant pow2 latency histograms
 // (p50/p99/p999 via obs::Histogram::quantile) and queue-depth and

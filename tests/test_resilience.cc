@@ -395,33 +395,14 @@ TEST(ResilientServing, HealthTickStopsWhenBacklogIsStranded) {
   expect_resilient_work_conserved(r);
 }
 
-TEST(ResilientServing, ProtocolTeardownRemapsTheDrainingLaneItEmpties) {
-  // The config of `serve --protocol kem --chaos --retries 0
-  // --arrival-rate 600000 --duration 1000 --seed 3 --wear-limit 100
-  // --deadline 300 --breaker 1`: timed-out and failed ops tear their KEM
-  // requests down while sibling ops still run on lanes that wear has set
-  // draining. A teardown that empties such a lane must remap it at once,
-  // as a completion or a hedge cancel does; otherwise the lane sits idle
-  // until the next health tick. So after every event no live lane may be
-  // draining with nothing in flight.
-  ServingConfig cfg;
-  cfg.protocol.kind = ProtocolKind::kKem;
-  cfg.workload.mix = {{kKemDegree, 1.0}};
-  cfg.workload.tenants = 4;
-  cfg.workload.seed = 3;
-  cfg.workload.verify_every = 64;
-  cfg.arrival_rate_per_s = 600000.0;
-  cfg.duration_us = 1000.0;
-  cfg.resilience = ResilienceConfig::chaos_preset(3);
-  cfg.resilience.deadline_us = 300.0;
-  cfg.resilience.max_retries = 0;
-  cfg.resilience.breaker_k = 1;
-  cfg.resilience.wear_limit = 100;
-
-  ServingRuntime rt(cfg);
+/// Primes `rt` and steps it to the end, counting the event boundaries
+/// after which a live lane is draining with nothing in flight. Such a
+/// lane takes no new work and sits idle until the next health tick
+/// remaps it. `first` names the first one.
+std::uint64_t count_stranded_draining_lanes(ServingRuntime& rt,
+                                            std::string& first) {
   rt.prime();
   std::uint64_t stranded = 0;
-  std::string first;
   while (rt.has_events()) {
     rt.step();
     const obs::Json state = rt.snapshot_state();
@@ -438,9 +419,61 @@ TEST(ResilientServing, ProtocolTeardownRemapsTheDrainingLaneItEmpties) {
       }
     }
   }
-  EXPECT_EQ(stranded, 0u) << "first: " << first;
+  return stranded;
+}
+
+TEST(ResilientServing, ProtocolTeardownRemapsTheDrainingLaneItEmpties) {
+  // The config of `serve --protocol kem --chaos --retries 0
+  // --arrival-rate 600000 --duration 1000 --seed 3 --wear-limit 100
+  // --deadline 300 --breaker 1`: timed-out and failed ops tear their KEM
+  // requests down while sibling ops still run on lanes that wear has set
+  // draining. A teardown that empties such a lane must remap it at once,
+  // as a completion or a hedge cancel does. So after every event no live
+  // lane may be draining with nothing in flight.
+  ServingConfig cfg;
+  cfg.protocol.kind = ProtocolKind::kKem;
+  cfg.workload.mix = {{kKemDegree, 1.0}};
+  cfg.workload.tenants = 4;
+  cfg.workload.seed = 3;
+  cfg.workload.verify_every = 64;
+  cfg.arrival_rate_per_s = 600000.0;
+  cfg.duration_us = 1000.0;
+  cfg.resilience = ResilienceConfig::chaos_preset(3);
+  cfg.resilience.deadline_us = 300.0;
+  cfg.resilience.max_retries = 0;
+  cfg.resilience.breaker_k = 1;
+  cfg.resilience.wear_limit = 100;
+
+  ServingRuntime rt(cfg);
+  std::string first;
+  EXPECT_EQ(count_stranded_draining_lanes(rt, first), 0u) << "first: " << first;
   const ServingReport r = rt.seal();
   EXPECT_GT(r.protocol.ops_cancelled, 0u);  // teardown really ran
+  EXPECT_GT(r.resilience.proactive_remaps, 0u);  // and wear drained lanes
+}
+
+TEST(ResilientServing, BankFailureRemapsADrainingVictim) {
+  // The config of `serve --degrees 4096:1 --arrival-rate 2000000
+  // --duration 600 --wear-limit 50 --fail-bank-at 400 --seed 1
+  // --verify-every 0`: the bank failure strikes the busiest lane after
+  // wear has set it draining. A spare absorbs the failure and the victim,
+  // emptied by the teardown, must be remapped at once like any drained
+  // lane. So after every event no live lane may be draining with nothing
+  // in flight.
+  ServingConfig cfg;
+  cfg.workload.mix = {{4096, 1.0}};
+  cfg.workload.tenants = 4;
+  cfg.workload.seed = 1;
+  cfg.arrival_rate_per_s = 2000000.0;
+  cfg.duration_us = 600.0;
+  cfg.fail_bank_at_us = 400.0;
+  cfg.resilience.wear_limit = 50;
+
+  ServingRuntime rt(cfg);
+  std::string first;
+  EXPECT_EQ(count_stranded_draining_lanes(rt, first), 0u) << "first: " << first;
+  const ServingReport r = rt.seal();
+  EXPECT_EQ(r.bank_failures, 1u);  // the failure really struck
   EXPECT_GT(r.resilience.proactive_remaps, 0u);  // and wear drained lanes
 }
 
