@@ -1378,8 +1378,9 @@ void ServingRuntime::handle_bank_failure(const Event&) {
       allocated_banks_ -= victim->banks;
     } else if (!remap_if_drained(*victim)) {
       // A spare absorbed the failure; the lane re-forms after the remap.
-      // A draining victim, now empty, took the wear remap above instead,
-      // or it would take no work until the next health tick.
+      // A victim that was draining is empty now and took its wear remap
+      // in the condition; re-formed still draining, it would idle until
+      // the next health tick.
       report_.repartitions += 1;
       victim->free_at = std::max(victim->free_at, now_) +
                         cfg_.repartition_cycles;

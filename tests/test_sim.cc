@@ -183,9 +183,9 @@ TEST(Sim, SlowestStageWithinBandOfModelBeat) {
   // The functional stage programs (width-trimmed, q-width datapath) put
   // the pipelined beat within 2.5x of the paper-formula model's.
   const SimReport r512 = report_of_random_multiply(512, rng);
-  const double ratio =
-      static_cast<double>(model::cryptopim_pipelined(512).slowest_stage_cycles) /
-      static_cast<double>(slowest_stage(r512));
+  const auto model_beat = model::cryptopim_pipelined(512).slowest_stage_cycles;
+  const double ratio = static_cast<double>(model_beat) /
+                       static_cast<double>(slowest_stage(r512));
   EXPECT_GT(ratio, 0.5);
   EXPECT_LT(ratio, 2.5);
 
