@@ -215,6 +215,25 @@ TEST(NttParams, RejectsModulusAtOrAbove2To30) {
   EXPECT_EQ(NttParams::make(4, 1073741689u).q, 1073741689u);
 }
 
+TEST(SampleUniform, MatchesNextBelowStream) {
+  // sample_uniform(n, q) draws what n calls of next_below(q) draw and
+  // leaves the generator at the same stream position: the paper moduli
+  // and the largest NTT-friendly primes below 2^30.
+  for (const std::uint32_t q : {7681u, 12289u, 786433u, 1073741689u,
+                                1073707009u, 1073692673u}) {
+    for (const std::uint64_t seed : {1ull, 42ull, 0x9e3779b97f4a7c15ull}) {
+      Xoshiro256 rng(seed);
+      Xoshiro256 twin(seed);
+      const Poly p = sample_uniform(4096, q, rng);
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        ASSERT_EQ(p[i], twin.next_below(q))
+            << "q=" << q << " seed=" << seed << " i=" << i;
+      }
+      EXPECT_EQ(rng.digest(), twin.digest()) << "q=" << q << " seed=" << seed;
+    }
+  }
+}
+
 TEST(NttParams, RootProperties) {
   for (std::uint32_t n : paper_degrees()) {
     const auto p = NttParams::for_degree(n);
