@@ -31,6 +31,42 @@ constexpr std::uint32_t mul_mod(std::uint32_t a, std::uint32_t b,
       (static_cast<std::uint64_t>(a) * b) % q);
 }
 
+/// The Shoup reciprocal floor(c * 2^32 / q) of a constant c < q.
+constexpr std::uint32_t shoup_reciprocal(std::uint32_t c,
+                                         std::uint32_t q) noexcept {
+  return static_cast<std::uint32_t>((static_cast<std::uint64_t>(c) << 32) /
+                                    q);
+}
+
+/// x * c mod q in [0, 2q), valid for any x < 2^32 and constant c < q
+/// with c_shoup = shoup_reciprocal(c, q). The quotient estimate is off by
+/// at most one, so the 32-bit wrapping subtraction recovers a value
+/// r == x*c (mod q) with r < q * (x / 2^32 + 1) < 2q.
+constexpr std::uint32_t mul_shoup_lazy(std::uint32_t x, std::uint32_t c,
+                                       std::uint32_t c_shoup,
+                                       std::uint32_t q) noexcept {
+  const auto quot = static_cast<std::uint32_t>(
+      (static_cast<std::uint64_t>(x) * c_shoup) >> 32);
+  return x * c - quot * q;
+}
+
+/// The Barrett reciprocal floor((2^64 - 1) / q), which equals
+/// floor(2^64 / q) for every odd q.
+constexpr std::uint64_t barrett_reciprocal(std::uint32_t q) noexcept {
+  return ~std::uint64_t{0} / q;
+}
+
+/// v mod q in [0, 2q), valid for any v < 2^64 with
+/// mu = barrett_reciprocal(q). v * mu / 2^64 falls short of v / q by
+/// v * (2^64 - mu * q) / (q * 2^64) <= v / 2^64 < 1, so the quotient
+/// estimate is off by at most one.
+constexpr std::uint64_t reduce_barrett_lazy(std::uint64_t v, std::uint32_t q,
+                                            std::uint64_t mu) noexcept {
+  const auto quot = static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(v) * mu) >> 64);
+  return v - quot * q;
+}
+
 /// a^e mod q by square-and-multiply.
 constexpr std::uint32_t pow_mod(std::uint32_t a, std::uint64_t e,
                                 std::uint32_t q) noexcept {

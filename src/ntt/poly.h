@@ -25,7 +25,8 @@ Poly poly_add(std::span<const std::uint32_t> a,
 Poly poly_sub(std::span<const std::uint32_t> a,
               std::span<const std::uint32_t> b, std::uint32_t q);
 
-/// Uniform polynomial with coefficients in [0, q).
+/// Uniform polynomial with coefficients in [0, q): the values, and the
+/// generator state afterwards, of n calls of rng.next_below(q).
 Poly sample_uniform(std::uint32_t n, std::uint32_t q, Xoshiro256& rng);
 
 /// Centered binomial distribution with parameter eta (the RLWE "small

@@ -10,17 +10,6 @@ namespace cryptopim::ntt {
 
 namespace {
 
-/// x * c mod q in [0, 2q), valid for any x < 2^32 and constant c < q
-/// with c_shoup = floor(c * 2^32 / q). The quotient estimate is off by
-/// at most one, so the 32-bit wrapping subtraction recovers a value
-/// r == x*c (mod q) with r < q * (x / 2^32 + 1) < 2q.
-inline std::uint32_t mul_shoup_lazy(std::uint32_t x, std::uint32_t c,
-                                    std::uint32_t c_shoup, std::uint32_t q) {
-  const auto quot = static_cast<std::uint32_t>(
-      (static_cast<std::uint64_t>(x) * c_shoup) >> 32);
-  return x * c - quot * q;
-}
-
 /// a + b with one conditional subtract: [0, 2q) inputs stay in [0, 2q).
 inline std::uint32_t add_lazy(std::uint32_t a, std::uint32_t b,
                               std::uint32_t twoq) {
@@ -28,13 +17,12 @@ inline std::uint32_t add_lazy(std::uint32_t a, std::uint32_t b,
   return s >= twoq ? s - twoq : s;
 }
 
-/// The Shoup reciprocals floor(c * 2^32 / q) of a constant table.
+/// The Shoup reciprocals of a constant table.
 std::vector<std::uint32_t> shoup_table(const std::vector<std::uint32_t>& c,
                                        std::uint32_t q) {
   std::vector<std::uint32_t> out(c.size());
   for (std::size_t i = 0; i < c.size(); ++i) {
-    out[i] = static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(c[i]) << 32) / q);
+    out[i] = shoup_reciprocal(c[i], q);
   }
   return out;
 }
@@ -45,8 +33,7 @@ WordNttEngine::WordNttEngine(const NttParams& params) : params_(params) {
   const std::uint32_t n = params_.n;
   const std::uint32_t q = params_.q;
   twoq_ = 2 * q;
-  barrett_mu_ = static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(1) << 64) / q);
+  barrett_mu_ = barrett_reciprocal(q);
 
   psi_brv_.resize(n);
   psi_inv_brv_.resize(n);
@@ -134,15 +121,12 @@ void WordNttEngine::pointwise_lazy(std::span<std::uint32_t> a,
                                    std::span<const std::uint32_t> b) const {
   assert(a.size() == params_.n && b.size() == params_.n);
   const std::uint32_t q = params_.q;
-  // Barrett with mu = floor(2^64 / q): for prod < 2^62 the quotient
-  // estimate (prod * mu) >> 64 is off by at most one, so the remainder
-  // lands in [0, 2q).
+  // Barrett with mu = floor(2^64 / q): the remainder lands in [0, 2q).
   for (std::size_t i = 0; i < a.size(); ++i) {
     const std::uint64_t prod =
         static_cast<std::uint64_t>(a[i]) * static_cast<std::uint64_t>(b[i]);
-    const auto quot = static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(prod) * barrett_mu_) >> 64);
-    a[i] = static_cast<std::uint32_t>(prod - quot * q);
+    a[i] = static_cast<std::uint32_t>(
+        reduce_barrett_lazy(prod, q, barrett_mu_));
   }
 }
 

@@ -15,17 +15,6 @@ ResultVerifier::ResultVerifier(const ntt::NttParams& params, VerifyConfig cfg)
                  ? params.n / static_cast<unsigned>(pim::kBlockRows)
                  : 1u) {}
 
-std::uint32_t ResultVerifier::eval(const ntt::Poly& p, std::uint32_t r,
-                                   std::uint32_t q) {
-  // Horner, highest coefficient first. Operands are < q < 2^20, so the
-  // accumulator product fits comfortably in 64 bits.
-  std::uint64_t acc = 0;
-  for (std::size_t i = p.size(); i-- > 0;) {
-    acc = (acc * r + p[i]) % q;
-  }
-  return static_cast<std::uint32_t>(acc);
-}
-
 std::uint64_t ResultVerifier::cycles_per_check() const noexcept {
   if (cfg_.points == 0) return 0;
   const std::uint64_t rows_per_bank = params_.n / banks_;
@@ -43,13 +32,26 @@ bool ResultVerifier::check(const ntt::Poly& a, const ntt::Poly& b,
   }
   ++checks_;
   const std::uint32_t q = params_.q;
+  // A coefficient >= q is reduced first, so every 32-bit word counts as
+  // its residue; canonical input never takes the branch.
+  const auto residue = [q](std::uint32_t x) { return x < q ? x : x % q; };
   bool ok = true;
   for (unsigned t = 0; t < cfg_.points; ++t) {
     // r = psi^(2u+1): a uniformly random root of x^n + 1.
     const std::uint64_t u = rng_.next_below(params_.n);
     const std::uint32_t r = ntt::pow_mod(params_.psi, 2 * u + 1, q);
-    const std::uint32_t lhs = eval(c, r, q);
-    const std::uint32_t rhs = ntt::mul_mod(eval(a, r, q), eval(b, r, q), q);
+    const std::uint32_t r_shoup = ntt::shoup_reciprocal(r, q);
+    // Three interleaved Horner chains, highest coefficient first. The
+    // Shoup product lands in [0, 2q) and a residue adds < q, so each
+    // accumulator stays below 3q < 2^32 (q < 2^30).
+    std::uint32_t ea = 0, eb = 0, ec = 0;
+    for (std::size_t i = params_.n; i-- > 0;) {
+      ea = ntt::mul_shoup_lazy(ea, r, r_shoup, q) + residue(a[i]);
+      eb = ntt::mul_shoup_lazy(eb, r, r_shoup, q) + residue(b[i]);
+      ec = ntt::mul_shoup_lazy(ec, r, r_shoup, q) + residue(c[i]);
+    }
+    const std::uint32_t lhs = ec % q;
+    const std::uint32_t rhs = ntt::mul_mod(ea % q, eb % q, q);
     if (lhs != rhs) ok = false;  // keep consuming points: fixed cycle cost
   }
   if (!ok) ++failures_;

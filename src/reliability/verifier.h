@@ -11,6 +11,16 @@
 // checkable with three Horner evaluations — O(n) multiply-adds per point
 // against the O(n log n) cost of recomputing the product.
 //
+// Host evaluation is division-free, like the paper's shift-add modulo
+// circuits: per point, one loop runs the three Horner chains interleaved,
+// acc <- shoup(acc, r) + p_i, where shoup multiplies by the point r with
+// its precomputed reciprocal floor(r * 2^32 / q) (ntt::mul_shoup_lazy)
+// and lands in [0, 2q). With p_i < q every accumulator stays below
+// 3q < 2^32, since NttParams guarantees q < 2^30, and takes one % q at
+// the end. Coefficients are compared as residues mod q: a word >= q is
+// reduced before it enters its chain, so c_k + m*q is the same answer
+// as c_k.
+//
 // False-negative bound: an undetected error means the error polynomial
 // e = c - a*b (nonzero, degree < n) vanishes at every sampled root.
 //  * Adversarial bound: e has at most n-1 roots, so one uniformly sampled
@@ -60,7 +70,7 @@ class ResultVerifier {
   ResultVerifier(const ntt::NttParams& params, VerifyConfig cfg);
 
   /// True iff c(r) == a(r) * b(r) mod q at `points` random roots of
-  /// x^n + 1. All operands must be canonical (coefficients in [0, q)).
+  /// x^n + 1. Any 32-bit coefficient counts as its residue mod q.
   bool check(const ntt::Poly& a, const ntt::Poly& b, const ntt::Poly& c);
 
   unsigned points() const noexcept { return cfg_.points; }
@@ -69,10 +79,6 @@ class ResultVerifier {
   std::uint64_t cycles_per_check() const noexcept;
   std::uint64_t checks() const noexcept { return checks_; }
   std::uint64_t failures() const noexcept { return failures_; }
-
-  /// Evaluate p at x = r by Horner's rule (exposed for tests).
-  static std::uint32_t eval(const ntt::Poly& p, std::uint32_t r,
-                            std::uint32_t q);
 
  private:
   ntt::NttParams params_;
