@@ -2,19 +2,10 @@
 
 #include "common/rng.h"
 #include "ntt/ntt.h"
+#include "ntt/poly.h"
 #include "sim/simulator.h"
 
 namespace cryptopim::reliability {
-
-namespace {
-
-ntt::Poly random_poly(Xoshiro256& rng, std::uint32_t n, std::uint32_t q) {
-  ntt::Poly p(n);
-  for (auto& c : p) c = static_cast<std::uint32_t>(rng.next_below(q));
-  return p;
-}
-
-}  // namespace
 
 CampaignResult run_fault_campaign(const CampaignConfig& cfg) {
   const ntt::NttParams params = ntt::NttParams::make(cfg.n, cfg.q);
@@ -47,8 +38,8 @@ CampaignResult run_fault_campaign(const CampaignConfig& cfg) {
 
     Xoshiro256 input_rng(cfg.seed + 0x9000 * (ri + 1));
     for (unsigned t = 0; t < cfg.trials_per_rate; ++t) {
-      const ntt::Poly a = random_poly(input_rng, cfg.n, cfg.q);
-      const ntt::Poly b = random_poly(input_rng, cfg.n, cfg.q);
+      const ntt::Poly a = ntt::sample_uniform(cfg.n, cfg.q, input_rng);
+      const ntt::Poly b = ntt::sample_uniform(cfg.n, cfg.q, input_rng);
       const auto expected = oracle.negacyclic_multiply(a, b);
 
       ++cell.trials;
