@@ -34,11 +34,17 @@ class Xoshiro256 {
     return result;
   }
 
+  /// next_below(bound) rejects draws at or above this limit, so the
+  /// draws it keeps cover every residue mod bound equally often.
+  static constexpr std::uint64_t rejection_limit(std::uint64_t bound) noexcept {
+    return ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
+  }
+
   /// Uniform value in [0, bound). Precondition bound > 0.
   std::uint64_t next_below(std::uint64_t bound) noexcept {
     // Rejection-free is fine here: bias is negligible for our bounds
     // (all < 2^32) but we reject to keep tests distribution-clean.
-    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
+    const std::uint64_t limit = rejection_limit(bound);
     std::uint64_t v = next();
     while (v >= limit) v = next();
     return v % bound;
