@@ -40,7 +40,8 @@ TEST(Program, RecordsIssuedOps) {
 
 TEST(Program, ReplayIsBitExactOnAnotherBlock) {
   // Record a multiply + reduction on block 0, replay on block 1 with
-  // different data in the same column layout.
+  // different data in the same column layout. Operands are 14 bits wide,
+  // so their 28-bit product stays within the reduction's input bound.
   const std::uint32_t q = 12289;
   const auto spec = ntt::MontgomeryShiftAdd::paper_spec(q);
 
@@ -52,8 +53,8 @@ TEST(Program, ReplayIsBitExactOnAnotherBlock) {
   Program prog;
   Operand result_cols;  // columns the recorded program writes
   {
-    const Operand a = e0.contiguous(8, 16);
-    const Operand b = e0.contiguous(24, 16);
+    const Operand a = e0.contiguous(8, 14);
+    const Operand b = e0.contiguous(24, 14);
     e0.host_write(a, random_values(kBlockRows, 14, 1));
     e0.host_write(b, random_values(kBlockRows, 14, 2));
     const ProgramRecorder rec(e0, prog, 0);
@@ -65,8 +66,8 @@ TEST(Program, ReplayIsBitExactOnAnotherBlock) {
 
   const auto vals_a = random_values(kBlockRows, 14, 3);
   const auto vals_b = random_values(kBlockRows, 14, 4);
-  e1.host_write(e1.contiguous(8, 16), vals_a);
-  e1.host_write(e1.contiguous(24, 16), vals_b);
+  e1.host_write(e1.contiguous(8, 14), vals_a);
+  e1.host_write(e1.contiguous(24, 14), vals_b);
   const std::vector<RowMask> slots = {RowMask::all()};
   prog.execute(e1, slots);
 
