@@ -11,8 +11,7 @@
 // Perfetto (https://ui.perfetto.dev) and chrome://tracing load directly.
 // One trace "microsecond" equals one simulated cycle.
 //
-// Cost model: tracing is compiled out entirely when CRYPTOPIM_TRACING=0
-// (CMake option, default ON), and when compiled in it is pay-per-use — a
+// Cost model: tracing is always compiled in and pay-per-use — a
 // disabled Tracer rejects events on a single branch, and the hot gate
 // loop (BlockExecutor::issue) is never instrumented; only span-level
 // call sites are.
@@ -23,10 +22,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-#ifndef CRYPTOPIM_TRACING
-#define CRYPTOPIM_TRACING 1
-#endif
 
 namespace cryptopim::obs {
 

@@ -146,13 +146,9 @@ void BlockExecutor::issue(const MicroOp& op) {
 
 void BlockExecutor::charge_transfer(unsigned bits, unsigned cycles,
                                     const char* what) {
-#if CRYPTOPIM_TRACING
   if (tracer_ != nullptr) {
     tracer_->emit(trace_track_, what, "transfer", trace_now(), cycles);
   }
-#else
-  (void)what;
-#endif
   stats_.cycles += cycles;
   stats_.transfer_bits += static_cast<std::uint64_t>(bits) * mask_.count();
 }

@@ -164,19 +164,13 @@ class BlockExecutor {
   /// Current position on the simulated timeline.
   std::uint64_t trace_now() const noexcept { return trace_base_ + stats_.cycles; }
   void trace_begin(std::string name, std::string cat) {
-#if CRYPTOPIM_TRACING
     if (tracer_ != nullptr) {
       tracer_->begin(trace_track_, std::move(name), std::move(cat),
                      trace_now());
     }
-#else
-    (void)name, (void)cat;
-#endif
   }
   void trace_end() {
-#if CRYPTOPIM_TRACING
     if (tracer_ != nullptr) tracer_->end(trace_track_, trace_now());
-#endif
   }
 
   // -- microcode recording (see pim/program.h) -------------------------------
@@ -215,11 +209,9 @@ class BlockExecutor {
 
 /// RAII span on an executor's track, in cycle time:
 ///   TraceScope ts(exec, "multiply", "circuit");
-/// Compiles to nothing with CRYPTOPIM_TRACING=0 and to one branch per
-/// scope when no tracer is attached.
+/// Costs one branch per scope when no tracer is attached.
 class TraceScope {
  public:
-#if CRYPTOPIM_TRACING
   TraceScope(BlockExecutor& exec, std::string name, std::string cat)
       : exec_(exec.tracer() != nullptr ? &exec : nullptr) {
     if (exec_ != nullptr) exec_->trace_begin(std::move(name), std::move(cat));
@@ -227,14 +219,11 @@ class TraceScope {
   ~TraceScope() {
     if (exec_ != nullptr) exec_->trace_end();
   }
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
 
  private:
   BlockExecutor* exec_;
-#else
-  TraceScope(BlockExecutor&, std::string, std::string) {}
-#endif
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
 };
 
 }  // namespace cryptopim::pim

@@ -107,7 +107,6 @@ void CryptoPimSimulator::accumulate(PolyState& st,
   }
   report_.totals += stage_total;
 
-#if CRYPTOPIM_TRACING
   if (active_tracer_ != nullptr) {
     for (auto& bank : st.banks) {
       const auto& e = *bank.exec;
@@ -121,7 +120,6 @@ void CryptoPimSimulator::accumulate(PolyState& st,
                            st.banks[0].exec->stats().cycles);
     }
   }
-#endif
 
   // Banks run in lock-step, so the critical path is one bank's cycles.
   // B's softbank runs concurrently with A's: its stages cost energy but
@@ -519,7 +517,7 @@ ntt::Poly CryptoPimSimulator::multiply(const ntt::Poly& a,
   }
 
   obs::Tracer& tr = custom_tracer_ != nullptr ? *custom_tracer_ : obs::tracer();
-  active_tracer_ = (CRYPTOPIM_TRACING && tr.enabled()) ? &tr : nullptr;
+  active_tracer_ = tr.enabled() ? &tr : nullptr;
   if (active_tracer_ != nullptr) {
     for (unsigned b = 0; b < banks_; ++b) {
       active_tracer_->set_track_name(b, "bank " + std::to_string(b) + " (A)");
@@ -566,13 +564,11 @@ ntt::Poly CryptoPimSimulator::multiply(const ntt::Poly& a,
           "result verification still failing after max_retries",
           report_.reliability);
     }
-#if CRYPTOPIM_TRACING
     if (active_tracer_ != nullptr && report_.reliability.verify_cycles > 0) {
       active_tracer_->emit(kPipelineTrack, "verify", "reliability",
                            report_.wall_cycles,
                            report_.reliability.verify_cycles);
     }
-#endif
   }
 
   active_tracer_ = nullptr;
