@@ -81,9 +81,7 @@ double SloAccountant::error_budget_consumed() const noexcept {
 
 double SloAccountant::latency_budget_consumed() const noexcept {
   // Latency violations are measured against completions only.
-  return budget_consumed(lat_viol_, good_, cfg_.latency_objective > 0
-                                               ? cfg_.latency_objective
-                                               : 0.0);
+  return budget_consumed(lat_viol_, good_, SloConfig::kLatencyObjective);
 }
 
 double SloAccountant::max_window_burn() const noexcept {
@@ -100,7 +98,7 @@ Json SloAccountant::to_json() const {
   doc.set("schema", "slo/1");
   doc.set("availability_objective", cfg_.availability);
   doc.set("latency_objective_us", cfg_.latency_us);
-  doc.set("latency_objective_fraction", cfg_.latency_objective);
+  doc.set("latency_objective_fraction", SloConfig::kLatencyObjective);
   doc.set("window_cycles", window_cycles_);
 
   Json summary = Json::object();
@@ -123,7 +121,8 @@ Json SloAccountant::to_json() const {
     wj.set("latency_violations", w.lat_viol);
     wj.set("latency_burn",
            burn_rate(w.lat_viol, w.good,
-                     cfg_.latency_us > 0.0 ? cfg_.latency_objective : 0.0));
+                     cfg_.latency_us > 0.0 ? SloConfig::kLatencyObjective
+                                           : 0.0));
     windows.push_back(std::move(wj));
   }
   doc.set("windows", std::move(windows));

@@ -11,8 +11,9 @@
 // burn 10 means a tenth of the budget went up in that window alone.
 //
 // The latency objective is a threshold objective: `latency_us` is the
-// target completion latency and `latency_objective` the fraction of
-// completions that must meet it (e.g. "99% of requests under 2 ms").
+// target completion latency, and a fixed 99% of completions
+// (SloConfig::kLatencyObjective) must meet it ("99% of requests under
+// 2 ms").
 // Latency violations burn the latency budget the same way errors burn
 // the availability budget; a completion past the threshold is still
 // *available*, just slow.
@@ -35,7 +36,7 @@ struct SloConfig {
   /// Latency threshold in us; 0 = latency objective off.
   double latency_us = 0.0;
   /// Fraction of completions that must meet the threshold.
-  double latency_objective = 0.99;
+  static constexpr double kLatencyObjective = 0.99;
 
   bool enabled() const noexcept {
     return availability > 0.0 || latency_us > 0.0;

@@ -2,10 +2,8 @@
 
 namespace cryptopim::obs {
 
-WindowedSeries::WindowedSeries(std::uint64_t window_cycles,
-                               std::size_t capacity)
-    : window_cycles_(window_cycles ? window_cycles : 1),
-      capacity_(capacity ? capacity : 1) {}
+WindowedSeries::WindowedSeries(std::uint64_t window_cycles)
+    : window_cycles_(window_cycles ? window_cycles : 1) {}
 
 WindowedSeries::Window& WindowedSeries::window_for(std::uint64_t cycle) {
   const std::uint64_t idx = cycle / window_cycles_;
@@ -35,7 +33,7 @@ WindowedSeries::Window& WindowedSeries::window_for(std::uint64_t cycle) {
   Window w;
   w.index = idx;
   windows_.push_back(std::move(w));
-  while (windows_.size() > capacity_) fold_oldest();
+  while (windows_.size() > kCapacity) fold_oldest();
   return windows_.back();
 }
 

@@ -7,7 +7,7 @@
 // reconstruct rolling throughput/latency/shed-rate series from one run.
 //
 // The store is a ring: windows are created on demand as the (monotonic)
-// event clock advances, and once more than `capacity` windows are live
+// event clock advances, and once more than kCapacity windows are live
 // the oldest are folded into a cumulative "evicted" aggregate. Folding
 // preserves the totals invariant the tests pin:
 //
@@ -35,12 +35,13 @@ namespace cryptopim::obs {
 /// Ring of fixed-width cycle windows holding named counters + histograms.
 class WindowedSeries {
  public:
+  /// Most live windows; older ones fold into the evicted aggregate.
+  static constexpr std::size_t kCapacity = 4096;
+
   /// Disabled: count/observe are no-ops, to_json emits window_cycles 0.
   WindowedSeries() = default;
-  /// `window_cycles` must be > 0; `capacity` bounds live windows (older
-  /// ones fold into the evicted aggregate).
-  explicit WindowedSeries(std::uint64_t window_cycles,
-                          std::size_t capacity = 4096);
+  /// `window_cycles` must be > 0.
+  explicit WindowedSeries(std::uint64_t window_cycles);
 
   bool enabled() const noexcept { return window_cycles_ > 0; }
   std::uint64_t window_cycles() const noexcept { return window_cycles_; }
@@ -85,7 +86,6 @@ class WindowedSeries {
   void fold_oldest();
 
   std::uint64_t window_cycles_ = 0;
-  std::size_t capacity_ = 4096;
   std::deque<Window> windows_;
   std::uint64_t evicted_ = 0;
   std::map<std::string, std::uint64_t> folded_counters_;

@@ -63,12 +63,6 @@ class EventQueue {
   /// the bits above carry the namespace.
   static constexpr unsigned kChipShift = 40;
 
-  /// `first_seq` seeds the tie-breaking sequence counter; the default is
-  /// what the runtime uses. A non-zero start exists for tests probing
-  /// ordering stability near the counter's (unreachable in practice —
-  /// ~1.8e19 pushes) wrap-around.
-  explicit EventQueue(std::uint64_t first_seq = 0) : next_seq_(first_seq) {}
-
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t size() const noexcept { return heap_.size(); }
 

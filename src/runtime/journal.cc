@@ -98,35 +98,24 @@ obs::Json serving_config_to_json(const ServingConfig& cfg) {
   proto.set("shares", std::uint64_t{cfg.protocol.shares});
   j.set("protocol", std::move(proto));
   j.set("queue_capacity", std::uint64_t{cfg.queue_capacity});
-  j.set("repartition_cycles", cfg.repartition_cycles);
   obs::Json weights = obs::Json::array();
   for (const double w : cfg.tenant_weights) weights.push_back(obs::Json(w));
   j.set("tenant_weights", std::move(weights));
   j.set("fail_bank_at_us", cfg.fail_bank_at_us);
-  j.set("fail_banks", std::uint64_t{cfg.fail_banks});
-  j.set("verify_points", std::uint64_t{cfg.verify_points});
   const auto& res = cfg.resilience;
   obs::Json r = obs::Json::object();
   r.set("deadline_us", res.deadline_us);
   r.set("max_retries", std::uint64_t{res.max_retries});
   r.set("retry_budget_ratio", res.retry_budget_ratio);
-  r.set("retry_backoff_cycles", res.retry_backoff_cycles);
-  r.set("retry_backoff_cap_cycles", res.retry_backoff_cap_cycles);
   r.set("hedge", res.hedge);
   r.set("hedge_delay_us", res.hedge_delay_us);
   r.set("codel_target_us", res.codel_target_us);
   r.set("codel_interval_us", res.codel_interval_us);
   r.set("breaker_k", std::uint64_t{res.breaker_k});
-  r.set("breaker_open_cycles", res.breaker_open_cycles);
   r.set("wear_limit", res.wear_limit);
-  r.set("drain_fraction", res.drain_fraction);
-  r.set("scrub_threshold", res.scrub_threshold);
   obs::Json chaos = obs::Json::object();
   chaos.set("enabled", res.chaos.enabled);
   chaos.set("seed", std::to_string(res.chaos.seed));
-  chaos.set("mean_interval_us", res.chaos.mean_interval_us);
-  chaos.set("mean_duration_us", res.chaos.mean_duration_us);
-  chaos.set("slow_fraction", res.chaos.slow_fraction);
   r.set("chaos", std::move(chaos));
   r.set("chaos_detect", res.chaos_detect);
   j.set("resilience", std::move(r));
@@ -134,9 +123,7 @@ obs::Json serving_config_to_json(const ServingConfig& cfg) {
   obs::Json slo = obs::Json::object();
   slo.set("availability", cfg.slo.availability);
   slo.set("latency_us", cfg.slo.latency_us);
-  slo.set("latency_objective", cfg.slo.latency_objective);
   j.set("slo", std::move(slo));
-  j.set("cycle_ns", cfg.cycle_ns);
   return j;
 }
 
@@ -150,14 +137,11 @@ obs::Json fleet_config_to_json(const FleetConfig& cfg) {
   j.set("retry_budget_ratio", cfg.retry_budget_ratio);
   j.set("hedge", cfg.hedge);
   j.set("hedge_delay_us", cfg.hedge_delay_us);
-  j.set("scrub_us", cfg.scrub_us);
   obs::Json chaos = obs::Json::object();
   chaos.set("enabled", cfg.chaos.enabled);
   chaos.set("seed", std::to_string(cfg.chaos.seed));
   chaos.set("mean_interval_us", cfg.chaos.mean_interval_us);
   chaos.set("mean_duration_us", cfg.chaos.mean_duration_us);
-  chaos.set("crash_fraction", cfg.chaos.crash_fraction);
-  chaos.set("brownout_fraction", cfg.chaos.brownout_fraction);
   j.set("chaos", std::move(chaos));
   j.set("kill_chip_at_us", cfg.kill_chip_at_us);
   j.set("kill_chip", std::uint64_t{cfg.kill_chip});

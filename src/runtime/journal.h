@@ -65,8 +65,10 @@ struct FleetConfig;
 const char* outcome_name(Outcome o);
 
 /// Full serialization of the determinism-relevant config (everything the
-/// replay needs to re-execute the run). Fingerprinted into the journal
-/// header; also usable for offline inspection.
+/// replay needs to re-execute the run). Only settable values are config:
+/// the runtime's constants (cycle time, repartition cost, backoff, chaos
+/// mix, ...) are part of the code. Fingerprinted into the journal header;
+/// also usable for offline inspection.
 obs::Json serving_config_to_json(const ServingConfig& cfg);
 obs::Json fleet_config_to_json(const FleetConfig& cfg);
 

@@ -27,14 +27,12 @@ namespace {
 constexpr double kColdStartTokens = 2.0;
 }  // namespace
 
-RetryBudget::RetryBudget(std::uint32_t tenants, double ratio, double cap)
-    : tokens_(tenants, std::min(cap, kColdStartTokens)),
-      ratio_(ratio),
-      cap_(cap) {}
+RetryBudget::RetryBudget(std::uint32_t tenants, double ratio)
+    : tokens_(tenants, kColdStartTokens), ratio_(ratio) {}
 
 void RetryBudget::on_admitted(std::uint32_t tenant) {
   if (tenant >= tokens_.size()) return;
-  tokens_[tenant] = std::min(cap_, tokens_[tenant] + ratio_);
+  tokens_[tenant] = std::min(kCap, tokens_[tenant] + ratio_);
 }
 
 bool RetryBudget::try_spend(std::uint32_t tenant) {
@@ -108,7 +106,7 @@ bool CircuitBreaker::record(bool success, std::uint64_t now) {
   if (state_ == State::kHalfOpen || failures_ >= k_) {
     const bool was_open = state_ == State::kOpen;
     state_ = State::kOpen;
-    open_until_ = now + open_cycles_;
+    open_until_ = now + kOpenCycles;
     return !was_open;
   }
   return false;
@@ -119,7 +117,7 @@ void CircuitBreaker::note_cancelled(std::uint64_t now) {
   if (state_ == State::kHalfOpen && probe_in_flight_) {
     probe_in_flight_ = false;
     state_ = State::kOpen;
-    open_until_ = now + open_cycles_;
+    open_until_ = now + kOpenCycles;
   }
 }
 
@@ -182,11 +180,11 @@ void LaneHealth::record(bool ok) {
 bool LaneHealth::wants_drain() const {
   if (wear_limit_ == 0) return false;
   return static_cast<double>(wear_) / static_cast<double>(wear_limit_) >=
-         drain_fraction_;
+         kDrainFraction;
 }
 
 bool LaneHealth::wants_scrub() const {
-  return failure_score_ * kFailureWeight > 1.0 - scrub_threshold_;
+  return failure_score_ * kFailureWeight > 1.0 - kScrubThreshold;
 }
 
 // -- ResilienceStats ----------------------------------------------------------

@@ -45,17 +45,13 @@
 
 namespace cryptopim::runtime {
 
-/// Seeded lane fault-episode injection composed with live traffic.
+/// Seeded lane fault-episode injection composed with live traffic. The
+/// episode process is fixed (serving.cc): exponential gaps of mean 150 us
+/// and durations of mean 60 us, half of them slowdowns (service stretched
+/// by kChaosSlowFactor) and the rest corrupting windows.
 struct ChaosConfig {
   bool enabled = false;
   std::uint64_t seed = 1;
-  /// Mean interval between episodes (exponential), simulated us.
-  double mean_interval_us = 150.0;
-  /// Mean episode duration (exponential), simulated us.
-  double mean_duration_us = 60.0;
-  /// Fraction of episodes that are slowdowns (service stretched by
-  /// kChaosSlowFactor, serving.cc); the rest corrupt results.
-  double slow_fraction = 0.5;
 };
 
 struct ResilienceConfig {
@@ -66,13 +62,12 @@ struct ResilienceConfig {
   double deadline_us = 0.0;
 
   // -- retries ----------------------------------------------------------------
-  /// Detected-bad results are re-queued up to this many times (0 = off).
+  /// Detected-bad results are re-queued up to this many times (0 = off),
+  /// after a backoff of 2048 cycles doubled per attempt and capped at
+  /// 2^16 (serving.cc).
   unsigned max_retries = 0;
   /// Tokens a tenant earns per admitted request; one retry costs 1.0.
   double retry_budget_ratio = 0.1;
-  /// First retry backoff; doubles per attempt, capped below.
-  std::uint64_t retry_backoff_cycles = 2048;
-  std::uint64_t retry_backoff_cap_cycles = 1 << 16;
 
   // -- hedging ----------------------------------------------------------------
   /// Duplicate a straggler onto a second lane, first result wins.
@@ -86,18 +81,14 @@ struct ResilienceConfig {
   double codel_interval_us = 100.0;
 
   // -- circuit breaker --------------------------------------------------------
-  /// Open a lane's breaker after K consecutive failures (0 = off).
+  /// Open a lane's breaker after K consecutive failures (0 = off); it
+  /// stays open for CircuitBreaker::kOpenCycles.
   unsigned breaker_k = 0;
-  /// Cycles a breaker stays open before the half-open probe.
-  std::uint64_t breaker_open_cycles = 1 << 16;
 
   // -- health / wear ----------------------------------------------------------
-  /// Dispatches a lane survives before wearing out (0 = wear off).
+  /// Dispatches a lane survives before wearing out (0 = wear off). The
+  /// lane drains and remaps at LaneHealth::kDrainFraction of it.
   std::uint64_t wear_limit = 0;
-  /// Drain and remap at this fraction of the wear limit.
-  double drain_fraction = 0.9;
-  /// Health score below which an idle lane is scrubbed.
-  double scrub_threshold = 0.7;
 
   // -- chaos ------------------------------------------------------------------
   ChaosConfig chaos;
@@ -113,13 +104,16 @@ struct ResilienceConfig {
 };
 
 /// Per-tenant retry token bucket: `ratio` tokens accrue per admitted
-/// request (capped), a retry spends 1.0. A tenant that keeps failing
+/// request (up to kCap), a retry spends 1.0. A tenant that keeps failing
 /// exhausts its bucket and its retries are dropped instead of amplified.
 /// Buckets start with a small cold-start reserve so the first failures
 /// of a run can retry before any accrual.
 class RetryBudget {
  public:
-  RetryBudget(std::uint32_t tenants, double ratio, double cap = 64.0);
+  /// Most tokens a bucket holds.
+  static constexpr double kCap = 64.0;
+
+  RetryBudget(std::uint32_t tenants, double ratio);
 
   void on_admitted(std::uint32_t tenant);
   /// Spend one retry token; false when the bucket is dry.
@@ -129,7 +123,6 @@ class RetryBudget {
  private:
   std::vector<double> tokens_;
   double ratio_;
-  double cap_;
 };
 
 /// Capped exponential backoff before retry number `attempt` (1-based):
@@ -148,15 +141,17 @@ std::uint64_t hedge_delay(double fixed_us, double cycles_per_us,
                           std::uint64_t min_samples);
 
 /// Per-lane circuit breaker: closed -> (K consecutive failures) -> open
-/// -> (open period elapses) -> half-open probe -> closed on success,
+/// -> (kOpenCycles elapse) -> half-open probe -> closed on success,
 /// re-open on failure.
 class CircuitBreaker {
  public:
   enum class State : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
+  /// Cycles a breaker stays open before the half-open probe.
+  static constexpr std::uint64_t kOpenCycles = 1 << 16;
+
   CircuitBreaker() = default;
-  CircuitBreaker(unsigned k, std::uint64_t open_cycles)
-      : k_(k), open_cycles_(open_cycles) {}
+  explicit CircuitBreaker(unsigned k) : k_(k) {}
 
   /// May the lane accept a request at `now`? Side-effect free so lane
   /// selection can filter on it; the open -> half-open transition
@@ -183,7 +178,6 @@ class CircuitBreaker {
 
  private:
   unsigned k_ = 0;  ///< 0 = breaker disabled, always allows
-  std::uint64_t open_cycles_ = 0;
   State state_ = State::kClosed;
   unsigned failures_ = 0;
   std::uint64_t open_until_ = 0;
@@ -220,17 +214,18 @@ class CoDelShedder {
 /// (§III-D), so wear is the number of dispatches since the lane last
 /// moved onto fresh banks; a remap starts a fresh LaneHealth. A lane
 /// that reaches `wear_limit` corrupts from then on, so the runtime drains
-/// and remaps it at `drain_fraction` of the limit, before that happens.
+/// and remaps it at kDrainFraction of the limit, before that happens.
 /// Outcomes feed an exponentially decayed failure score; a scrub
 /// forgives it.
 class LaneHealth {
  public:
+  /// Share of the wear limit at which the lane drains and remaps.
+  static constexpr double kDrainFraction = 0.9;
+  /// Health score below which an idle lane is scrubbed.
+  static constexpr double kScrubThreshold = 0.7;
+
   LaneHealth() = default;
-  LaneHealth(std::uint64_t wear_limit, double drain_fraction,
-             double scrub_threshold)
-      : wear_limit_(wear_limit),
-        drain_fraction_(drain_fraction),
-        scrub_threshold_(scrub_threshold) {}
+  explicit LaneHealth(std::uint64_t wear_limit) : wear_limit_(wear_limit) {}
 
   /// Account one dispatch (nothing counts while wear is off). Returns
   /// true on exactly the write that reaches the wear limit: the lane
@@ -238,7 +233,7 @@ class LaneHealth {
   bool note_dispatch();
   /// Record a request outcome on the decayed failure score.
   void record(bool ok);
-  /// Wear has reached `drain_fraction` of the limit.
+  /// Wear has reached kDrainFraction of the limit.
   bool wants_drain() const;
   /// The decayed failures outweigh the scrub threshold. Scrubbing
   /// re-programs cells: it forgives failures but cannot un-wear a
@@ -250,8 +245,6 @@ class LaneHealth {
 
  private:
   std::uint64_t wear_limit_ = 0;  ///< 0 = wear off
-  double drain_fraction_ = 0.0;
-  double scrub_threshold_ = 0.0;
   std::uint64_t wear_ = 0;
   double failure_score_ = 0.0;  ///< decayed count of recent failures
 };

@@ -141,6 +141,19 @@ obs::Json ServingReport::to_json() const {
 /// faults persist until the lane is remapped onto fresh banks).
 constexpr std::uint64_t kForever = ~std::uint64_t{0};
 
+/// Cycles a newly carved (or remapped) lane takes to become ready: the
+/// superbank reconfiguration cost.
+constexpr std::uint64_t kRepartitionCycles = 4096;
+/// Banks one injected bank-failure event takes out.
+constexpr unsigned kBanksPerFailure = 1;
+/// First retry backoff; doubles per attempt up to the cap.
+constexpr std::uint64_t kRetryBackoffCycles = 2048;
+constexpr std::uint64_t kRetryBackoffCapCycles = 1 << 16;
+/// Chaos episodes: mean gap and mean duration (both exponential), in
+/// simulated us, and the share that are slowdowns (the rest corrupt).
+constexpr double kChaosMeanIntervalUs = 150.0;
+constexpr double kChaosMeanDurationUs = 60.0;
+constexpr double kChaosSlowFraction = 0.5;
 /// Completion-latency multiplier while a chaos slowdown episode is active.
 constexpr double kChaosSlowFactor = 4.0;
 /// Observed completions before a p99-derived hedge delay is trusted.
@@ -171,9 +184,8 @@ struct ServingRuntime::Lane {
   /// Fresh banks (a carve or a remap): a closed breaker, no wear and no
   /// failure history.
   void reset_resilience(const ResilienceConfig& res) {
-    breaker = CircuitBreaker(res.breaker_k, res.breaker_open_cycles);
-    health = LaneHealth(res.wear_limit, res.drain_fraction,
-                        res.scrub_threshold);
+    breaker = CircuitBreaker(res.breaker_k);
+    health = LaneHealth(res.wear_limit);
   }
 };
 
@@ -918,7 +930,7 @@ ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
   Lane lane;
   lane.degree = degree;
   lane.banks = g.banks;
-  lane.free_at = now_ + cfg_.repartition_cycles;
+  lane.free_at = now_ + kRepartitionCycles;
   lane.track =
       runtime_track_base() + 1 + static_cast<std::uint32_t>(lanes_.size());
   lane.reset_resilience(cfg_.resilience);
@@ -931,7 +943,7 @@ ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
                                       std::to_string(lanes_.size()) + " (n=" +
                                       std::to_string(degree) + ")");
     tr.emit(runtime_track_base(), "repartition n=" + std::to_string(degree),
-            "runtime", now_, cfg_.repartition_cycles);
+            "runtime", now_, kRepartitionCycles);
   }
   if (elog_on()) {
     obs::Json rec = ev_base("carve", now_, cfg_.chip_id);
@@ -1281,12 +1293,12 @@ void ServingRuntime::handle_completion(const Event& e) {
 }
 
 void ServingRuntime::handle_bank_failure(const Event&) {
-  report_.bank_failures += cfg_.fail_banks;
-  failed_banks_ += cfg_.fail_banks;
-  report_.series.count("bank_failures", now_, cfg_.fail_banks);
+  report_.bank_failures += kBanksPerFailure;
+  failed_banks_ += kBanksPerFailure;
+  report_.series.count("bank_failures", now_, kBanksPerFailure);
   if (elog_on()) {
     obs::Json rec = ev_base("bank_failure", now_, cfg_.chip_id);
-    rec.set("banks", std::uint64_t{cfg_.fail_banks});
+    rec.set("banks", std::uint64_t{kBanksPerFailure});
     event_log_->log(std::move(rec));
   }
 
@@ -1369,7 +1381,7 @@ void ServingRuntime::handle_bank_failure(const Event&) {
     auto& tr = obs::tracer();
     if (first && tr.enabled()) {
       tr.emit(runtime_track_base(), "bank failure", "runtime", now_,
-              cfg_.repartition_cycles);
+              kRepartitionCycles);
     }
     if (allocated_banks_ > usable_banks()) {
       // Beyond the spare pool: the lane's banks are gone for good.
@@ -1383,7 +1395,7 @@ void ServingRuntime::handle_bank_failure(const Event&) {
       // the next health tick.
       report_.repartitions += 1;
       victim->free_at = std::max(victim->free_at, now_) +
-                        cfg_.repartition_cycles;
+                        kRepartitionCycles;
       schedule_scan(victim->free_at);
     }
   }
@@ -1503,7 +1515,6 @@ void ServingRuntime::handle_health(const Event&) {
 }
 
 void ServingRuntime::handle_chaos(const Event&) {
-  const ChaosConfig& ch = cfg_.resilience.chaos;
   std::vector<std::size_t> live;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (!lanes_[i].dead) live.push_back(i);
@@ -1513,8 +1524,8 @@ void ServingRuntime::handle_chaos(const Event&) {
         live[chaos_rng_.next_below(live.size())];
     Lane& lane = lanes_[idx];
     const std::uint64_t dur = exponential_cycles(
-        chaos_rng_, ch.mean_duration_us * cfg_.cycles_per_us());
-    const bool slow = uniform_unit(chaos_rng_) < ch.slow_fraction;
+        chaos_rng_, kChaosMeanDurationUs * cfg_.cycles_per_us());
+    const bool slow = uniform_unit(chaos_rng_) < kChaosSlowFraction;
     if (slow) {
       lane.slow_until = std::max(lane.slow_until, now_ + dur);
     } else if (lane.corrupt_until != kForever) {
@@ -1534,7 +1545,7 @@ bool ServingRuntime::schedule_retry(Request r, bool count_as_bank_retry) {
   const ResilienceConfig& res = cfg_.resilience;
   if (r.attempts >= res.max_retries) return false;
   const std::uint64_t backoff = retry_backoff(
-      res.retry_backoff_cycles, res.retry_backoff_cap_cycles, r.attempts + 1);
+      kRetryBackoffCycles, kRetryBackoffCapCycles, r.attempts + 1);
   // A retry that cannot finish by the deadline is not worth a token.
   if (r.deadline_cycle > 0 &&
       now_ + backoff + r.service_cycles > r.deadline_cycle) {
@@ -1611,7 +1622,7 @@ bool ServingRuntime::remap_if_drained(Lane& lane) {
   lane.draining = false;
   lane.slow_until = 0;
   lane.corrupt_until = 0;
-  lane.free_at = std::max(lane.free_at, now_) + cfg_.repartition_cycles;
+  lane.free_at = std::max(lane.free_at, now_) + kRepartitionCycles;
   lane.reset_resilience(cfg_.resilience);
   report_.resilience.proactive_remaps += 1;
   report_.repartitions += 1;
@@ -1620,7 +1631,7 @@ bool ServingRuntime::remap_if_drained(Lane& lane) {
   if (tr.enabled()) {
     tr.emit(runtime_track_base(),
             "wear remap lane " + std::to_string(&lane - lanes_.data()),
-            "resilience", now_, cfg_.repartition_cycles);
+            "resilience", now_, kRepartitionCycles);
   }
   return true;
 }
@@ -1638,7 +1649,7 @@ void ServingRuntime::arm_chaos_episode() {
   // Episodes strike only within the arrival horizon; the drain phase
   // runs fault-free so the event loop terminates.
   const std::uint64_t gap = exponential_cycles(
-      chaos_rng_, cfg_.resilience.chaos.mean_interval_us * cfg_.cycles_per_us());
+      chaos_rng_, kChaosMeanIntervalUs * cfg_.cycles_per_us());
   const std::uint64_t at = now_ + gap;
   if (at > horizon_) return;
   push_event(EventKind::kChaos, at);

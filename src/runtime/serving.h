@@ -24,11 +24,12 @@
 // per `slowest_stage_cycles` beat (times `segments` for degrees above
 // the design point) and delivers it a pipeline fill later
 // (`depth * beat + (segments-1) * beat`). Carving or re-carving a lane
-// is a *repartition* and costs `repartition_cycles` before the new lane
-// accepts work. A mid-stream bank failure (injected at a configured
-// cycle) consumes a spare bank when one is left — the victim lane pays a
-// repartition and its in-flight requests retry — and shrinks the pool
-// once spares are dry, exactly mirroring plan_for_degree(n, failed). A
+// is a *repartition* and costs a fixed 4096 cycles (kRepartitionCycles,
+// serving.cc) before the new lane accepts work. A mid-stream bank
+// failure (one bank, injected at a configured cycle) consumes a spare
+// bank when one is left — the victim lane pays a repartition and its
+// in-flight requests retry — and shrinks the pool once spares are dry,
+// exactly mirroring plan_for_degree(n, failed). A
 // victim that wear had set draining is empty after the teardown, so its
 // repartition is the wear remap and it accepts work straight after.
 //
@@ -140,18 +141,14 @@ struct ServingConfig {
 
   // -- admission and partitioning --------------------------------------------
   std::size_t queue_capacity = 1024;
-  /// Cycles a newly carved (or failure-remapped) lane takes to become
-  /// ready: superbank reconfiguration cost.
-  std::uint64_t repartition_cycles = 4096;
   /// Per-tenant fairness weights (wfq); missing tenants default to 1.
   std::vector<double> tenant_weights;
 
   // -- reliability ------------------------------------------------------------
   /// Inject one bank failure at this simulated microsecond (0 = none).
   double fail_bank_at_us = 0.0;
-  unsigned fail_banks = 1;
   /// Freivalds points for data-carrying requests.
-  unsigned verify_points = 2;
+  static constexpr unsigned verify_points = 2;
 
   // -- resilience (all features default off; see runtime/resilience.h) --------
   ResilienceConfig resilience;
@@ -163,10 +160,10 @@ struct ServingConfig {
   /// SLO objectives (availability + latency); off by default.
   obs::SloConfig slo;
 
-  /// Crossbar cycle time (defaults to the paper's 1.1 ns device).
-  double cycle_ns = 1.1;
+  /// Crossbar cycle time: the paper's 1.1 ns device (HSPICE, 45 nm).
+  static constexpr double cycle_ns = 1.1;
 
-  double cycles_per_us() const noexcept { return 1e3 / cycle_ns; }
+  static constexpr double cycles_per_us() noexcept { return 1e3 / cycle_ns; }
 };
 
 /// Per-tenant serving ledger.

@@ -120,9 +120,15 @@ ServingConfig path_config(Shape s, Path p) {
       res.codel_interval_us = 20.0;
       break;
     case Path::kTimeout:
-      // Admission counts a carving lane as live, but a carve slower than
-      // the deadline leaves everything behind it queued past it.
-      cfg.repartition_cycles = 200000;
+      // Admission counts every lane as live, but a lane that wear sets
+      // draining takes no new work until its in-flight ops finish and it
+      // remaps: what queued behind it waits past the deadline.
+      if (s == Shape::kRaw || s == Shape::kThreshold) {
+        cfg.chip.total_banks = 16;
+      }
+      overload(1.5);
+      cfg.queue_capacity = 64;
+      res.wear_limit = s == Shape::kBgvMul ? 20 : 10;
       res.deadline_us = 100.0;
       break;
     case Path::kStorm: break;  // the window opens after prime()
@@ -135,10 +141,10 @@ ServingConfig path_config(Shape s, Path p) {
       cfg.arrival_rate_per_s = 200000.0;
       cfg.duration_us = 600.0;
       cfg.fail_bank_at_us = 300.0;
-      // A retry is allowed but can never beat the deadline.
+      // A retry is allowed, but the deadline leaves no room for one.
       res.max_retries = 1;
-      res.deadline_us = 5000.0;
-      res.retry_backoff_cycles = res.retry_backoff_cap_cycles = 1u << 26;
+      res.deadline_us =
+          s == Shape::kRaw || s == Shape::kKem ? 100.0 : 80.0;
       break;
   }
   return cfg;
