@@ -52,10 +52,6 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
 
-  /// Stable identifier: "gate", "word" or "analytic". Emitted in the
-  /// serving report header and accepted by `serve --backend`.
-  virtual std::string_view name() const noexcept = 0;
-
   /// Whether execute() returns real coefficient vectors. The analytic
   /// tier returns accounting only.
   virtual bool functional() const noexcept = 0;
@@ -73,7 +69,6 @@ class GateLevelBackend final : public ExecutionBackend {
   GateLevelBackend();
   ~GateLevelBackend() override;
 
-  std::string_view name() const noexcept override { return "gate"; }
   bool functional() const noexcept override { return true; }
   BackendResult execute(const ntt::NttParams& params, const ntt::Poly& a,
                         const ntt::Poly& b) override;
@@ -90,7 +85,6 @@ class WordLevelBackend final : public ExecutionBackend {
   WordLevelBackend();
   ~WordLevelBackend() override;
 
-  std::string_view name() const noexcept override { return "word"; }
   bool functional() const noexcept override { return true; }
   BackendResult execute(const ntt::NttParams& params, const ntt::Poly& a,
                         const ntt::Poly& b) override;
@@ -103,7 +97,6 @@ class WordLevelBackend final : public ExecutionBackend {
 /// Accounting-only tier.
 class AnalyticBackend final : public ExecutionBackend {
  public:
-  std::string_view name() const noexcept override { return "analytic"; }
   bool functional() const noexcept override { return false; }
   BackendResult execute(const ntt::NttParams& params, const ntt::Poly& a,
                         const ntt::Poly& b) override;
