@@ -217,8 +217,6 @@ void FleetRuntime::prime() {
   report_.duration_cycles = horizon_;
   report_.cycles_per_us = cyc_per_us;
 
-  if (event_log_) event_log_->clear();
-
   if (durab_.enabled()) {
     fleet_journal_ = open_journal(durab_, "fleet.log", "fleet", 0,
                                   cfg_.chip.workload.seed,

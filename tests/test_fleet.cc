@@ -340,7 +340,8 @@ TEST(FleetServing, SharedEventLogStampsChipOnEveryRecord) {
   fc.kill_chip = 0;
   FleetRuntime fleet(fc);
   obs::EventLog log;
-  log.set_enabled(true);
+  log.open_stream(::testing::TempDir() + "/fleet_shared_events.jsonl",
+                  /*line_buffered=*/false);
   fleet.set_event_log(&log);
   const auto rep = fleet.run();
   expect_fleet_conserved(rep);
@@ -381,7 +382,8 @@ TEST(FleetServing, TraceIdsAreStableAcrossChips) {
   fc.chaos.mean_duration_us = 300.0;
   FleetRuntime fleet(fc);
   obs::EventLog log;
-  log.set_enabled(true);
+  log.open_stream(::testing::TempDir() + "/fleet_trace_ids.jsonl",
+                  /*line_buffered=*/false);
   fleet.set_event_log(&log);
   const auto rep = fleet.run();
   ASSERT_GT(rep.cross_retries, 0u);

@@ -223,7 +223,8 @@ TEST(ProtocolServing, BgvLimbFanOutLandsOnDistinctLanes) {
   ServingConfig cfg = proto_config(ProtocolKind::kBgvMul, 5);
   ServingRuntime rt(cfg);
   obs::EventLog elog;
-  elog.set_enabled(true);
+  elog.open_stream(::testing::TempDir() + "/proto_bgv_fan_out.jsonl",
+                   /*line_buffered=*/false);
   rt.set_event_log(&elog);
   const auto r = rt.run();
   expect_proto_conserved(r);
@@ -291,7 +292,8 @@ TEST(ProtocolServing, FleetChipKillKeepsTerminalRecordsUnique) {
   fc.kill_chip = 1;
   FleetRuntime fleet(std::move(fc));
   obs::EventLog elog;
-  elog.set_enabled(true);
+  elog.open_stream(::testing::TempDir() + "/proto_fleet_chip_kill.jsonl",
+                   /*line_buffered=*/false);
   fleet.set_event_log(&elog);
   const auto rep = fleet.run();
   EXPECT_EQ(rep.crashes, 1u);
