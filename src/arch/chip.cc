@@ -22,20 +22,16 @@ DegreePlan ChipConfig::plan_for_degree(std::uint32_t n,
   if (!is_pow2(n) || n < 4) {
     throw std::invalid_argument("degree must be a power of two >= 4");
   }
-  // Spares absorb failures one-for-one; only the excess eats into the
-  // working set.
-  const unsigned covered = std::min(failed_banks, spare_banks);
-  const unsigned lost = failed_banks - covered;
-  if (lost >= total_banks) {
+  const unsigned usable = usable_banks(failed_banks);
+  if (usable == 0) {
     throw std::runtime_error("chip out of banks: no superbank can be formed");
   }
-  const unsigned usable = total_banks - lost;
 
   DegreePlan plan;
   plan.n = n;
   plan.failed_banks = failed_banks;
-  plan.spares_used = covered;
-  plan.degraded = lost > 0;
+  plan.spares_used = std::min(failed_banks, spare_banks);
+  plan.degraded = usable < total_banks;
   if (n <= design_max_n) {
     plan.banks_per_softbank =
         n <= kElementsPerBank ? 1u : n / kElementsPerBank;

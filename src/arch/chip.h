@@ -57,11 +57,20 @@ struct ChipConfig {
   /// Partition (or segment) the chip for a given polynomial degree.
   DegreePlan plan_for_degree(std::uint32_t n) const;
 
-  /// Same, but with `failed_banks` banks out of service. Spares absorb
-  /// failures one-for-one; once the pool is dry the usable bank count
-  /// shrinks and the plan degrades to fewer superbanks (never fewer
-  /// than 1 — a chip that cannot host a single superbank throws).
+  /// Same, but with `failed_banks` banks out of service: the plan runs
+  /// on usable_banks(failed_banks) and degrades to fewer superbanks
+  /// (never fewer than 1 — a chip that cannot host a single superbank
+  /// throws).
   DegreePlan plan_for_degree(std::uint32_t n, unsigned failed_banks) const;
+
+  /// Working banks left with `failed_banks` out of service. Spares
+  /// absorb failures one-for-one; once the pool is dry the usable count
+  /// shrinks, down to 0 once no bank is left.
+  unsigned usable_banks(unsigned failed_banks) const noexcept {
+    const unsigned lost =
+        failed_banks > spare_banks ? failed_banks - spare_banks : 0;
+    return lost >= total_banks ? 0 : total_banks - lost;
+  }
 
   /// Total memory blocks on the chip.
   std::uint64_t total_blocks() const {
