@@ -149,9 +149,9 @@ int serve_help() {
          "  --codel-interval US  CoDel control interval (default 100)\n"
          "  --breaker K          per-lane circuit breaker: open after K\n"
          "                       consecutive failures, half-open probe\n"
-         "  --wear-limit N       lane endurance budget in dispatches; the\n"
-         "                       health monitor drains and remaps worn\n"
-         "                       lanes before they corrupt traffic\n"
+         "  --wear-limit N       lane endurance budget in dispatches: a\n"
+         "                       lane near it drains and remaps before it\n"
+         "                       corrupts traffic\n"
          "  --chaos              seeded lane fault episodes (slowdowns and\n"
          "                       corrupting windows) + the full mitigation\n"
          "                       stack; individual flags still override\n"
