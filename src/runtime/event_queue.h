@@ -39,12 +39,11 @@ enum class EventKind : std::uint8_t {
   kChaos,         ///< a chaos fault episode strikes a lane
   // -- fleet layer (scheduled only by runtime::FleetRuntime in its own
   // namespace; a chip never handles these) ----------------------------------
-  kFleetArrival,     ///< a request enters the fleet front-end router
-  kFleetRetry,       ///< a backed-off cross-chip retry re-dispatches
-  kFleetHedgeCheck,  ///< straggler check: duplicate onto a replica chip
-  kFleetHealth,      ///< periodic chip-health tick (drain, scrub, rejoin)
-  kFleetChaos,       ///< a whole-chip chaos episode strikes
-  kFleetChipUp,      ///< a drained/crashed chip finished scrubbing: rejoin
+  kFleetArrival,  ///< a request enters the fleet front-end router
+  kFleetRetry,    ///< a backed-off cross-chip retry re-dispatches
+  kFleetHealth,   ///< periodic chip-health tick (drain, scrub, rejoin)
+  kFleetChaos,    ///< a whole-chip chaos episode strikes
+  kFleetChipUp,   ///< a drained/crashed chip finished scrubbing: rejoin
 };
 
 struct Event {

@@ -7,8 +7,6 @@ namespace cryptopim::runtime {
 
 namespace {
 
-/// Observed chip service times before a p99-derived hedge delay is trusted.
-constexpr std::uint64_t kHedgeMinSamples = 64;
 /// Cross-chip retry backoff: doubled per attempt up to the cap.
 constexpr std::uint64_t kRetryBackoffCycles = 2048;
 constexpr std::uint64_t kRetryBackoffCapCycles = 1 << 20;
@@ -24,8 +22,6 @@ constexpr double kScrubUs = 500.0;
 /// corruption storms.
 constexpr double kCrashFraction = 0.25;
 constexpr double kBrownoutFraction = 0.4;
-/// Service-time multiplier during a chip brownout episode.
-constexpr double kBrownoutSlowFactor = 3.0;
 
 std::uint64_t splitmix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
@@ -128,8 +124,6 @@ obs::Json FleetReport::to_json() const {
   j.set("parked", parked);
   j.set("cross_retries", cross_retries);
   j.set("retry_budget_denied", retry_budget_denied);
-  j.set("hedges_launched", hedges_launched);
-  j.set("hedge_wasted", hedge_wasted);
   j.set("drains", drains);
   j.set("crashes", crashes);
   j.set("brownouts", brownouts);
@@ -167,18 +161,13 @@ struct FleetRuntime::ChipState {
   std::uint64_t failures = 0;
 };
 
-/// One fleet-visible request from arrival to its final fate. `live`
-/// counts active chip submissions (initial route, cross-retries, fleet
-/// hedges each add one; every submission either reports a terminal
-/// outcome or is reclaimed by a drain/crash). The entry is erased once
-/// done (or terminally failed) and no submission is still running.
+/// One fleet-visible request from arrival to its final fate. At most
+/// one chip holds it at a time: it is queued or running there, in a
+/// cross-chip retry's backoff, or parked. The entry is erased when a
+/// chip's outcome settles it.
 struct FleetRuntime::Outstanding {
   Request original;
   unsigned attempts = 0;  ///< cross-chip re-dispatches consumed
-  unsigned live = 0;
-  bool done = false;
-  Outcome last_bad = Outcome::kFailed;
-  std::uint64_t last_dispatch_cycle = 0;
   std::uint32_t last_chip = 0;
 };
 
@@ -252,7 +241,6 @@ void FleetRuntime::prime() {
       std::max<std::uint32_t>(cfg_.chip.workload.tenants, 1);
   retry_budget_ =
       std::make_unique<RetryBudget>(tenants, cfg_.retry_budget_ratio);
-  service_hist_ = obs::Histogram{};
   chaos_rng_ = Xoshiro256(cfg_.chaos.seed);
 
   const double rate_per_cycle =
@@ -307,9 +295,7 @@ FleetReport FleetRuntime::run() {
 FleetReport FleetRuntime::seal() {
   // Unresolved requests (parked with every candidate down, or stranded
   // in a starved chip queue) surface as fleet `queued`.
-  for (const auto& [id, ent] : outstanding_) {
-    if (!ent.done) report_.queued += 1;
-  }
+  report_.queued = outstanding_.size();
   outstanding_.clear();
   parked_.clear();
   for (auto& chip : chips_) report_.chip_reports.push_back(chip->seal());
@@ -335,8 +321,7 @@ FleetReport FleetRuntime::seal() {
          {"fld", report_.failed},
          {"que", report_.queued},
          {"rtd", report_.routed},
-         {"xrt", report_.cross_retries},
-         {"hdg", report_.hedges_launched}}));
+         {"xrt", report_.cross_retries}}));
   }
   return report_;
 }
@@ -401,7 +386,6 @@ void FleetRuntime::handle_fleet_event(const Event& e) {
   switch (e.kind) {
     case EventKind::kFleetArrival: handle_fleet_arrival(e); break;
     case EventKind::kFleetRetry: handle_fleet_retry(e); break;
-    case EventKind::kFleetHedgeCheck: handle_hedge_check(e); break;
     case EventKind::kFleetHealth: handle_fleet_health(); break;
     case EventKind::kFleetChaos: handle_fleet_chaos(e); break;
     case EventKind::kFleetChipUp: handle_chip_up(e); break;
@@ -449,66 +433,29 @@ bool FleetRuntime::dispatch_to_fleet(const Request& r, bool first) {
     return false;
   }
   const std::uint32_t target = router_->pick(r, candidates);
-  auto& ent = outstanding_.at(r.id);
-  ent.live += 1;
-  ent.last_chip = target;
-  ent.last_dispatch_cycle = now_;
+  outstanding_.at(r.id).last_chip = target;
   chips_[target]->inject(r, now_);
   if (first) {
     report_.routed += 1;
     if (elog_on()) event_log_->log(ev_base("route", now_, target, &r));
-    if (cfg_.hedge) {
-      const std::uint64_t delay =
-          hedge_delay(cfg_.hedge_delay_us, cfg_.chip.cycles_per_us(),
-                      service_hist_, kHedgeMinSamples);
-      if (delay > 0) {
-        push_event(EventKind::kFleetHedgeCheck, now_ + delay, r.id);
-      }
-    }
   }
   return true;
 }
 
 void FleetRuntime::on_outcome(std::uint32_t chip, const Request& r, Outcome o,
                               std::uint64_t cycle) {
-  auto it = outstanding_.find(r.id);
-  if (it == outstanding_.end()) return;  // stale duplicate, already settled
-  Outstanding& ent = it->second;
+  // The one chip holding the request reports it once; nothing else
+  // settles an entry.
+  Outstanding& ent = outstanding_.at(r.id);
   ChipState& cs = states_[chip];
   cs.outcomes += 1;
   cs.failures += o != Outcome::kCompleted;
-  service_hist_.add(cycle >= ent.last_dispatch_cycle
-                        ? cycle - ent.last_dispatch_cycle
-                        : 0);
-  if (ent.live > 0) ent.live -= 1;
 
-  if (ent.done) {
-    // A fleet-hedge duplicate finishing after the winner: wasted work.
-    if (o == Outcome::kCompleted) report_.hedge_wasted += 1;
-    if (ent.live == 0) outstanding_.erase(it);
-    return;
-  }
-  if (o == Outcome::kCompleted) {
-    ent.done = true;
-    report_.completed += 1;
-    report_.latency_cycles.add(cycle - ent.original.arrival_cycle);
-    // Final-fate settlement: exactly one out record per fleet request.
-    if (fleet_journal_) {
-      fleet_journal_->record(Journal::outcome_payload(
-          clock_.event_index, cycle, r.id, Outcome::kCompleted));
-    }
-    if (ent.live == 0) outstanding_.erase(it);
-    return;
-  }
-  ent.last_bad = o;
-  if (ent.live > 0) return;  // a hedge twin is still running; wait for it
-
-  // Cross-chip retry: re-dispatch the original onto another chip under
+  // Cross-chip retry: re-dispatch the original through the router under
   // the fleet budget, backing off exponentially per attempt.
-  if (ent.attempts < cfg_.max_retries) {
+  if (o != Outcome::kCompleted && ent.attempts < cfg_.max_retries) {
     if (retry_budget_->try_spend(r.tenant)) {
       ent.attempts += 1;
-      report_.cross_retries += 1;
       push_event(EventKind::kFleetRetry,
                  cycle + retry_backoff(kRetryBackoffCycles,
                                        kRetryBackoffCapCycles, ent.attempts),
@@ -517,48 +464,36 @@ void FleetRuntime::on_outcome(std::uint32_t chip, const Request& r, Outcome o,
     }
     report_.retry_budget_denied += 1;
   }
-  // Out of retries: the request's fate is its last bad outcome.
-  switch (ent.last_bad) {
+  // Final fate: this outcome.
+  switch (o) {
+    case Outcome::kCompleted:
+      report_.completed += 1;
+      report_.latency_cycles.add(cycle - ent.original.arrival_cycle);
+      break;
     case Outcome::kRejected: report_.rejected += 1; break;
     case Outcome::kShed: report_.shed += 1; break;
     case Outcome::kTimedOut: report_.timed_out += 1; break;
-    default: report_.failed += 1; break;
+    case Outcome::kFailed: report_.failed += 1; break;
   }
+  // Final-fate settlement: exactly one out record per fleet request.
   if (fleet_journal_) {
-    fleet_journal_->record(Journal::outcome_payload(clock_.event_index, cycle,
-                                                    r.id, ent.last_bad));
+    fleet_journal_->record(
+        Journal::outcome_payload(clock_.event_index, cycle, r.id, o));
   }
-  outstanding_.erase(it);
+  outstanding_.erase(r.id);
 }
 
 void FleetRuntime::handle_fleet_retry(const Event& e) {
-  const auto it = outstanding_.find(e.request.id);
-  if (it == outstanding_.end() || it->second.done) return;
-  if (dispatch_to_fleet(e.request, /*first=*/false) && elog_on()) {
-    obs::Json rec =
-        ev_base("fleet_retry", now_, it->second.last_chip, &e.request);
-    rec.set("attempt", std::uint64_t{it->second.attempts});
-    event_log_->log(std::move(rec));
-  }
-}
-
-void FleetRuntime::handle_hedge_check(const Event& e) {
-  const auto it = outstanding_.find(e.dispatch_id);
-  if (it == outstanding_.end()) return;  // settled before the check
-  Outstanding& ent = it->second;
-  if (ent.done || ent.live != 1) return;
-  // Duplicate onto a *different* up chip; first outcome wins.
-  auto candidates = candidates_for(ent.original.degree);
-  std::erase_if(candidates,
-                [&](const ChipView& v) { return v.id == ent.last_chip; });
-  if (candidates.empty()) return;
-  const std::uint32_t target = router_->pick(ent.original, candidates);
-  ent.live += 1;
-  ent.last_dispatch_cycle = now_;
-  chips_[target]->inject(ent.original, now_);
-  report_.hedges_launched += 1;
+  // Counted when the retry lands on a chip: one that finds every
+  // candidate down parks, and the rejoin that routes it counts it as
+  // redispatched.
+  if (!dispatch_to_fleet(e.request, /*first=*/false)) return;
+  report_.cross_retries += 1;
   if (elog_on()) {
-    event_log_->log(ev_base("fleet_hedge", now_, target, &ent.original));
+    const Outstanding& ent = outstanding_.at(e.request.id);
+    obs::Json rec = ev_base("fleet_retry", now_, ent.last_chip, &e.request);
+    rec.set("attempt", std::uint64_t{ent.attempts});
+    event_log_->log(std::move(rec));
   }
 }
 
@@ -612,7 +547,7 @@ void FleetRuntime::handle_fleet_chaos(const Event& e) {
     if (kind < kCrashFraction) {
       crash_chip(chip);
     } else if (kind < kCrashFraction + kBrownoutFraction) {
-      chips_[chip]->slow_down(now_ + dur, kBrownoutSlowFactor);
+      chips_[chip]->slow_down(now_ + dur);
       report_.brownouts += 1;
       log_control("chip_brownout", chip);
     } else {
@@ -646,24 +581,14 @@ void FleetRuntime::crash_chip(std::uint32_t chip) {
 }
 
 void FleetRuntime::redispatch_all(std::vector<Request> work) {
-  // Reclaimed submissions report no outcome; settle the live count here
-  // and re-route (budget-free: migration is the fleet's fault, not the
-  // request's). A request whose hedge twin still runs elsewhere needs no
-  // replacement — the twin covers it.
-  for (Request& r : work) {
-    const auto it = outstanding_.find(r.id);
-    if (it == outstanding_.end()) continue;
-    Outstanding& ent = it->second;
-    if (ent.live > 0) ent.live -= 1;
-    if (ent.done) {
-      if (ent.live == 0) outstanding_.erase(it);
-      continue;
-    }
-    if (ent.live > 0) continue;  // twin still running
+  // Reclaimed submissions report no outcome; re-route each (budget-free:
+  // migration is the fleet's fault, not the request's).
+  for (const Request& r : work) {
     if (dispatch_to_fleet(r, /*first=*/false)) {
       report_.redispatched += 1;
       if (elog_on()) {
-        event_log_->log(ev_base("migrate", now_, ent.last_chip, &r));
+        event_log_->log(
+            ev_base("migrate", now_, outstanding_.at(r.id).last_chip, &r));
       }
     }
   }
@@ -691,9 +616,7 @@ void FleetRuntime::handle_chip_up(const Event& e) {
   // Anything parked while every candidate was out gets another chance.
   std::vector<Request> stranded;
   stranded.swap(parked_);
-  for (Request& r : stranded) {
-    const auto it = outstanding_.find(r.id);
-    if (it == outstanding_.end() || it->second.done) continue;
+  for (const Request& r : stranded) {
     if (dispatch_to_fleet(r, /*first=*/false)) report_.redispatched += 1;
   }
 }

@@ -11,11 +11,11 @@
 //   * placement — each degree class is assigned `replicas` chips by a
 //     shard map that is rebuilt (a *re-shard*) whenever fleet
 //     membership changes;
-//   * cross-chip retry and hedging — a request a chip gives up on
-//     (rejected / shed / timed out / failed) is re-dispatched onto
-//     another chip under a fleet-level retry budget and capped backoff;
-//     stragglers are duplicated onto a replica after a hedge delay
-//     (fixed or p99-derived), first outcome wins;
+//   * cross-chip retry — a request a chip gives up on (rejected / shed
+//     / timed out / failed) is re-dispatched through the router under a
+//     fleet-level retry budget and capped backoff. At most one chip
+//     works on a request at a time; stragglers are hedged inside each
+//     chip, onto a second lane (ServingConfig::resilience);
 //   * failure domains — per-chip health (terminal-outcome failure ratio
 //     over a sliding window) folds into whole-chip *drain*: queued work
 //     migrates to siblings, the shard map is rebuilt, and the chip
@@ -64,16 +64,14 @@ struct FleetConfig {
   std::uint32_t replicas = 2;
 
   /// Per-chip template: policy / backend / chip geometry / per-lane
-  /// resilience. Its workload, arrival_rate_per_s and duration_us are
-  /// FLEET-wide (the front-end generates one stream and routes it);
-  /// chip_id is overwritten per chip.
+  /// resilience (hedging included). Its workload, arrival_rate_per_s and
+  /// duration_us are FLEET-wide (the front-end generates one stream and
+  /// routes it); chip_id is overwritten per chip.
   ServingConfig chip;
 
-  // -- cross-chip retry / hedging (fleet granularity) -------------------------
+  // -- cross-chip retry (fleet granularity) -----------------------------------
   unsigned max_retries = 2;          ///< re-dispatches per request
   double retry_budget_ratio = 0.1;   ///< fleet retry tokens per admitted
-  bool hedge = false;
-  double hedge_delay_us = 0.0;       ///< 0 = p99 of observed service
 
   // -- chip health -> drain -> scrub (kScrubUs, fleet.cc) -> rejoin ----------
   FleetChaosConfig chaos;
@@ -106,9 +104,10 @@ std::unique_ptr<Router> make_router(const std::string& name);
 /// Aggregate fleet ledger (schema "fleet/1"): request fates are counted
 /// once, by final outcome, so
 ///   submitted == completed + rejected + shed + timed_out + failed + queued
-/// holds exactly, while Σ per-chip submitted ==
-///   routed + cross_retries + hedges_launched + redispatched
-/// ties the per-chip serving/3 reports to the fleet counters.
+/// holds exactly, while Σ per-chip submitted (protocol.requests on a
+/// protocol chip) == routed + cross_retries + redispatched
+/// ties the per-chip serving/3 reports to the fleet counters: each counts
+/// a request when it lands on a chip.
 struct FleetReport {
   std::uint32_t chips = 0;
   std::string router;
@@ -131,10 +130,8 @@ struct FleetReport {
   std::uint64_t parked = 0;  ///< arrivals with no live candidate chip
 
   // Cross-chip resilience.
-  std::uint64_t cross_retries = 0;
+  std::uint64_t cross_retries = 0;  ///< retries dispatched onto a chip
   std::uint64_t retry_budget_denied = 0;
-  std::uint64_t hedges_launched = 0;
-  std::uint64_t hedge_wasted = 0;  ///< duplicate finished after the winner
 
   // Failure domains.
   std::uint64_t drains = 0;
@@ -143,9 +140,9 @@ struct FleetReport {
   std::uint64_t corruption_storms = 0;
   std::uint64_t rejoins = 0;
   std::uint64_t migrated = 0;       ///< queued requests moved off a chip
-  std::uint64_t redispatched = 0;   ///< migrated/lost work re-routed
+  std::uint64_t redispatched = 0;   ///< migrated/lost/parked work re-routed
 
-  obs::Histogram latency_cycles;  ///< arrival -> winning completion
+  obs::Histogram latency_cycles;  ///< arrival -> completion
   double throughput_per_s = 0;
   double offered_per_s = 0;
   double cycles_per_us = 1.0;
@@ -168,7 +165,7 @@ class FleetRuntime {
   const FleetConfig& config() const noexcept { return cfg_; }
 
   /// Shared lifecycle log (serve-events/2): chips stamp their own chip
-  /// id, the fleet stamps the target chip on route/migrate/retry/hedge
+  /// id, the fleet stamps the target chip on route/migrate/fleet_retry
   /// records, so one log interleaves the whole fleet's streams.
   void set_event_log(obs::EventLog* log) noexcept;
 
@@ -195,7 +192,6 @@ class FleetRuntime {
   void handle_fleet_event(const Event& e);
   void handle_fleet_arrival(const Event& e);
   void handle_fleet_retry(const Event& e);
-  void handle_hedge_check(const Event& e);
   void handle_fleet_health();
   void handle_fleet_chaos(const Event& e);
   void handle_chip_up(const Event& e);
@@ -223,7 +219,7 @@ class FleetRuntime {
     clock_.push(cfg_.chips, kind, cycle, dispatch_id, std::move(r));
   }
   /// Fleet-level snapshot state: chip membership + shard map + cross-chip
-  /// retry/hedge bookkeeping + RNG digests + every chip's own state dump.
+  /// retry bookkeeping + RNG digests + every chip's own state dump.
   obs::Json snapshot_state() const;
   void log_control(const char* ev, std::uint32_t chip);
   bool elog_on() const noexcept {
@@ -243,7 +239,6 @@ class FleetRuntime {
   std::uint64_t horizon_ = 0;
   bool health_armed_ = false;
   Xoshiro256 chaos_rng_{1};
-  obs::Histogram service_hist_;  ///< dispatch -> outcome, for hedge p99
   std::map<std::uint64_t, Outstanding> outstanding_;
   std::vector<Request> parked_;  ///< unroutable until a chip rejoins
   obs::EventLog* event_log_ = nullptr;

@@ -135,8 +135,6 @@ obs::Json fleet_config_to_json(const FleetConfig& cfg) {
   j.set("chip", serving_config_to_json(cfg.chip));
   j.set("max_retries", std::uint64_t{cfg.max_retries});
   j.set("retry_budget_ratio", cfg.retry_budget_ratio);
-  j.set("hedge", cfg.hedge);
-  j.set("hedge_delay_us", cfg.hedge_delay_us);
   obs::Json chaos = obs::Json::object();
   chaos.set("enabled", cfg.chaos.enabled);
   chaos.set("seed", std::to_string(cfg.chaos.seed));

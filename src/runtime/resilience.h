@@ -134,8 +134,8 @@ std::uint64_t retry_backoff(std::uint64_t base, std::uint64_t cap,
 /// Delay before a straggler is hedged, in cycles: `fixed_us` when one is
 /// configured (> 0), otherwise the p99 of the observed `service` times
 /// once it holds `min_samples` — until then 0, and stragglers run
-/// unhedged. The chip hedges onto a second lane, the fleet onto a
-/// replica chip; both derive the delay here.
+/// unhedged. Only the chip hedges, onto a second lane; a fleet hedges
+/// through its chips.
 std::uint64_t hedge_delay(double fixed_us, double cycles_per_us,
                           const obs::Histogram& service,
                           std::uint64_t min_samples);

@@ -563,17 +563,19 @@ std::vector<Request> ServingRuntime::extract_pending() {
 }
 
 std::vector<Request> ServingRuntime::crash_chip() {
-  // Deduplicate by request id: a hedged pair is two in-flight entries but
-  // one request, and the fleet must re-dispatch it exactly once.
+  // Every lane dies first, so no drop below remaps one.
+  for (Lane& lane : lanes_) lane.dead = true;
+  // Every dispatch ends through drop_in_flight. Deduplicate by request
+  // id: a hedged pair is two in-flight entries but one request, and the
+  // fleet must re-dispatch it exactly once.
   std::vector<Request> out;
   std::set<std::uint64_t> seen;
-  for (const auto& [id, inf] : in_flight_) {
-    if (inf.request.proto_id == 0 && seen.insert(inf.request.id).second) {
-      out.push_back(inf.request);
-    }
-  }
   report_.lost_in_flight += in_flight_.size();
-  in_flight_.clear();
+  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
+    const Request& r = it->second.request;
+    if (r.proto_id == 0 && seen.insert(r.id).second) out.push_back(r);
+    it = drop_in_flight(it);
+  }
   for (Request& r : pending_) {
     if (r.proto_id == 0 && seen.insert(r.id).second) {
       out.push_back(std::move(r));
@@ -586,10 +588,6 @@ std::vector<Request> ServingRuntime::crash_chip() {
   // and the fleet re-dispatches the whole DAG exactly once.
   for (auto& [pid, st] : protos_) out.push_back(std::move(st.origin));
   protos_.clear();
-  for (Lane& lane : lanes_) {
-    lane.dead = true;
-    lane.in_flight = 0;
-  }
   // Dark until revive(): no usable banks, so nothing dispatches. Stray
   // internal-retry events still in the air re-enter the queue and wait;
   // completion/hedge/scan events for the dead lanes fire as no-ops.
@@ -606,9 +604,8 @@ void ServingRuntime::revive(std::uint64_t cycle) {
   if (health_) arm_health_tick(kHealthPeriodCycles);
 }
 
-void ServingRuntime::slow_down(std::uint64_t until_cycle, double factor) {
+void ServingRuntime::slow_down(std::uint64_t until_cycle) {
   chip_slow_until_ = std::max(chip_slow_until_, until_cycle);
-  if (factor > 1.0) chip_slow_factor_ = factor;
 }
 
 void ServingRuntime::corrupt_window(std::uint64_t until_cycle) {
@@ -962,6 +959,9 @@ void ServingRuntime::reclaim_idle_lanes(unsigned needed,
   }
 }
 
+/// Service-time multiplier while a whole-chip brownout is active.
+constexpr double kBrownoutSlowFactor = 3.0;
+
 std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
                                      std::uint64_t hedge_of) {
   const std::uint64_t t0 = now_;
@@ -997,7 +997,7 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
     // Whole-chip brownout: every dispatch in the episode runs slow.
     if (t0 < chip_slow_until_) {
       service = static_cast<std::uint64_t>(
-          static_cast<double>(service) * chip_slow_factor_);
+          static_cast<double>(service) * kBrownoutSlowFactor);
     }
     inf.chip_corrupt = t0 < chip_corrupt_until_;
     lane->free_at = t0 + g.occupancy();
@@ -1332,14 +1332,12 @@ void ServingRuntime::handle_bank_failure(const Event&) {
     report_.series.count("retries", now_);
   };
 
-  // After the first victim, keep tearing lanes down while several banks
-  // failed at once and the pool shrank below what is still allocated.
-  for (bool first = true; first || allocated_banks_ > usable_banks();
-       first = false) {
-    Lane* victim = pick_victim();
-    if (!victim) break;
+  // One victim is enough: a failure takes kBanksPerFailure (1) bank, and
+  // every lane holds at least 2, so tearing one lane down brings what is
+  // allocated back within the shrunken pool.
+  if (Lane* victim = pick_victim()) {
     auto& tr = obs::tracer();
-    if (first && tr.enabled()) {
+    if (tr.enabled()) {
       tr.emit(runtime_track_base(), "bank failure", "runtime", now_,
               kRepartitionCycles);
     }
@@ -1380,6 +1378,7 @@ void ServingRuntime::handle_bank_failure(const Event&) {
       schedule_scan(victim->free_at);
     }
   }
+  assert(allocated_banks_ <= usable_banks());
   try_dispatch();
 }
 

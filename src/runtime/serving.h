@@ -332,8 +332,9 @@ class ServingRuntime {
   /// (lanes re-carve on demand) and a wake-up scan at `cycle` dispatches
   /// anything that strayed into the queue while dark.
   void revive(std::uint64_t cycle);
-  /// Brownout episode: dispatches until `until_cycle` run `factor`x slow.
-  void slow_down(std::uint64_t until_cycle, double factor);
+  /// Brownout episode: dispatches until `until_cycle` run
+  /// kBrownoutSlowFactor (serving.cc) times slow.
+  void slow_down(std::uint64_t until_cycle);
   /// Corruption-storm episode: results dispatched before `until_cycle`
   /// are corrupt; the layered checks detect them on completion and the
   /// chip surrenders them (Outcome::kFailed) unless its own resilience
@@ -521,7 +522,6 @@ class ServingRuntime {
 
   // -- whole-chip episode state (set only by a fleet's chip chaos) ------------
   std::uint64_t chip_slow_until_ = 0;
-  double chip_slow_factor_ = 1.0;
   std::uint64_t chip_corrupt_until_ = 0;
 
   ServingReport report_;

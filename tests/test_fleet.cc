@@ -3,9 +3,9 @@
 // that makes the fleet's one timeline a strict total order.
 //
 // The integration tests drive real FleetRuntime runs — routing,
-// placement, cross-chip retry/hedging and the drain/re-shard machinery
-// only count if they hold up with N live ServingRuntime chips on the
-// fleet's clock. Routers also get direct unit tests.
+// placement, cross-chip retry, per-chip hedging and the drain/re-shard
+// machinery only count if they hold up with N live ServingRuntime chips
+// on the fleet's clock. Routers also get direct unit tests.
 
 #include "runtime/fleet.h"
 
@@ -49,8 +49,7 @@ void expect_fleet_conserved(const FleetReport& r) {
                              r.failed + r.queued);
   std::uint64_t chip_submitted = 0;
   for (const auto& c : r.chip_reports) chip_submitted += c.submitted;
-  EXPECT_EQ(chip_submitted,
-            r.routed + r.cross_retries + r.hedges_launched + r.redispatched);
+  EXPECT_EQ(chip_submitted, r.routed + r.cross_retries + r.redispatched);
 }
 
 std::uint64_t fleet_wrong_accepted(const FleetReport& r) {
@@ -223,7 +222,7 @@ TEST(FleetServing, SameSeedIsByteIdentical) {
   auto cfg = small_fleet(4, /*seed=*/9);
   cfg.chaos.enabled = true;
   cfg.chaos.seed = 9;
-  cfg.hedge = true;
+  cfg.chip.resilience.hedge = true;
   const auto a = FleetRuntime(cfg).run();
   const auto b = FleetRuntime(cfg).run();
   EXPECT_EQ(json_text(a), json_text(b));
@@ -276,6 +275,77 @@ TEST(FleetServing, KillingEveryChipParksArrivalsUntilRejoin) {
   EXPECT_EQ(fleet_wrong_accepted(rep), 0u);
   // The fleet kept serving after the rejoin.
   EXPECT_GT(rep.completed, 0u);
+}
+
+TEST(FleetServing, ParkedCrossRetryCountsOnceWhenItLands) {
+  // One chip with a short queue: queue-full rejections go to cross-chip
+  // retry. Retries whose backoff ends while the killed chip scrubs find
+  // no candidate and park; the rejoin routes them. Each counts once, as
+  // redispatched and not also as a cross-chip retry, so the chips'
+  // submissions still tie to the ledger.
+  auto fc = small_fleet(1, /*seed=*/1);
+  fc.replicas = 1;
+  fc.chip.arrival_rate_per_s = 3000000.0;
+  fc.chip.duration_us = 2000.0;
+  fc.chip.queue_capacity = 16;
+  fc.kill_chip_at_us = 600.0;
+  fc.kill_chip = 0;
+  FleetRuntime fleet(fc);
+  const auto rep = fleet.run();
+  EXPECT_EQ(rep.crashes, 1u);
+  EXPECT_GT(rep.parked, 0u);
+  expect_fleet_conserved(rep);
+}
+
+TEST(FleetServing, ChipCrashEndsHedgedPairsAndMigratesEachRequestOnce) {
+  // Chips hedge nearly every dispatch onto a second lane; the crash ends
+  // every in-flight dispatch, twins included, and the fleet re-routes
+  // each request once.
+  auto fc = small_fleet(3, /*seed=*/3);
+  fc.chip.duration_us = 2000.0;
+  fc.chip.resilience.hedge = true;
+  fc.chip.resilience.hedge_delay_us = 1.0;
+  fc.kill_chip_at_us = 700.0;
+  fc.kill_chip = 1;
+  FleetRuntime fleet(fc);
+  obs::EventLog log;
+  log.open_stream(::testing::TempDir() + "/fleet_hedged_crash.jsonl",
+                  /*line_buffered=*/false);
+  fleet.set_event_log(&log);
+  const auto rep = fleet.run();
+  EXPECT_EQ(rep.crashes, 1u);
+  std::uint64_t hedges = 0;
+  for (const auto& c : rep.chip_reports) hedges += c.resilience.hedges;
+  EXPECT_GT(hedges, 0u);
+  expect_fleet_conserved(rep);
+  EXPECT_EQ(fleet_wrong_accepted(rep), 0u);
+
+  const auto& records = log.records();
+  std::uint64_t crash_cycle = 0;
+  for (const auto& rec : records) {
+    if (rec.at("ev").as_string() == "chip_crash") {
+      crash_cycle = rec.at("cycle").as_u64();
+    }
+  }
+  ASSERT_GT(crash_cycle, 0u);
+  std::set<std::uint64_t> traces;
+  std::uint64_t migrates = 0;
+  for (const auto& rec : records) {
+    if (rec.at("ev").as_string() != "migrate" ||
+        rec.at("cycle").as_u64() != crash_cycle) {
+      continue;
+    }
+    migrates += 1;
+    EXPECT_TRUE(traces.insert(rec.at("trace").as_u64()).second)
+        << "trace " << rec.at("trace").as_u64() << " migrated twice";
+  }
+  EXPECT_GT(migrates, 0u);
+  // Hedged pairs were in flight: with no drain, the victim's lost
+  // dispatches and migrated queue come from the crash alone, and they
+  // outnumber the requests it migrated.
+  ASSERT_EQ(rep.drains, 0u);
+  const auto& victim = rep.chip_reports[fc.kill_chip];
+  EXPECT_LT(migrates, victim.lost_in_flight + victim.migrated);
 }
 
 TEST(FleetServing, FleetChaosEpisodesAreSurvivedWithoutWrongResults) {

@@ -165,10 +165,10 @@ int serve_help() {
          "                       the shard map rebuilds) and rejoin after a\n"
          "                       scrub. The report becomes a fleet/1\n"
          "                       aggregate with per-chip serving/3 reports.\n"
-         "                       --retries / --retry-budget / --hedge /\n"
-         "                       --hedge-delay also apply at fleet\n"
-         "                       granularity (cross-chip re-dispatch and\n"
-         "                       hedging) when given explicitly\n"
+         "                       --retries / --retry-budget also apply at\n"
+         "                       fleet granularity (cross-chip re-dispatch)\n"
+         "                       when given explicitly; --hedge and\n"
+         "                       --hedge-delay hedge on each chip's lanes\n"
          "  --router P           front-end policy: hash (consistent, by\n"
          "                       tenant) | least (least loaded) | affinity\n"
          "                       (degree-class primary) (default hash)\n"
@@ -653,9 +653,9 @@ int cmd_serve(const Options& opt) {
   cfg.workload.mix =
       parse_mix(take_value(args, "--degrees").value_or("256:4,1024:2,4096:1"));
 
-  // Whether the retry/hedge flags were given explicitly (vs preset or
-  // default) — in fleet mode they then also configure the cross-chip
-  // layer, before the resilience parse below consumes them.
+  // Whether the retry flags were given explicitly (vs preset or default)
+  // — in fleet mode they then also configure the cross-chip layer, before
+  // the resilience parse below consumes them.
   const auto flag_present = [&args](const std::string& name) {
     for (const auto& a : args) {
       if (a == name || (a.starts_with(name) && a.size() > name.size() &&
@@ -694,8 +694,6 @@ int cmd_serve(const Options& opt) {
 
   const bool retries_given = flag_present("--retries");
   const bool retry_budget_given = flag_present("--retry-budget");
-  const bool hedge_given =
-      flag_present("--hedge") || flag_present("--hedge-delay");
 
   // -- resilience: --chaos selects the preset, explicit flags override --------
   const bool chaos = take_flag(args, "--chaos");
@@ -803,15 +801,11 @@ int cmd_serve(const Options& opt) {
     fc.router = router_name.value_or("hash");
     fc.replicas = static_cast<std::uint32_t>(replicas);
     fc.chip = cfg;
-    // The per-lane retry/hedge flags double at fleet granularity when
-    // given explicitly: lane retries fight corruption inside a chip,
-    // cross-chip retries re-route work a whole chip gave up on.
+    // The per-lane retry flags double at fleet granularity when given
+    // explicitly: lane retries fight corruption inside a chip, cross-chip
+    // retries re-route work a whole chip gave up on.
     if (retries_given) fc.max_retries = res.max_retries;
     if (retry_budget_given) fc.retry_budget_ratio = res.retry_budget_ratio;
-    if (hedge_given) {
-      fc.hedge = res.hedge;
-      fc.hedge_delay_us = res.hedge_delay_us;
-    }
     fc.chaos.enabled = fleet_chaos;
     fc.chaos.seed = chaos_seed;
     fc.kill_chip_at_us = kill_chip_at;
@@ -881,9 +875,7 @@ int cmd_serve(const Options& opt) {
                 << cp::fmt_i(rep.reshards) << " reshards\n"
                 << "cross-chip:  " << cp::fmt_i(rep.cross_retries)
                 << " retries (" << cp::fmt_i(rep.retry_budget_denied)
-                << " budget-denied), hedges "
-                << cp::fmt_i(rep.hedges_launched) << " ("
-                << cp::fmt_i(rep.hedge_wasted) << " wasted)\n"
+                << " budget-denied)\n"
                 << "domains:     " << cp::fmt_i(rep.drains) << " drains, "
                 << cp::fmt_i(rep.crashes) << " crashes, "
                 << cp::fmt_i(rep.brownouts) << " brownouts, "

@@ -35,8 +35,10 @@
 // --fleet: arguments are `serve --fleet --json` reports (schema
 // "fleet/1"): the "chips" array length must match the "fleet" count,
 // every per-chip entry must pass the --serving checks and carry its own
-// "chip" id, and the final-fate counters must conserve:
+// "chip" id, and two ledgers must balance. Final fates:
 // submitted == completed + rejected + shed + timed_out + failed + queued.
+// Dispatches: the chips' submitted (protocol.requests on a protocol
+// chip) sum to routed + cross_retries + redispatched.
 //
 // Exit 0 iff every file validates.
 #include <fstream>
@@ -366,7 +368,7 @@ bool check_fleet(const std::string& path, const std::string& text) {
   for (const char* field :
        {"fleet", "router", "replicas", "submitted", "completed", "rejected",
         "shed", "timed_out", "failed", "queued", "routed", "cross_retries",
-        "hedges_launched", "reshards", "migrated", "redispatched", "chips"}) {
+        "reshards", "migrated", "redispatched", "chips"}) {
     if (!rep.contains(field)) {
       return fail(path, std::string("missing '") + field + "' field");
     }
@@ -378,6 +380,7 @@ bool check_fleet(const std::string& path, const std::string& text) {
                           " chips, 'chips' array has " +
                           std::to_string(per_chip.size()));
   }
+  std::uint64_t chip_submitted = 0;
   for (std::size_t i = 0; i < per_chip.size(); ++i) {
     const Json& c = per_chip[i];
     if (const std::string err = serving_report_error(c); !err.empty()) {
@@ -387,6 +390,28 @@ bool check_fleet(const std::string& path, const std::string& text) {
       return fail(path, "chip " + std::to_string(i) +
                             " report misnumbers its chip id");
     }
+    if (!c.contains("submitted")) {
+      return fail(path, "chip " + std::to_string(i) + " lacks 'submitted'");
+    }
+    // A protocol chip's `submitted` counts DAG ops; the fleet routes
+    // whole requests.
+    const Json& proto = c.at("protocol");
+    chip_submitted += proto.at("kind").as_string() == "none"
+                          ? c.at("submitted").as_u64()
+                          : proto.at("requests").as_u64();
+  }
+  // Dispatch ledger: every request that landed on a chip was a first
+  // route, a cross-chip retry or a re-dispatch of migrated, lost or
+  // parked work.
+  const std::uint64_t dispatches = rep.at("routed").as_u64() +
+                                   rep.at("cross_retries").as_u64() +
+                                   rep.at("redispatched").as_u64();
+  if (chip_submitted != dispatches) {
+    return fail(path, "chips were submitted " +
+                          std::to_string(chip_submitted) +
+                          " requests, routed + cross_retries + "
+                          "redispatched is " +
+                          std::to_string(dispatches));
   }
   // Final-fate conservation: every submitted request is counted exactly
   // once by its terminal category.
