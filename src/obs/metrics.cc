@@ -14,15 +14,6 @@ void Histogram::add(std::uint64_t v) noexcept {
   buckets_[v == 0 ? 0 : std::bit_width(v)] += 1;
 }
 
-void Histogram::merge(const Histogram& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (unsigned i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-}
-
 std::uint64_t Histogram::quantile(double p) const noexcept {
   if (count_ == 0) return 0;
   if (p <= 0.0) return min();

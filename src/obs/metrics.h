@@ -1,10 +1,10 @@
 // Distribution summaries for the simulation stack's reports.
 //
-// obs::Histogram is the one distribution type: the serving runtime's
-// latency, queue-depth and per-op-class ledgers, the windowed series and
-// the fleet's hedge timing all keep one. Scalar counts live as plain
-// fields of the ledger that owns them (sim::SimReport, pim::ExecStats,
-// reliability::RelStats, runtime::ServingReport).
+// obs::Histogram is the one distribution type: the serving and fleet
+// latency ledgers, the queue-depth and per-op-class ledgers, a chip's
+// hedge timing and the windowed series all keep one. Scalar counts live
+// as plain fields of the ledger that owns them (sim::SimReport,
+// pim::ExecStats, reliability::RelStats, runtime::ServingReport).
 #pragma once
 
 #include <cstdint>
@@ -18,10 +18,6 @@ class Histogram {
   static constexpr unsigned kBuckets = 65;
 
   void add(std::uint64_t v) noexcept;
-  /// Fold another histogram into this one (bucket-wise sum; min/max/sum
-  /// combine exactly). Used by the windowed-series ring when old windows
-  /// are evicted into the cumulative aggregate.
-  void merge(const Histogram& other) noexcept;
 
   std::uint64_t count() const noexcept { return count_; }
   std::uint64_t sum() const noexcept { return sum_; }

@@ -1,5 +1,7 @@
 #include "obs/slo.h"
 
+#include <cassert>
+
 namespace cryptopim::obs {
 
 namespace {
@@ -36,19 +38,12 @@ SloAccountant::SloAccountant(SloConfig cfg, std::uint64_t window_cycles,
 
 SloAccountant::Window& SloAccountant::window_for(std::uint64_t cycle) {
   const std::uint64_t idx = cycle / window_cycles_;
-  if (!windows_.empty() && idx <= windows_.back().index) {
-    for (auto it = windows_.rbegin(); it != windows_.rend(); ++it) {
-      if (it->index == idx) return *it;
-      if (it->index < idx) break;
-    }
-    // Out-of-order or gap-filling sample: attribute to the nearest
-    // not-later window rather than reordering the deque (the event
-    // clock is monotonic, so this only happens for same-window ties).
+  if (!windows_.empty() && windows_.back().index == idx) {
     return windows_.back();
   }
-  Window w;
-  w.index = idx;
-  windows_.push_back(w);
+  // The runtime scores every outcome at its monotonic event clock.
+  assert(windows_.empty() || idx > windows_.back().index);
+  windows_.push_back(Window{idx});
   return windows_.back();
 }
 

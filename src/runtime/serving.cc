@@ -15,6 +15,9 @@
 
 namespace cryptopim::runtime {
 
+using obs::SeriesCounter;
+using obs::SeriesHistogram;
+
 namespace {
 
 /// Lane index of a laneless protocol host op (sampling / aggregation):
@@ -42,21 +45,26 @@ obs::Json rolling_rates(const obs::WindowedSeries& series, double cycle_ns) {
   for (std::size_t w = 0; w < series.window_count(); ++w) {
     obs::Json row = obs::Json::object();
     row.set("start", series.window_start(w));
-    const std::uint64_t completed = series.counter_at(w, "completed");
-    const std::uint64_t submitted = series.counter_at(w, "submitted");
+    const std::uint64_t completed =
+        series.counter_at(w, SeriesCounter::kCompleted);
+    const std::uint64_t submitted =
+        series.counter_at(w, SeriesCounter::kSubmitted);
     row.set("throughput_per_s",
             window_s > 0 ? static_cast<double>(completed) / window_s : 0.0);
-    if (const obs::Histogram* lat = series.histogram_at(w, "latency_cycles")) {
+    const obs::Histogram& lat =
+        series.histogram_at(w, SeriesHistogram::kLatencyCycles);
+    if (lat.count() != 0) {
       row.set("p50_latency_us",
-              static_cast<double>(lat->quantile(0.50)) * cycle_ns * 1e-3);
+              static_cast<double>(lat.quantile(0.50)) * cycle_ns * 1e-3);
       row.set("p99_latency_us",
-              static_cast<double>(lat->quantile(0.99)) * cycle_ns * 1e-3);
+              static_cast<double>(lat.quantile(0.99)) * cycle_ns * 1e-3);
     }
     const double denom = submitted ? static_cast<double>(submitted) : 1.0;
-    row.set("shed_rate",
-            static_cast<double>(series.counter_at(w, "shed")) / denom);
-    row.set("retry_rate",
-            static_cast<double>(series.counter_at(w, "retries")) / denom);
+    const auto rate = [&](SeriesCounter c) {
+      return static_cast<double>(series.counter_at(w, c)) / denom;
+    };
+    row.set("shed_rate", rate(SeriesCounter::kShed));
+    row.set("retry_rate", rate(SeriesCounter::kRetries));
     rows.push_back(std::move(row));
   }
   return rows;
@@ -625,7 +633,7 @@ obs::Json ev_base(const char* name, std::uint64_t cycle, std::uint32_t chip,
   return rec;
 }
 
-void ServingRuntime::record_bad_outcome(const char* counter) {
+void ServingRuntime::record_bad_outcome(SeriesCounter counter) {
   report_.series.count(counter, now_);
   report_.slo.record_bad(now_);
 }
@@ -646,8 +654,8 @@ void ServingRuntime::handle_arrival(const Event& e) {
   ts.submitted += n_ops;
   if (dag) report_.protocol.requests += 1;
   report_.queue_depth.add(pending_.size());
-  report_.series.count("submitted", now_, n_ops);
-  report_.series.observe("queue_depth", now_, pending_.size());
+  report_.series.count(SeriesCounter::kSubmitted, now_, n_ops);
+  report_.series.observe(SeriesHistogram::kQueueDepth, now_, pending_.size());
 
   // Chain the next open-loop arrival before any admission decision so
   // backpressure never throttles the *offered* load. (Fleet drive has no
@@ -665,7 +673,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     counter += n_ops;
     tenant_counter += n_ops;
     if (dag) report_.protocol.rejected += 1;
-    record_bad_outcome("rejected");
+    record_bad_outcome(SeriesCounter::kRejected);
     if (elog_on()) {
       obs::Json rec = ev_base("rejected", now_, cfg_.chip_id, &origin);
       rec.set("reason", reason);
@@ -727,7 +735,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
   }
   report_.admitted += n_ops;
   ts.admitted += n_ops;
-  report_.series.count("admitted", now_, n_ops);
+  report_.series.count(SeriesCounter::kAdmitted, now_, n_ops);
   // One admission commitment per request: a DAG's op expansion below is
   // a pure function of its origin, so replay re-derives every op.
   if (journal_) {
@@ -922,7 +930,7 @@ ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
   lane.reset_resilience(cfg_.resilience);
   allocated_banks_ += g.banks;
   report_.repartitions += 1;
-  report_.series.count("repartitions", now_);
+  report_.series.count(SeriesCounter::kRepartitions, now_);
   auto& tr = obs::tracer();
   if (tr.enabled()) {
     tr.set_track_name(lane.track, "runtime lane " +
@@ -1017,11 +1025,12 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
   const std::uint64_t id = next_dispatch_id_++;
   if (hedge_of != 0) {
     report_.resilience.hedges += 1;
-    report_.series.count("hedges", t0);
+    report_.series.count(SeriesCounter::kHedges, t0);
   } else {
     if (lane == nullptr) report_.protocol.host_ops += 1;
-    report_.series.count("dispatched", t0);
-    report_.series.observe("queue_wait_cycles", t0, t0 - r.arrival_cycle);
+    report_.series.count(SeriesCounter::kDispatched, t0);
+    report_.series.observe(SeriesHistogram::kQueueWaitCycles, t0,
+                           t0 - r.arrival_cycle);
   }
   if (elog_on()) {
     obs::Json rec = ev_base(hedge_of != 0 ? "hedge" : "dispatched", now_,
@@ -1162,13 +1171,12 @@ void ServingRuntime::settle(const Request& r, Outcome o,
 
 void ServingRuntime::fail(const Request& r, Outcome o,
                           std::uint64_t& counter) {
-  const char* what = o == Outcome::kShed       ? "shed"
-                     : o == Outcome::kTimedOut ? "timed_out"
-                                               : "failed";
   counter += 1;
-  record_bad_outcome(what);
+  record_bad_outcome(o == Outcome::kShed       ? SeriesCounter::kShed
+                     : o == Outcome::kTimedOut ? SeriesCounter::kTimedOut
+                                               : SeriesCounter::kFailed);
   if (elog_on()) {
-    obs::Json rec = ev_base(what, now_, cfg_.chip_id, &r);
+    obs::Json rec = ev_base(outcome_name(o), now_, cfg_.chip_id, &r);
     if (o == Outcome::kShed) rec.set("sojourn", now_ - r.arrival_cycle);
     event_log_->log(std::move(rec));
   }
@@ -1240,8 +1248,8 @@ void ServingRuntime::handle_completion(const Event& e) {
   const std::uint64_t latency = now_ - r.arrival_cycle;
   report_.completed += 1;
   report_.latency_cycles.add(latency);
-  report_.series.count("completed", now_);
-  report_.series.observe("latency_cycles", now_, latency);
+  report_.series.count(SeriesCounter::kCompleted, now_);
+  report_.series.observe(SeriesHistogram::kLatencyCycles, now_, latency);
   report_.slo.record_good(now_, latency);
   TenantStats& ts = report_.tenants.at(r.tenant);
   ts.completed += 1;
@@ -1283,7 +1291,7 @@ void ServingRuntime::handle_completion(const Event& e) {
 void ServingRuntime::handle_bank_failure(const Event&) {
   report_.bank_failures += kBanksPerFailure;
   failed_banks_ += kBanksPerFailure;
-  report_.series.count("bank_failures", now_, kBanksPerFailure);
+  report_.series.count(SeriesCounter::kBankFailures, now_, kBanksPerFailure);
   if (elog_on()) {
     obs::Json rec = ev_base("bank_failure", now_, cfg_.chip_id);
     rec.set("banks", std::uint64_t{kBanksPerFailure});
@@ -1329,7 +1337,7 @@ void ServingRuntime::handle_bank_failure(const Event&) {
     }
     pending_.push_back(inf.request);
     report_.retried += 1;
-    report_.series.count("retries", now_);
+    report_.series.count(SeriesCounter::kRetries, now_);
   };
 
   // One victim is enough: a failure takes kBanksPerFailure (1) bank, and
@@ -1538,7 +1546,7 @@ bool ServingRuntime::schedule_retry(Request r, bool count_as_bank_retry) {
   }
   r.attempts += 1;
   report_.resilience.retries += 1;
-  report_.series.count("retries", now_);
+  report_.series.count(SeriesCounter::kRetries, now_);
   if (count_as_bank_retry) report_.retried += 1;
   if (elog_on()) {
     obs::Json rec = ev_base("retry", now_, cfg_.chip_id, &r);

@@ -405,7 +405,7 @@ class ServingRuntime {
   }
   /// Terminal-outcome bookkeeping shared by every "bad" exit (rejected /
   /// shed / timed out / failed): windowed counter + SLO error.
-  void record_bad_outcome(const char* counter);
+  void record_bad_outcome(obs::SeriesCounter counter);
   /// Report a terminal fate to the fleet's outcome sink (no-op when the
   /// sink is unset, i.e. in the classic single-chip path).
   void emit_outcome(const Request& r, Outcome o);
