@@ -24,7 +24,8 @@ class Json {
   Json(double v) : kind_(Kind::kNumber), num_(v) {}
   Json(int v) : kind_(Kind::kNumber), num_(v) {}
   Json(std::int64_t v) : kind_(Kind::kNumber), num_(static_cast<double>(v)) {}
-  Json(std::uint64_t v) : kind_(Kind::kNumber), num_(static_cast<double>(v)) {}
+  /// Held exactly: written in decimal, read back by as_u64().
+  Json(std::uint64_t v) : kind_(Kind::kNumber), unsigned_(true), u64_(v) {}
   Json(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}
   Json(const char* s) : kind_(Kind::kString), str_(s) {}
 
@@ -36,8 +37,12 @@ class Json {
   bool is_array() const noexcept { return kind_ == Kind::kArray; }
 
   bool as_bool() const { return bool_; }
-  double as_number() const { return num_; }
-  std::uint64_t as_u64() const { return static_cast<std::uint64_t>(num_); }
+  double as_number() const {
+    return unsigned_ ? static_cast<double>(u64_) : num_;
+  }
+  std::uint64_t as_u64() const {
+    return unsigned_ ? u64_ : static_cast<std::uint64_t>(num_);
+  }
   const std::string& as_string() const { return str_; }
 
   // -- array --
@@ -62,13 +67,18 @@ class Json {
   void write(std::ostream& os) const;
   std::string dump() const;
 
-  /// Structural equality (numbers compared exactly).
+  /// Structural equality (numbers compared exactly when both are
+  /// unsigned integers, else as doubles).
   friend bool operator==(const Json& a, const Json& b);
 
  private:
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
-  double num_ = 0;
+  bool unsigned_ = false;  ///< the number is u64_, not num_
+  union {
+    double num_ = 0;
+    std::uint64_t u64_;
+  };
   std::string str_;
   std::vector<Json> arr_;
   std::vector<std::pair<std::string, Json>> obj_;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -249,6 +250,31 @@ TEST(ProtocolServing, BgvLimbFanOutLandsOnDistinctLanes) {
         << "proto " << key.first << " group " << key.second;
     EXPECT_GE(lanes.size(), 2u);
   }
+}
+
+// ------------------------------------------------------------ event log --
+
+TEST(ProtocolServing, EventLogWritesWideParentMasksExactly) {
+  // A 62-share threshold DAG's aggregate op waits on ops 1..62, so its
+  // protocol_op record carries the parent mask 2^63 - 2: an integer a
+  // double would round.
+  ServingConfig cfg = proto_config(ProtocolKind::kThreshold, 1, 30.0);
+  cfg.protocol.shares = kMaxShares;
+  cfg.arrival_rate_per_s = 100000.0;
+  const std::string path =
+      ::testing::TempDir() + "/proto_threshold_parents.jsonl";
+  obs::EventLog elog;
+  elog.open_stream(path, /*line_buffered=*/false);
+  ServingRuntime rt(cfg);
+  rt.set_event_log(&elog);
+  const auto r = rt.run();
+  elog.close_stream();
+  ASSERT_GT(r.protocol.requests, 0u);
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("\"parents\":9223372036854775806"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------- determinism --
