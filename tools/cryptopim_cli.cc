@@ -231,7 +231,10 @@ int serve_help() {
          "  --window-us US       rolling-telemetry window width (default:\n"
          "                       auto, ~64 windows across the horizon)\n"
          "\n"
-         "global flags: --json (serving report as JSON), --trace=FILE\n";
+         "global flags: --json (serving report as JSON), --trace=FILE\n"
+         "(per-request spans and flow arrows; the trace holds every span\n"
+         "in memory until exit, ~1.2 kB per event, where --events streams\n"
+         "the same lifecycle at bounded memory)\n";
   return 0;
 }
 
