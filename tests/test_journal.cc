@@ -15,6 +15,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,14 @@ TEST(Journal, MissingFileLoadsEmpty) {
   const auto r = Journal::load(scratch_dir("missing") + "/nope.log");
   EXPECT_TRUE(r.ok);
   EXPECT_TRUE(r.payloads.empty());
+}
+
+TEST(Journal, FailedHeaderWriteThrows) {
+  // /dev/full opens, then fails every write with ENOSPC: nothing is
+  // journaled, so the run must not go on as if it were durable.
+  Journal j;
+  EXPECT_THROW(j.open("/dev/full", "{\"t\":\"hdr\"}", false),
+               std::runtime_error);
 }
 
 TEST(Journal, TornTailIsDroppedButMidFileCorruptionIsFatal) {
