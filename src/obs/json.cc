@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace cryptopim::obs {
@@ -36,90 +35,122 @@ const Json& Json::at(const std::string& key) const {
   throw std::out_of_range("Json::at: no member '" + key + "'");
 }
 
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
+namespace {
+
+/// The one JSON string escaper: appends `s` as a quoted literal.
+void append_string(std::string& out, std::string_view s) {
+  out += '"';
   for (const char ch : s) {
     const auto c = static_cast<unsigned char>(ch);
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
         if (c < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
+          out += buf;
         } else {
-          os << ch;
+          out += ch;
         }
     }
   }
-  os << '"';
+  out += '"';
 }
 
-namespace {
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
-void write_number(std::ostream& os, double v) {
+void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
-    os << "null";  // JSON has no Inf/NaN; match Chrome-trace convention
+    out += "null";  // JSON has no Inf/NaN; match Chrome-trace convention
     return;
   }
   // Integral doubles print without a fraction, exactly up to 2^53.
-  if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    os << buf;
-    return;
-  }
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
+  if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+  }
+  out += buf;
 }
 
 }  // namespace
 
-void Json::write(std::ostream& os) const {
+void Json::append_to(std::string& out) const {
   switch (kind_) {
-    case Kind::kNull: os << "null"; break;
-    case Kind::kBool: os << (bool_ ? "true" : "false"); break;
+    case Kind::kNull: out += "null"; break;
+    case Kind::kBool: out += bool_ ? "true" : "false"; break;
     case Kind::kNumber:
       if (unsigned_) {
-        char buf[24];
-        os.write(buf, std::to_chars(buf, buf + sizeof buf, u64_).ptr - buf);
+        append_u64(out, u64_);
       } else {
-        write_number(os, num_);
+        append_number(out, num_);
       }
       break;
-    case Kind::kString: write_json_string(os, str_); break;
+    case Kind::kString: append_string(out, str_); break;
     case Kind::kArray: {
-      os << '[';
+      out += '[';
       for (std::size_t i = 0; i < arr_.size(); ++i) {
-        if (i) os << ',';
-        arr_[i].write(os);
+        if (i) out += ',';
+        arr_[i].append_to(out);
       }
-      os << ']';
+      out += ']';
       break;
     }
     case Kind::kObject: {
-      os << '{';
+      out += '{';
       for (std::size_t i = 0; i < obj_.size(); ++i) {
-        if (i) os << ',';
-        write_json_string(os, obj_[i].first);
-        os << ':';
-        obj_[i].second.write(os);
+        if (i) out += ',';
+        append_string(out, obj_[i].first);
+        out += ':';
+        obj_[i].second.append_to(out);
       }
-      os << '}';
+      out += '}';
       break;
     }
   }
 }
 
+void Json::write(std::ostream& os) const { os << dump(); }
+
 std::string Json::dump() const {
-  std::ostringstream os;
-  write(os);
-  return os.str();
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+std::string& JsonLine::key(std::string_view k) {
+  if (s_.size() > 1) s_ += ',';
+  append_string(s_, k);
+  s_ += ':';
+  return s_;
+}
+
+JsonLine& JsonLine::u64(std::string_view k, std::uint64_t v) {
+  append_u64(key(k), v);
+  return *this;
+}
+
+JsonLine& JsonLine::str(std::string_view k, std::string_view v) {
+  append_string(key(k), v);
+  return *this;
+}
+
+JsonLine& JsonLine::flag(std::string_view k, bool v) {
+  key(k) += v ? "true" : "false";
+  return *this;
+}
+
+JsonLine& JsonLine::raw(std::string_view k, std::string_view json) {
+  key(k) += json;
+  return *this;
 }
 
 bool operator==(const Json& a, const Json& b) {

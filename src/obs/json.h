@@ -1,7 +1,10 @@
-// Minimal JSON document model for the observability layer: enough to
-// write trace/metric/bench files and to parse them back (round-trip
-// tests, tools/json_check). Deliberately tiny — no SAX, no comments, no
-// non-finite numbers (they serialize as null, as Chrome tracing does).
+// Minimal JSON for the observability layer. Documents (reports,
+// snapshots, config fingerprints, bench files) are built as a Json tree
+// and parsed back (round-trip tests, tools/json_check); streams of flat
+// records (the event log, the journal, trace events) are written field
+// by field with JsonLine, with no tree. Both share one string escaper.
+// Deliberately tiny — no SAX, no comments, no non-finite numbers (they
+// serialize as null, as Chrome tracing does).
 #pragma once
 
 #include <cstdint>
@@ -9,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cryptopim::obs {
@@ -72,6 +76,8 @@ class Json {
   friend bool operator==(const Json& a, const Json& b);
 
  private:
+  void append_to(std::string& out) const;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   bool unsigned_ = false;  ///< the number is u64_, not num_
@@ -84,8 +90,27 @@ class Json {
   std::vector<std::pair<std::string, Json>> obj_;
 };
 
-/// Writes `s` as a JSON string literal (quotes + escapes) to `os`.
-void write_json_string(std::ostream& os, const std::string& s);
+/// Writes one flat JSON object into a string, member by member: the
+/// form every streamed record takes. It writes exactly the bytes
+/// Json::dump() writes for the same members in the same order, and does
+/// not check keys for duplicates.
+class JsonLine {
+ public:
+  JsonLine& u64(std::string_view key, std::uint64_t v);
+  JsonLine& str(std::string_view key, std::string_view v);
+  JsonLine& flag(std::string_view key, bool v);
+  /// `json` is one value already serialized (a nested object, say).
+  JsonLine& raw(std::string_view key, std::string_view json);
+
+  /// The object written so far, closed.
+  std::string dump() const { return s_ + '}'; }
+
+ private:
+  /// Appends `"key":` (after a comma unless it is the first member).
+  std::string& key(std::string_view k);
+
+  std::string s_ = "{";
+};
 
 struct JsonParseResult {
   bool ok = false;

@@ -86,6 +86,39 @@ TEST(Json, ObjectPreservesInsertionOrder) {
   EXPECT_EQ(doc.members()[1].first, "alpha");
 }
 
+TEST(JsonLine, WritesTheBytesJsonDumpWrites) {
+  // Quote, backslash, newline, tab, a control byte and UTF-8 bytes, as a
+  // key and as a value.
+  const std::string text = "q\"b\\s\nt\t\x01 caf\xc3\xa9";
+  const std::uint64_t past_2_53 = (std::uint64_t{1} << 53) + 1;
+  Json nested = Json::object();
+  nested.set("name", text);
+  nested.set("n", std::uint64_t{7});
+  Json doc = Json::object();
+  doc.set("zero", std::uint64_t{0});
+  doc.set("past_2_53", past_2_53);
+  doc.set("max", ~std::uint64_t{0});
+  doc.set("yes", true);
+  doc.set("no", false);
+  doc.set(text, text);
+  doc.set("args", nested);
+
+  JsonLine line;
+  line.u64("zero", 0)
+      .u64("past_2_53", past_2_53)
+      .u64("max", ~std::uint64_t{0})
+      .flag("yes", true)
+      .flag("no", false)
+      .str(text, text)
+      .raw("args", nested.dump());
+  EXPECT_EQ(line.dump(), doc.dump());
+  const auto r = parse_json(line.dump());
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.value, doc);
+
+  EXPECT_EQ(JsonLine().dump(), Json::object().dump());
+}
+
 // --------------------------------------------------------------- Tracer --
 
 TEST(Tracer, NestedSpansCloseInnermostFirst) {
@@ -555,9 +588,12 @@ TEST(Tracer, FlowEventsExportAsChromeFlowArrows) {
   t.flow('t', 7, 2, "req 7", "flow", 150);
   t.flow('f', 7, 2, "req 7", "flow", 250);
 
-  const Json doc = t.chrome_trace();
+  std::ostringstream os;
+  t.write_chrome_trace(os);
+  const auto doc = parse_json(os.str());
+  ASSERT_TRUE(doc.ok) << doc.error;
   int starts = 0, steps = 0, ends = 0;
-  for (const auto& e : doc.at("traceEvents").items()) {
+  for (const auto& e : doc.value.at("traceEvents").items()) {
     const auto& ph = e.at("ph").as_string();
     if (ph == "s") {
       ++starts;
