@@ -5,14 +5,13 @@
 
 namespace cryptopim::obs {
 
-void EventLog::log(Json record) {
+void EventLog::write_line(const std::string& line, bool control) {
   if (!stream_.is_open()) return;
-  stream_ << record.dump() << '\n';
-  // Control records (no "trace" field: carve, bank_failure,
-  // chip_crash, reshard, ...) are rare and mark exactly the
-  // transitions a post-crash reader needs, so they always flush;
-  // line-buffered mode flushes everything.
-  if (line_buffered_ || !record.contains("trace")) stream_.flush();
+  stream_ << line << '\n';
+  // Control records (carve, bank_failure, chip_crash, reshard, ...) are
+  // rare and mark exactly the transitions a post-crash reader needs, so
+  // they always flush; line-buffered mode flushes everything.
+  if (line_buffered_ || control) stream_.flush();
   if (!stream_) {
     throw std::runtime_error("event log: write failed: " + stream_path_);
   }
@@ -56,10 +55,9 @@ void EventLog::open_stream(const std::string& path, bool line_buffered) {
   line_buffered_ = line_buffered;
   size_ = 0;
   read_back_.reset();
-  Json header = Json::object();
-  header.set("schema", "serve-events/2");
-  header.set("streamed", true);
-  stream_ << header.dump() << '\n';
+  const std::string header =
+      JsonLine().str("schema", "serve-events/2").flag("streamed", true).dump();
+  stream_ << header << '\n';
   stream_.flush();
   if (!stream_) throw std::runtime_error("event log: write failed: " + path);
 }

@@ -1,8 +1,9 @@
 // Structured request-lifecycle event log.
 //
 // The serving runtime emits one record per lifecycle transition
-// (admitted, dispatched, retry, hedge, completed, ...) as an obs::Json
-// object. open_stream() writes the log as JSON Lines while the run goes:
+// (admitted, dispatched, retry, hedge, completed, ...), written field by
+// field as an EventRecord (an obs::JsonLine, with no document tree).
+// open_stream() writes the log as JSON Lines while the run goes:
 // a {"schema":"serve-events/2","streamed":true} header (no record count:
 // the total is unknowable while streaming), then one compact JSON object
 // per line. JSONL keeps the file greppable and streamable — consumers
@@ -41,6 +42,12 @@
 
 namespace cryptopim::obs {
 
+/// One lifecycle record on its way to the log: its fields, and whether
+/// it is a control record (no "trace" field), which the log flushes.
+struct EventRecord : JsonLine {
+  bool control = false;
+};
+
 class EventLog {
  public:
   /// On exactly while a stream is open.
@@ -49,7 +56,12 @@ class EventLog {
   /// Writes one record as a line of the open stream (flushed when it is
   /// a control record or the stream is line-buffered). No-op when no
   /// stream is open.
-  void log(Json record);
+  void write(const EventRecord& rec) { write_line(rec.dump(), rec.control); }
+  /// write() for a record built as a document (perfbench's replay, the
+  /// tests): a record with no "trace" field is a control record.
+  void log(const Json& record) {
+    write_line(record.dump(), !record.contains("trace"));
+  }
 
   /// Records logged since the last open_stream().
   std::size_t size() const noexcept { return size_; }
@@ -69,6 +81,8 @@ class EventLog {
   void close_stream();
 
  private:
+  void write_line(const std::string& line, bool control);
+
   bool line_buffered_ = false;
   mutable std::ofstream stream_;  ///< mutable: records() flushes it
   std::string stream_path_;

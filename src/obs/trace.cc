@@ -60,61 +60,39 @@ std::size_t Tracer::open_span_count() const noexcept {
   return n;
 }
 
-Json Tracer::chrome_trace() const {
-  Json doc = Json::object();
-  Json events = Json::array();
-  // Process + track metadata first (Perfetto applies it regardless of
+void Tracer::write_chrome_trace(std::ostream& os) const {
+  // Each event is written as one flat object between the document's
+  // fixed prefix and suffix, so no document tree is held. Process +
+  // track metadata come first (Perfetto applies it regardless of
   // position, but leading metadata keeps the file skimmable).
-  {
-    Json m = Json::object();
-    m.set("name", "process_name");
-    m.set("ph", "M");
-    m.set("pid", 0);
-    Json args = Json::object();
-    args.set("name", "cryptopim (simulated cycles)");
-    m.set("args", std::move(args));
-    events.push_back(std::move(m));
-  }
+  const auto args = [](std::string_view name) {
+    return JsonLine().str("name", name).dump();
+  };
+  os << "{\"traceEvents\":["
+     << JsonLine().str("name", "process_name").str("ph", "M").u64("pid", 0)
+            .raw("args", args("cryptopim (simulated cycles)")).dump();
   for (const auto& [track, name] : track_names_) {
-    Json m = Json::object();
-    m.set("name", "thread_name");
-    m.set("ph", "M");
-    m.set("pid", 0);
-    m.set("tid", std::uint64_t{track});
-    Json args = Json::object();
-    args.set("name", name);
-    m.set("args", std::move(args));
-    events.push_back(std::move(m));
+    os << ',' << JsonLine().str("name", "thread_name").str("ph", "M")
+                     .u64("pid", 0).u64("tid", track)
+                     .raw("args", args(name)).dump();
   }
   for (const auto& e : events_) {
-    Json j = Json::object();
-    j.set("name", e.name);
-    j.set("cat", e.cat);
-    j.set("ph", std::string(1, e.ph));
-    j.set("ts", e.begin);
+    JsonLine j;
+    j.str("name", e.name).str("cat", e.cat).str("ph", {&e.ph, 1});
+    j.u64("ts", e.begin);
     if (e.ph == 'X') {
-      j.set("dur", e.dur);
+      j.u64("dur", e.dur);
     } else {
       // Flow arrow point: "id" joins the chain; step/end points bind to
       // the enclosing slice ("bp":"e") so arrows land on the spans.
-      j.set("id", e.flow_id);
-      if (e.ph != 's') j.set("bp", "e");
+      j.u64("id", e.flow_id);
+      if (e.ph != 's') j.str("bp", "e");
     }
-    j.set("pid", 0);
-    j.set("tid", std::uint64_t{e.track});
-    events.push_back(std::move(j));
+    j.u64("pid", 0).u64("tid", e.track);
+    os << ',' << j.dump();
   }
-  doc.set("traceEvents", std::move(events));
-  doc.set("displayTimeUnit", "ns");
-  Json other = Json::object();
-  other.set("timeUnit", "1 trace us = 1 simulated crossbar cycle");
-  doc.set("otherData", std::move(other));
-  return doc;
-}
-
-void Tracer::write_chrome_trace(std::ostream& os) const {
-  chrome_trace().write(os);
-  os << '\n';
+  os << "],\"displayTimeUnit\":\"ns\",\"otherData\":{\"timeUnit\":"
+        "\"1 trace us = 1 simulated crossbar cycle\"}}\n";
 }
 
 Tracer& tracer() {

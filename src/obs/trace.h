@@ -9,7 +9,9 @@
 //
 // Export is Chrome-trace JSON (the `traceEvents` array form), which
 // Perfetto (https://ui.perfetto.dev) and chrome://tracing load directly.
-// One trace "microsecond" equals one simulated cycle.
+// One trace "microsecond" equals one simulated cycle. The tracer keeps
+// its spans until export; write_chrome_trace() then streams them one
+// obs::JsonLine per event, so exporting holds no document tree.
 //
 // Cost model: tracing is always compiled in and pay-per-use — a
 // disabled Tracer rejects events on a single branch, and the hot gate
@@ -24,8 +26,6 @@
 #include <vector>
 
 namespace cryptopim::obs {
-
-class Json;
 
 /// One completed span, in cycle time. `ph` distinguishes complete spans
 /// ('X', the default) from flow arrows ('s' start, 't' step, 'f' end)
@@ -78,8 +78,6 @@ class Tracer {
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
   std::size_t open_span_count() const noexcept;
 
-  /// The exported document as a Json value (see write_chrome_trace).
-  Json chrome_trace() const;
   /// Writes Chrome-trace JSON: {"traceEvents":[...], ...}. Complete ("X")
   /// events with ts/dur in cycles; thread_name metadata names the tracks.
   void write_chrome_trace(std::ostream& os) const;

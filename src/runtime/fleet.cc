@@ -437,7 +437,7 @@ bool FleetRuntime::dispatch_to_fleet(const Request& r, bool first) {
   chips_[target]->inject(r, now_);
   if (first) {
     report_.routed += 1;
-    if (elog_on()) event_log_->log(ev_base("route", now_, target, &r));
+    if (elog_on()) event_log_->write(ev_base("route", now_, target, &r));
   }
   return true;
 }
@@ -491,9 +491,10 @@ void FleetRuntime::handle_fleet_retry(const Event& e) {
   report_.cross_retries += 1;
   if (elog_on()) {
     const Outstanding& ent = outstanding_.at(e.request.id);
-    obs::Json rec = ev_base("fleet_retry", now_, ent.last_chip, &e.request);
-    rec.set("attempt", std::uint64_t{ent.attempts});
-    event_log_->log(std::move(rec));
+    obs::EventRecord rec =
+        ev_base("fleet_retry", now_, ent.last_chip, &e.request);
+    rec.u64("attempt", ent.attempts);
+    event_log_->write(rec);
   }
 }
 
@@ -587,7 +588,7 @@ void FleetRuntime::redispatch_all(std::vector<Request> work) {
     if (dispatch_to_fleet(r, /*first=*/false)) {
       report_.redispatched += 1;
       if (elog_on()) {
-        event_log_->log(
+        event_log_->write(
             ev_base("migrate", now_, outstanding_.at(r.id).last_chip, &r));
       }
     }
@@ -663,7 +664,7 @@ void FleetRuntime::arm_chaos_episode() {
 }
 
 void FleetRuntime::log_control(const char* ev, std::uint32_t chip) {
-  if (elog_on()) event_log_->log(ev_base(ev, now_, chip));
+  if (elog_on()) event_log_->write(ev_base(ev, now_, chip));
 }
 
 }  // namespace cryptopim::runtime

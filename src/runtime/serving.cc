@@ -620,16 +620,12 @@ void ServingRuntime::corrupt_window(std::uint64_t until_cycle) {
   chip_corrupt_until_ = std::max(chip_corrupt_until_, until_cycle);
 }
 
-obs::Json ev_base(const char* name, std::uint64_t cycle, std::uint32_t chip,
-                  const Request* r) {
-  obs::Json rec = obs::Json::object();
-  rec.set("ev", name);
-  rec.set("cycle", cycle);
-  rec.set("chip", std::uint64_t{chip});
-  if (r != nullptr) {
-    rec.set("trace", r->id);
-    rec.set("tenant", std::uint64_t{r->tenant});
-  }
+obs::EventRecord ev_base(const char* name, std::uint64_t cycle,
+                         std::uint32_t chip, const Request* r) {
+  obs::EventRecord rec;
+  rec.str("ev", name).u64("cycle", cycle).u64("chip", chip);
+  if (r != nullptr) rec.u64("trace", r->id).u64("tenant", r->tenant);
+  rec.control = r == nullptr;
   return rec;
 }
 
@@ -675,9 +671,9 @@ void ServingRuntime::handle_arrival(const Event& e) {
     if (dag) report_.protocol.rejected += 1;
     record_bad_outcome(SeriesCounter::kRejected);
     if (elog_on()) {
-      obs::Json rec = ev_base("rejected", now_, cfg_.chip_id, &origin);
-      rec.set("reason", reason);
-      event_log_->log(std::move(rec));
+      obs::EventRecord rec = ev_base("rejected", now_, cfg_.chip_id, &origin);
+      rec.str("reason", reason);
+      event_log_->write(rec);
     }
     finish(origin, Outcome::kRejected);
   };
@@ -742,14 +738,11 @@ void ServingRuntime::handle_arrival(const Event& e) {
     journal_->record(Journal::admit_payload(clock_.event_index, now_, origin));
   }
   if (elog_on()) {
-    obs::Json rec = ev_base("admitted", now_, cfg_.chip_id, &origin);
-    rec.set("degree", std::uint64_t{degree});
-    if (origin.deadline_cycle > 0) rec.set("deadline", origin.deadline_cycle);
-    if (dag) {
-      rec.set("protocol", report_.protocol.kind);
-      rec.set("ops", std::uint64_t{n_ops});
-    }
-    event_log_->log(std::move(rec));
+    obs::EventRecord rec = ev_base("admitted", now_, cfg_.chip_id, &origin);
+    rec.u64("degree", degree);
+    if (origin.deadline_cycle > 0) rec.u64("deadline", origin.deadline_cycle);
+    if (dag) rec.str("protocol", report_.protocol.kind).u64("ops", n_ops);
+    event_log_->write(rec);
   }
   if (retry_budget_) retry_budget_->on_admitted(origin.tenant);
 
@@ -777,13 +770,12 @@ void ServingRuntime::handle_arrival(const Event& e) {
     }
     if (hard_deadline) push_event(EventKind::kTimeout, r.deadline_cycle, r.id);
     if (dag && elog_on()) {
-      obs::Json rec = ev_base("protocol_op", now_, cfg_.chip_id, &r);
-      rec.set("proto", pid);
-      rec.set("op", std::uint64_t{r.op_index});
-      rec.set("cls", op_class_name(r.op_class));
-      if (r.parent_mask != 0) rec.set("parents", r.parent_mask);
-      if (r.fanout_group != 0) rec.set("group", std::uint64_t{r.fanout_group});
-      event_log_->log(std::move(rec));
+      obs::EventRecord rec = ev_base("protocol_op", now_, cfg_.chip_id, &r);
+      rec.u64("proto", pid).u64("op", r.op_index);
+      rec.str("cls", op_class_name(r.op_class));
+      if (r.parent_mask != 0) rec.u64("parents", r.parent_mask);
+      if (r.fanout_group != 0) rec.u64("group", r.fanout_group);
+      event_log_->write(rec);
     }
     pending_.push_back(std::move(r));
   }
@@ -940,11 +932,10 @@ ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
             "runtime", now_, kRepartitionCycles);
   }
   if (elog_on()) {
-    obs::Json rec = ev_base("carve", now_, cfg_.chip_id);
-    rec.set("lane", std::uint64_t{lanes_.size()});
-    rec.set("degree", std::uint64_t{degree});
-    rec.set("ready", lane.free_at);
-    event_log_->log(std::move(rec));
+    obs::EventRecord rec = ev_base("carve", now_, cfg_.chip_id);
+    rec.u64("lane", lanes_.size()).u64("degree", degree);
+    rec.u64("ready", lane.free_at);
+    event_log_->write(rec);
   }
   lanes_.push_back(lane);
   return &lanes_.back();
@@ -1033,29 +1024,28 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
                            t0 - r.arrival_cycle);
   }
   if (elog_on()) {
-    obs::Json rec = ev_base(hedge_of != 0 ? "hedge" : "dispatched", now_,
-                            cfg_.chip_id, &r);
-    rec.set("dispatch", id);
-    if (hedge_of != 0) rec.set("parent", hedge_of);
+    obs::EventRecord rec = ev_base(hedge_of != 0 ? "hedge" : "dispatched",
+                                   now_, cfg_.chip_id, &r);
+    rec.u64("dispatch", id);
+    if (hedge_of != 0) rec.u64("parent", hedge_of);
     if (lane != nullptr) {
-      rec.set("lane", std::uint64_t{inf.lane});
+      rec.u64("lane", inf.lane);
     } else {
-      rec.set("host", true);
+      rec.flag("host", true);
     }
     if (hedge_of == 0) {
-      rec.set("wait", t0 - r.arrival_cycle);
-      if (r.attempts > 0) rec.set("attempt", std::uint64_t{r.attempts});
+      rec.u64("wait", t0 - r.arrival_cycle);
+      if (r.attempts > 0) rec.u64("attempt", r.attempts);
     }
-    if (inf.is_probe) rec.set("probe", true);
+    if (inf.is_probe) rec.flag("probe", true);
     if (hedge_of == 0 && r.proto_id != 0) {
       // DAG linkage: the fan-out tests read these to check that sibling
       // limb ops landed on distinct lanes.
-      rec.set("proto", r.proto_id);
-      rec.set("op", std::uint64_t{r.op_index});
-      rec.set("cls", op_class_name(r.op_class));
-      if (r.fanout_group != 0) rec.set("group", std::uint64_t{r.fanout_group});
+      rec.u64("proto", r.proto_id).u64("op", r.op_index);
+      rec.str("cls", op_class_name(r.op_class));
+      if (r.fanout_group != 0) rec.u64("group", r.fanout_group);
     }
-    event_log_->log(std::move(rec));
+    event_log_->write(rec);
   }
   auto& tr = obs::tracer();
   if (lane != nullptr && tr.enabled()) {
@@ -1117,12 +1107,10 @@ void ServingRuntime::on_op_complete(const Request& r,
     }
   }
   if (elog_on()) {
-    obs::Json rec = ev_base("join", now_, cfg_.chip_id, &done.origin);
-    rec.set("proto", done.origin.id + 1);
-    rec.set("ops", std::uint64_t{done.op_count});
-    rec.set("latency", latency);
-    rec.set("ok", ok);
-    event_log_->log(std::move(rec));
+    obs::EventRecord rec = ev_base("join", now_, cfg_.chip_id, &done.origin);
+    rec.u64("proto", done.origin.id + 1).u64("ops", done.op_count);
+    rec.u64("latency", latency).flag("ok", ok);
+    event_log_->write(rec);
   }
   finish(done.origin, Outcome::kCompleted);
 }
@@ -1147,11 +1135,10 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
   report_.protocol.ops_cancelled += cancelled;
   report_.protocol.failed += 1;
   if (elog_on()) {
-    obs::Json rec =
+    obs::EventRecord rec =
         ev_base("proto_failed", now_, cfg_.chip_id, &st.origin);
-    rec.set("proto", st.origin.id + 1);
-    rec.set("ops_cancelled", cancelled);
-    event_log_->log(std::move(rec));
+    rec.u64("proto", st.origin.id + 1).u64("ops_cancelled", cancelled);
+    event_log_->write(rec);
   }
   finish(st.origin, o);
 }
@@ -1176,9 +1163,9 @@ void ServingRuntime::fail(const Request& r, Outcome o,
                      : o == Outcome::kTimedOut ? SeriesCounter::kTimedOut
                                                : SeriesCounter::kFailed);
   if (elog_on()) {
-    obs::Json rec = ev_base(outcome_name(o), now_, cfg_.chip_id, &r);
-    if (o == Outcome::kShed) rec.set("sojourn", now_ - r.arrival_cycle);
-    event_log_->log(std::move(rec));
+    obs::EventRecord rec = ev_base(outcome_name(o), now_, cfg_.chip_id, &r);
+    if (o == Outcome::kShed) rec.u64("sojourn", now_ - r.arrival_cycle);
+    event_log_->write(rec);
   }
   settle(r, o);
 }
@@ -1223,12 +1210,11 @@ void ServingRuntime::handle_completion(const Event& e) {
       (storm ? report_.chip_corruptions
              : report_.resilience.detected_corruptions) += 1;
       if (elog_on()) {
-        obs::Json rec = ev_base(
+        obs::EventRecord rec = ev_base(
             storm ? "chip_corruption_detected" : "corruption_detected", now_,
             cfg_.chip_id, &r);
-        rec.set("dispatch", e.dispatch_id);
-        rec.set("lane", std::uint64_t{inf.lane});
-        event_log_->log(std::move(rec));
+        rec.u64("dispatch", e.dispatch_id).u64("lane", inf.lane);
+        event_log_->write(rec);
       }
       record_lane_outcome(*lane, false);
       remap_if_drained(*lane);
@@ -1259,16 +1245,16 @@ void ServingRuntime::handle_completion(const Event& e) {
     ts.deadline_misses += 1;
   }
   if (elog_on()) {
-    obs::Json rec = ev_base("completed", now_, cfg_.chip_id, &r);
-    rec.set("dispatch", e.dispatch_id);
+    obs::EventRecord rec = ev_base("completed", now_, cfg_.chip_id, &r);
+    rec.u64("dispatch", e.dispatch_id);
     if (lane != nullptr) {
-      rec.set("lane", std::uint64_t{inf.lane});
+      rec.u64("lane", inf.lane);
     } else {
-      rec.set("host", true);
+      rec.flag("host", true);
     }
-    rec.set("latency", latency);
-    if (inf.is_hedge) rec.set("hedge", true);
-    event_log_->log(std::move(rec));
+    rec.u64("latency", latency);
+    if (inf.is_hedge) rec.flag("hedge", true);
+    event_log_->write(rec);
   }
   auto& tr = obs::tracer();
   if (lane != nullptr && tr.enabled()) {
@@ -1293,9 +1279,9 @@ void ServingRuntime::handle_bank_failure(const Event&) {
   failed_banks_ += kBanksPerFailure;
   report_.series.count(SeriesCounter::kBankFailures, now_, kBanksPerFailure);
   if (elog_on()) {
-    obs::Json rec = ev_base("bank_failure", now_, cfg_.chip_id);
-    rec.set("banks", std::uint64_t{kBanksPerFailure});
-    event_log_->log(std::move(rec));
+    obs::EventRecord rec = ev_base("bank_failure", now_, cfg_.chip_id);
+    rec.u64("banks", kBanksPerFailure);
+    event_log_->write(rec);
   }
 
   // Deterministic victim: the failure strikes the busiest live lane (most
@@ -1321,10 +1307,10 @@ void ServingRuntime::handle_bank_failure(const Event&) {
       return;  // its protocol was already torn down whole this failure
     }
     if (elog_on()) {
-      obs::Json rec =
+      obs::EventRecord rec =
           ev_base("torn_down", now_, cfg_.chip_id, &inf.request);
-      rec.set("lane", std::uint64_t{inf.lane});
-      event_log_->log(std::move(rec));
+      rec.u64("lane", inf.lane);
+      event_log_->write(rec);
     }
     if (inf.hedge_partner != 0 && in_flight_.count(inf.hedge_partner) != 0) {
       return;
@@ -1549,10 +1535,9 @@ bool ServingRuntime::schedule_retry(Request r, bool count_as_bank_retry) {
   report_.series.count(SeriesCounter::kRetries, now_);
   if (count_as_bank_retry) report_.retried += 1;
   if (elog_on()) {
-    obs::Json rec = ev_base("retry", now_, cfg_.chip_id, &r);
-    rec.set("attempt", std::uint64_t{r.attempts});
-    rec.set("backoff", backoff);
-    event_log_->log(std::move(rec));
+    obs::EventRecord rec = ev_base("retry", now_, cfg_.chip_id, &r);
+    rec.u64("attempt", r.attempts).u64("backoff", backoff);
+    event_log_->write(rec);
   }
   push_event(EventKind::kRetryEnqueue, now_ + backoff, 0, std::move(r));
   return true;
@@ -1577,11 +1562,10 @@ void ServingRuntime::cancel_in_flight(std::uint64_t dispatch_id) {
   const auto it = in_flight_.find(dispatch_id);
   if (it == in_flight_.end()) return;  // already gone
   if (elog_on()) {
-    obs::Json rec =
+    obs::EventRecord rec =
         ev_base("cancelled", now_, cfg_.chip_id, &it->second.request);
-    rec.set("dispatch", dispatch_id);
-    rec.set("lane", std::uint64_t{it->second.lane});
-    event_log_->log(std::move(rec));
+    rec.u64("dispatch", dispatch_id).u64("lane", it->second.lane);
+    event_log_->write(rec);
   }
   report_.resilience.hedge_cancelled += 1;
   drop_in_flight(it);

@@ -254,13 +254,14 @@ struct ServingReport {
   obs::Json to_json() const;
 };
 
-/// A lifecycle record skeleton: {"ev":name,"cycle":cycle,"chip":chip},
-/// then "trace":r->id and "tenant":r->tenant for a request's record
-/// (control records carry none). Chips and the fleet front-end build
-/// every event-log record on it, add event-specific fields and hand it
-/// to EventLog::log().
-obs::Json ev_base(const char* name, std::uint64_t cycle, std::uint32_t chip,
-                  const Request* r = nullptr);
+/// A lifecycle record's first fields: {"ev":name,"cycle":cycle,
+/// "chip":chip}, then "trace":r->id and "tenant":r->tenant for a
+/// request's record. A record with no request is a control record,
+/// which the log flushes. Chips and the fleet front-end start every
+/// event-log record here, append event-specific fields and hand it to
+/// EventLog::write().
+obs::EventRecord ev_base(const char* name, std::uint64_t cycle,
+                         std::uint32_t chip, const Request* r = nullptr);
 
 /// `v` as 16 hex digits: how snapshot states carry 64-bit RNG digests
 /// (a JSON number would round them).
