@@ -1,17 +1,11 @@
 #include "arch/chip.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "common/bitutil.h"
 
 namespace cryptopim::arch {
-
-unsigned ChipConfig::bank_blocks_for_degree(std::uint32_t n) {
-  assert(is_pow2(n) && n >= 4);
-  return 3 * ilog2(n) + 4;
-}
 
 DegreePlan ChipConfig::plan_for_degree(std::uint32_t n) const {
   return plan_for_degree(n, 0);

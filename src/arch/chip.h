@@ -51,9 +51,6 @@ struct ChipConfig {
 
   static ChipConfig paper_chip() { return ChipConfig{}; }
 
-  /// Block count of a bank provisioned for degree n (3*log2(n) + 4).
-  static unsigned bank_blocks_for_degree(std::uint32_t n);
-
   /// Partition (or segment) the chip for a given polynomial degree.
   DegreePlan plan_for_degree(std::uint32_t n) const;
 

@@ -39,16 +39,6 @@ constexpr std::uint64_t bit_reverse(std::uint64_t x, unsigned bits) noexcept {
   return r;
 }
 
-/// Positions (LSB-first) of the set bits of `x`.
-inline std::vector<unsigned> set_bit_positions(std::uint64_t x) {
-  std::vector<unsigned> pos;
-  while (x != 0) {
-    pos.push_back(static_cast<unsigned>(std::countr_zero(x)));
-    x &= x - 1;
-  }
-  return pos;
-}
-
 /// A signed-digit term of a shift-add decomposition: value contribution is
 /// `sign * 2^shift`.
 struct ShiftAddTerm {

@@ -84,8 +84,6 @@ TEST(Chip, PaperConfiguration) {
   const auto chip = ChipConfig::paper_chip();
   EXPECT_EQ(chip.blocks_per_bank, 49u);
   EXPECT_EQ(chip.total_banks, 128u);
-  // "A 32k NTT pipeline has 49 blocks": 3*log2(32k) + 4.
-  EXPECT_EQ(ChipConfig::bank_blocks_for_degree(32768), 49u);
 }
 
 TEST(Chip, PlanFor32k) {

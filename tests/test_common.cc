@@ -42,12 +42,6 @@ TEST(BitUtil, BitReverse) {
   }
 }
 
-TEST(BitUtil, SetBitPositions) {
-  EXPECT_EQ(set_bit_positions(0), (std::vector<unsigned>{}));
-  EXPECT_EQ(set_bit_positions(0b1011), (std::vector<unsigned>{0, 1, 3}));
-  EXPECT_EQ(set_bit_positions(1ull << 63), (std::vector<unsigned>{63}));
-}
-
 TEST(BitUtil, NafDecomposeKnownValues) {
   // 7 = 8 - 1 in NAF.
   const auto t7 = naf_decompose(7);
