@@ -1,6 +1,5 @@
 #include "runtime/backend.h"
 
-#include <stdexcept>
 #include <utility>
 
 #include "model/performance.h"
@@ -82,28 +81,16 @@ BackendResult WordLevelBackend::execute(const ntt::NttParams& params,
   return r;
 }
 
-// -- analytic tier ------------------------------------------------------------
-
-BackendResult AnalyticBackend::execute(const ntt::NttParams& params,
-                                       const ntt::Poly& a,
-                                       const ntt::Poly& b) {
-  if (a.size() != params.n || b.size() != params.n) {
-    throw std::invalid_argument("operand size does not match the degree");
-  }
-  return analytic_accounting(params.n);
-}
-
 // -- factory ------------------------------------------------------------------
 
 const std::vector<std::string>& backend_names() {
-  static const std::vector<std::string> names = {"gate", "word", "analytic"};
+  static const std::vector<std::string> names = {"gate", "word"};
   return names;
 }
 
 std::unique_ptr<ExecutionBackend> make_backend(std::string_view name) {
   if (name == "gate") return std::make_unique<GateLevelBackend>();
   if (name == "word") return std::make_unique<WordLevelBackend>();
-  if (name == "analytic") return std::make_unique<AnalyticBackend>();
   return nullptr;
 }
 

@@ -1,27 +1,25 @@
-// Pluggable execution backends: one interface, three fidelity tiers.
+// Pluggable execution backends: one interface, two tiers.
 //
 // Every way this repo can "execute" a negacyclic multiplication now sits
-// behind `ExecutionBackend`:
+// behind `ExecutionBackend`, and every backend returns the product:
 //
 //  * GateLevelBackend — the golden tier. Wraps CryptoPimSimulator:
 //    every arithmetic step runs in simulated crossbars and cycle
 //    accounting is measured. Slow (~ms per multiply) but authoritative.
 //    Fault injection belongs to the simulator it wraps
 //    (CryptoPimSimulator::set_reliability), not to this tier.
-//  * WordLevelBackend — functional results at host speed from the
-//    flat-word `ntt::WordNttEngine` (Shoup/Barrett precompute, lazy
-//    [0, 2q) reduction), with cycle accounting attached from the
-//    analytic model. Bit-exact vs the gate tier — proven by
+//  * WordLevelBackend — products at host speed from the flat-word
+//    `ntt::WordNttEngine` (Shoup/Barrett precompute, lazy [0, 2q)
+//    reduction), with cycles attached from the analytic model
+//    (`analytic_accounting`). Bit-exact vs the gate tier — proven by
 //    tests/test_backend_diff.cc — at ~10^4x the wall-clock rate.
-//  * AnalyticBackend — accounting only (model/latency.h +
-//    model/performance.h); `functional()` is false and products are
-//    empty. For capacity studies where results are never inspected.
 //
-// The word and analytic tiers share one accounting source
-// (`analytic_accounting`), so switching between them changes host
-// wall-clock only, never the simulated cycles. Accounting is keyed by
-// degree through the paper's parameterisation; a custom (n, q) pair
-// executes functionally with the paper accounting for its degree.
+// The serving runtime charges every request the model's cycles
+// (`model::lane_timing`) whatever the backend, so a backend only
+// produces the products verified requests check; a run that checks
+// none (`serve --verify-every 0`) is accounting only. Accounting is
+// keyed by degree through the paper's parameterisation; a custom (n, q)
+// pair executes with the paper accounting for its degree.
 #pragma once
 
 #include <cstdint>
@@ -35,26 +33,21 @@
 
 namespace cryptopim::runtime {
 
-/// One executed multiplication: the functional product (empty when the
-/// backend is not functional) plus the backend's cycle claim.
+/// One executed multiplication: the product plus the backend's cycle
+/// claim.
 struct BackendResult {
   ntt::Poly product;
   std::uint64_t sim_cycles = 0;  ///< simulated crossbar cycles, one multiply
 };
 
-/// The analytic tier's cycles for one non-pipelined multiplication at
-/// `degree` (paper parameterisation), with an empty product. Shared by
-/// AnalyticBackend and WordLevelBackend so their simulated cycles agree
-/// exactly.
+/// The analytic model's cycles for one non-pipelined multiplication at
+/// `degree` (paper parameterisation), with an empty product: the
+/// accounting WordLevelBackend attaches to its products.
 BackendResult analytic_accounting(std::uint32_t degree);
 
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
-
-  /// Whether execute() returns real coefficient vectors. The analytic
-  /// tier returns accounting only.
-  virtual bool functional() const noexcept = 0;
 
   /// c = a * b over Z_q[x]/(x^n + 1) for the given parameter set.
   /// Engines/simulators are cached per (n, q) inside the backend.
@@ -69,7 +62,6 @@ class GateLevelBackend final : public ExecutionBackend {
   GateLevelBackend();
   ~GateLevelBackend() override;
 
-  bool functional() const noexcept override { return true; }
   BackendResult execute(const ntt::NttParams& params, const ntt::Poly& a,
                         const ntt::Poly& b) override;
 
@@ -79,13 +71,12 @@ class GateLevelBackend final : public ExecutionBackend {
   std::vector<std::unique_ptr<Entry>> cache_;
 };
 
-/// Host-speed functional tier with analytic accounting.
+/// Host-speed tier with analytic accounting.
 class WordLevelBackend final : public ExecutionBackend {
  public:
   WordLevelBackend();
   ~WordLevelBackend() override;
 
-  bool functional() const noexcept override { return true; }
   BackendResult execute(const ntt::NttParams& params, const ntt::Poly& a,
                         const ntt::Poly& b) override;
 
@@ -94,15 +85,7 @@ class WordLevelBackend final : public ExecutionBackend {
   std::vector<std::unique_ptr<Entry>> cache_;
 };
 
-/// Accounting-only tier.
-class AnalyticBackend final : public ExecutionBackend {
- public:
-  bool functional() const noexcept override { return false; }
-  BackendResult execute(const ntt::NttParams& params, const ntt::Poly& a,
-                        const ntt::Poly& b) override;
-};
-
-/// The accepted `--backend` values: {"gate", "word", "analytic"}.
+/// The accepted `--backend` values: {"gate", "word"}.
 const std::vector<std::string>& backend_names();
 
 /// Factory; returns nullptr for an unknown name (callers turn that into

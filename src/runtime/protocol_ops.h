@@ -32,12 +32,12 @@ ntt::Poly rns_limb_multiply(ExecutionBackend& backend,
                             const ntt::RnsBasis& basis, std::uint32_t q,
                             const ntt::Poly& a, const ntt::Poly& b);
 
-/// Runs a protocol flow end to end through a functional backend and
-/// compares against the pure-host reference.
+/// Runs a protocol flow end to end through a backend and compares
+/// against the pure-host reference.
 class ProtocolHarness {
  public:
-  /// `backend` is not owned, must outlive the harness, and must be
-  /// functional (throws std::invalid_argument otherwise).
+  /// `backend` is not owned, must outlive the harness, and must not be
+  /// null (throws std::invalid_argument otherwise).
   ProtocolHarness(const ProtocolSpec& spec, ExecutionBackend* backend);
 
   /// Execute the full protocol for `seed` with all ring multiplications

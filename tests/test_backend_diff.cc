@@ -2,11 +2,11 @@
 // word-level tier can stand in for the gate-level crossbar simulator.
 //
 // Every case materialises one (n, q, a, b) instance and executes it on
-// all three `runtime::ExecutionBackend` tiers, asserting
+// both `runtime::ExecutionBackend` tiers, asserting
 //  * bit-exact coefficient equality: word == gate (and both == the
 //    schoolbook-backed GsNttEngine oracle),
 //  * cycle-model agreement: the word tier's attached accounting is
-//    exactly the analytic tier's (same source, same numbers),
+//    exactly the analytic model's (`analytic_accounting`),
 //  * the gate tier's pinned cycle counts survive the backend refactor.
 //
 // The randomized sweep covers every supported (n, q) pair (paper
@@ -36,6 +36,7 @@ namespace cp = cryptopim;
 using cp::Xoshiro256;
 using cp::ntt::NttParams;
 using cp::ntt::Poly;
+using cp::runtime::analytic_accounting;
 using cp::runtime::BackendResult;
 
 namespace {
@@ -80,12 +81,11 @@ std::vector<Poly> corner_inputs(const NttParams& p) {
 
 class BackendDiff : public ::testing::Test {
  protected:
-  /// Executes one case on all three tiers and checks the differential
+  /// Executes one case on both tiers and checks the differential
   /// invariants. Returns how many gate-vs-word comparisons it counted.
   void check_case(const NttParams& params, const Poly& a, const Poly& b) {
     const BackendResult gate = gate_.execute(params, a, b);
     const BackendResult word = word_.execute(params, a, b);
-    const BackendResult analytic = analytic_.execute(params, a, b);
 
     // Bit-exact functional equality vs the golden tier.
     ASSERT_EQ(word.product, gate.product)
@@ -94,16 +94,14 @@ class BackendDiff : public ::testing::Test {
     const cp::ntt::GsNttEngine oracle(params);
     ASSERT_EQ(word.product, oracle.negacyclic_multiply(a, b));
 
-    // The word tier's accounting is the analytic tier's, exactly.
-    EXPECT_EQ(word.sim_cycles, analytic.sim_cycles);
-    EXPECT_TRUE(analytic.product.empty());
+    // The word tier's accounting is the analytic model's, exactly.
+    EXPECT_EQ(word.sim_cycles, analytic_accounting(params.n).sim_cycles);
     EXPECT_GT(word.sim_cycles, 0u);
     ++cases_;
   }
 
   cp::runtime::GateLevelBackend gate_;
   cp::runtime::WordLevelBackend word_;
-  cp::runtime::AnalyticBackend analytic_;
   std::size_t cases_ = 0;
 };
 
@@ -195,21 +193,19 @@ TEST_F(BackendDiff, WordMatchesOracleAtEveryPaperDegree) {
     const Poly b = cp::ntt::sample_uniform(n, params.q, rng);
     const BackendResult word = word_.execute(params, a, b);
     ASSERT_EQ(word.product, oracle.negacyclic_multiply(a, b)) << "n=" << n;
-    const BackendResult analytic = analytic_.execute(params, a, b);
-    EXPECT_EQ(word.sim_cycles, analytic.sim_cycles) << "n=" << n;
+    EXPECT_EQ(word.sim_cycles, analytic_accounting(n).sim_cycles)
+        << "n=" << n;
   }
 }
 
 TEST(BackendFactory, NamesRoundTripAndUnknownIsRejected) {
   namespace rt = cp::runtime;
-  ASSERT_EQ(rt::backend_names(),
-            (std::vector<std::string>{"gate", "word", "analytic"}));
+  ASSERT_EQ(rt::backend_names(), (std::vector<std::string>{"gate", "word"}));
   const auto gate = rt::make_backend("gate");
   const auto word = rt::make_backend("word");
-  const auto analytic = rt::make_backend("analytic");
   EXPECT_NE(dynamic_cast<rt::GateLevelBackend*>(gate.get()), nullptr);
   EXPECT_NE(dynamic_cast<rt::WordLevelBackend*>(word.get()), nullptr);
-  EXPECT_NE(dynamic_cast<rt::AnalyticBackend*>(analytic.get()), nullptr);
+  EXPECT_EQ(cp::runtime::make_backend("analytic"), nullptr);
   EXPECT_EQ(cp::runtime::make_backend("quantum"), nullptr);
   EXPECT_EQ(cp::runtime::make_backend(""), nullptr);
 }
@@ -277,13 +273,8 @@ TEST(BackendServing, InvariantsHoldUnderEveryBackend) {
     EXPECT_EQ(t_adm, rep.admitted);
     EXPECT_EQ(t_comp, rep.completed);
 
-    // Functional tiers verify; the analytic tier has nothing to check.
     EXPECT_EQ(rep.verify_failures, 0u);
-    if (backend == "analytic") {
-      EXPECT_EQ(rep.verified, 0u);
-    } else {
-      EXPECT_GT(rep.verified, 0u);
-    }
+    EXPECT_GT(rep.verified, 0u);
   }
 }
 

@@ -543,8 +543,7 @@ INSTANTIATE_TEST_SUITE_P(GateAndWord, ServingBackends,
 TEST(ServingBackendEquivalence, SameSeedReportsDifferOnlyInBackendField) {
   // The pin behind the matrix: a gate-tier report and a word-tier report
   // of the same seeded run are byte-identical except for the `backend`
-  // provenance string. (The analytic tier legitimately differs in the
-  // verified counters — it has no functional results to verify.)
+  // provenance string.
   ServingConfig cfg = base_config(256, 300);
   cfg.arrival_rate_per_s = 30000;
   cfg.workload.verify_every = 4;
