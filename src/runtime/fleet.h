@@ -77,7 +77,8 @@ struct FleetConfig {
   FleetChaosConfig chaos;
 
   /// Deterministic test hook: crash chip `kill_chip` at this simulated
-  /// microsecond (0 = off). Independent of the chaos process.
+  /// microsecond (0 = off). Independent of the chaos process. prime()
+  /// throws std::invalid_argument when `kill_chip` >= `chips`.
   double kill_chip_at_us = 0.0;
   std::uint32_t kill_chip = 0;
 };

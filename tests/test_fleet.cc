@@ -218,6 +218,15 @@ TEST(FleetServing, InvalidConfigsThrow) {
   EXPECT_THROW(FleetRuntime(std::move(fc)).run(), std::invalid_argument);
 }
 
+TEST(FleetServing, OutOfRangeKillChipThrows) {
+  // A kill_chip the fleet does not have would crash no chip, so the run
+  // refuses it rather than report a kill that never happened.
+  auto fc = small_fleet(3);
+  fc.kill_chip_at_us = 400.0;
+  fc.kill_chip = 5;
+  EXPECT_THROW(FleetRuntime(std::move(fc)).run(), std::invalid_argument);
+}
+
 TEST(FleetServing, SameSeedIsByteIdentical) {
   auto cfg = small_fleet(4, /*seed=*/9);
   cfg.chaos.enabled = true;
