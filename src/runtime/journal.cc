@@ -79,7 +79,7 @@ obs::Json serving_config_to_json(const ServingConfig& cfg) {
   wl.set("mix", std::move(mix));
   wl.set("tenants", std::uint64_t{cfg.workload.tenants});
   wl.set("verify_every", std::uint64_t{cfg.workload.verify_every});
-  wl.set("seed", std::to_string(cfg.workload.seed));  // u64-exact as text
+  wl.set("seed", cfg.workload.seed);
   j.set("workload", std::move(wl));
   j.set("arrival_rate_per_s", cfg.arrival_rate_per_s);
   j.set("closed_loop_clients", std::uint64_t{cfg.closed_loop_clients});
@@ -108,7 +108,7 @@ obs::Json serving_config_to_json(const ServingConfig& cfg) {
   r.set("wear_limit", res.wear_limit);
   obs::Json chaos = obs::Json::object();
   chaos.set("enabled", res.chaos.enabled);
-  chaos.set("seed", std::to_string(res.chaos.seed));
+  chaos.set("seed", res.chaos.seed);
   r.set("chaos", std::move(chaos));
   r.set("chaos_detect", res.chaos_detect);
   j.set("resilience", std::move(r));
@@ -130,7 +130,7 @@ obs::Json fleet_config_to_json(const FleetConfig& cfg) {
   j.set("retry_budget_ratio", cfg.retry_budget_ratio);
   obs::Json chaos = obs::Json::object();
   chaos.set("enabled", cfg.chaos.enabled);
-  chaos.set("seed", std::to_string(cfg.chaos.seed));
+  chaos.set("seed", cfg.chaos.seed);
   chaos.set("mean_interval_us", cfg.chaos.mean_interval_us);
   chaos.set("mean_duration_us", cfg.chaos.mean_duration_us);
   j.set("chaos", std::move(chaos));
