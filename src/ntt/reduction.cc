@@ -160,24 +160,4 @@ std::uint32_t MontgomeryShiftAdd::mul(std::uint32_t a,
   return reduce_canonical(static_cast<std::uint64_t>(a) * b);
 }
 
-// ---------------------------------------------------------------------------
-// BarrettMultiply
-// ---------------------------------------------------------------------------
-
-BarrettMultiply::BarrettMultiply(std::uint32_t q) : q_(q) {
-  assert(q >= 2);
-  k_ = 2 * bit_length(q);
-  m_ = static_cast<std::uint64_t>((static_cast<unsigned __int128>(1) << k_) /
-                                  q);
-}
-
-std::uint32_t BarrettMultiply::reduce_canonical(std::uint64_t a) const noexcept {
-  assert(a < (static_cast<std::uint64_t>(q_) * q_) * 4);
-  const std::uint64_t u = static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(a) * m_) >> k_);
-  std::uint64_t r = a - u * q_;
-  while (r >= q_) r -= q_;
-  return static_cast<std::uint32_t>(r);
-}
-
 }  // namespace cryptopim::ntt

@@ -108,19 +108,4 @@ class MontgomeryShiftAdd {
   std::vector<ShiftAddTerm> q_terms_;
 };
 
-/// Multiplication-based Barrett reduction (two wide multiplications),
-/// as used by the BP-1/BP-2 PIM baselines of Fig. 6 — functionally
-/// equivalent, far more expensive in memory.
-class BarrettMultiply {
- public:
-  explicit BarrettMultiply(std::uint32_t q);
-  std::uint32_t q() const noexcept { return q_; }
-  std::uint32_t reduce_canonical(std::uint64_t a) const noexcept;
-
- private:
-  std::uint32_t q_ = 0;
-  unsigned k_ = 0;        // 2 * bit_length(q)
-  std::uint64_t m_ = 0;   // floor(2^k / q)
-};
-
 }  // namespace cryptopim::ntt

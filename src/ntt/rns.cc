@@ -112,14 +112,4 @@ RnsPoly RnsBasis::multiply(const RnsPoly& a, const RnsPoly& b) const {
   return out;
 }
 
-RnsPoly RnsBasis::add(const RnsPoly& a, const RnsPoly& b) const {
-  RnsPoly out;
-  out.residues.reserve(limbs_.size());
-  for (std::size_t l = 0; l < limbs_.size(); ++l) {
-    out.residues.push_back(
-        poly_add(a.residues[l], b.residues[l], limbs_[l].params.q));
-  }
-  return out;
-}
-
 }  // namespace cryptopim::ntt

@@ -56,9 +56,6 @@ class RnsBasis {
   /// Negacyclic product mod Q, one NTT multiplication per limb.
   RnsPoly multiply(const RnsPoly& a, const RnsPoly& b) const;
 
-  /// Limb-wise addition mod Q.
-  RnsPoly add(const RnsPoly& a, const RnsPoly& b) const;
-
  private:
   struct Limb {
     NttParams params;

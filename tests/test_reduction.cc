@@ -135,18 +135,6 @@ TEST(MontgomeryGeneric, WorksForArbitraryOddModuli) {
   }
 }
 
-TEST(BarrettMultiply, MatchesModulo) {
-  Xoshiro256 rng(44);
-  for (std::uint32_t q : kPaperModuli) {
-    const BarrettMultiply b(q);
-    for (int i = 0; i < 2000; ++i) {
-      const std::uint64_t a =
-          rng.next_below(static_cast<std::uint64_t>(q) * q);
-      EXPECT_EQ(b.reduce_canonical(a), a % q);
-    }
-  }
-}
-
 TEST(ShiftAddDecomposition, NafRoundTrip) {
   Xoshiro256 rng(45);
   for (int i = 0; i < 500; ++i) {

@@ -123,20 +123,6 @@ TEST(RnsMultiply, SingleLimbDegeneratesToPlainNtt) {
   EXPECT_EQ(prod.residues[0], expect);
 }
 
-TEST(RnsAdd, MatchesWideAddition) {
-  const auto basis = RnsBasis::generate(32, 4, 20);
-  Xoshiro256 rng(11);
-  const auto a = random_wide(32, basis.modulus(), rng);
-  const auto b = random_wide(32, basis.modulus(), rng);
-  const auto sum = basis.add(basis.decompose(a), basis.decompose(b));
-  const auto got = basis.reconstruct(sum);
-  for (std::size_t i = 0; i < 32; ++i) {
-    U128 want = a[i] + b[i];
-    if (want >= basis.modulus()) want -= basis.modulus();
-    EXPECT_EQ(got[i], want);
-  }
-}
-
 TEST(RnsMultiply, RingIdentity) {
   // x^{n-1} * x = -1 must survive the CRT round trip.
   const auto basis = RnsBasis::generate(128, 2, 20);
