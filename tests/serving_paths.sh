@@ -67,6 +67,15 @@ serve raw_wfq --policy wfq --arrival-rate 4000000 --duration 300 --seed 2
 serve raw_bank_wear --degrees 4096:1 --arrival-rate 2000000 --duration 600 \
   --wear-limit 50 --fail-bank-at 400 --seed 1 --verify-every 0
 
+# -- SLO accounting -------------------------------------------------------------
+# raw_slo scores a chaos overload with errors and latency violations in
+# most windows; raw_slo_evicted opens more windows than the series keeps,
+# so the series evicts its oldest ones.
+serve raw_slo --chaos --retries 0 --arrival-rate 4000000 --duration 400 \
+  --seed 5 --queue-capacity 16 --slo 0.999:100
+serve raw_slo_evicted --arrival-rate 2000000 --duration 3000 --seed 1 \
+  --window-us 0.5 --queue-capacity 4 --slo 0.99:100
+
 # -- protocol DAGs ------------------------------------------------------------
 serve kem --protocol kem --chaos --retries 0 --arrival-rate 300000 \
   --queue-capacity 64 --codel-target 20 --duration 1500 --seed 7 \
