@@ -86,6 +86,7 @@ int main() {
       cfg.slo.latency_us = 500.0;
       const auto r = cp::runtime::ServingRuntime(cfg).run();
       const auto& res = r.resilience;
+      const auto slo = cp::obs::slo_summary(r.slo, r.series);
 
       const std::uint64_t non_rejected =
           r.submitted - r.rejected - r.rejected_unservable -
@@ -112,12 +113,12 @@ int main() {
               static_cast<double>(res.detected_corruptions), "results", p);
       rep.add("wrong_accepted", static_cast<double>(res.wrong_accepted),
               "results", p);
-      rep.add("slo_availability", r.slo.availability(), "ratio", p);
-      rep.add("slo_error_budget_consumed", r.slo.error_budget_consumed(),
-              "ratio", p);
-      rep.add("slo_max_window_burn", r.slo.max_window_burn(), "x", p);
+      rep.add("slo_availability", slo.availability, "ratio", p);
+      rep.add("slo_error_budget_consumed", slo.error_budget_consumed, "ratio",
+              p);
+      rep.add("slo_max_window_burn", slo.max_window_burn, "x", p);
       rep.add("slo_latency_violations",
-              static_cast<double>(r.slo.latency_violations()), "requests", p);
+              static_cast<double>(slo.latency_violations), "requests", p);
 
       t.add_row({label, mode, cp::fmt_i(r.completed),
                  cp::fmt_i(r.rejected + r.rejected_unservable +
@@ -126,10 +127,10 @@ int main() {
                  cp::fmt_i(res.breaker_opens),
                  cp::fmt_i(res.detected_corruptions),
                  cp::fmt_i(res.wrong_accepted), cp::fmt_f(p99, 1)});
-      slo_t.add_row({label, mode, cp::fmt_pct(r.slo.availability(), 3),
-                     cp::fmt_pct(r.slo.error_budget_consumed(), 1),
-                     cp::fmt_f(r.slo.max_window_burn(), 1) + "x",
-                     cp::fmt_i(r.slo.latency_violations())});
+      slo_t.add_row({label, mode, cp::fmt_pct(slo.availability, 3),
+                     cp::fmt_pct(slo.error_budget_consumed, 1),
+                     cp::fmt_f(slo.max_window_burn, 1) + "x",
+                     cp::fmt_i(slo.latency_violations)});
 
       if (mode != "chaos") continue;
       // Acceptance bar: only the full chaos+resilience cell is gated.

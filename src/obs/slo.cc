@@ -1,6 +1,6 @@
 #include "obs/slo.h"
 
-#include <cassert>
+#include <algorithm>
 
 namespace cryptopim::obs {
 
@@ -8,7 +8,8 @@ namespace {
 
 /// Burn rate of one window: observed error rate over allowed error rate.
 /// An objective of 1.0 allows zero errors; any error is infinite burn,
-/// reported as a large sentinel (JSON has no infinity).
+/// reported as a large sentinel (JSON has no infinity). Over a whole
+/// run the same ratio is the budget consumed.
 constexpr double kInfiniteBurn = 1e9;
 
 double burn_rate(std::uint64_t bad, std::uint64_t total, double objective) {
@@ -19,105 +20,81 @@ double burn_rate(std::uint64_t bad, std::uint64_t total, double objective) {
   return rate / allowed;
 }
 
-double budget_consumed(std::uint64_t bad, std::uint64_t total,
-                       double objective) {
-  // Identical formula — cumulative burn is budget consumption.
-  return burn_rate(bad, total, objective);
+/// One window's (or the run's) outcomes, each counter read through `n`.
+struct Outcomes {
+  std::uint64_t good, bad, latency_violations;
+};
+
+template <typename Count>
+Outcomes outcomes(Count n) {
+  using C = SeriesCounter;
+  return {n(C::kCompleted),
+          n(C::kRejected) + n(C::kShed) + n(C::kTimedOut) + n(C::kFailed),
+          n(C::kLatencyViolations)};
+}
+
+Outcomes window_outcomes(const WindowedSeries& series, std::size_t w) {
+  return outcomes([&](SeriesCounter c) { return series.counter_at(w, c); });
 }
 
 }  // namespace
 
-SloAccountant::SloAccountant(SloConfig cfg, std::uint64_t window_cycles,
-                             double cycles_per_us)
-    : cfg_(cfg), window_cycles_(window_cycles ? window_cycles : 1) {
-  if (cfg_.latency_us > 0.0 && cycles_per_us > 0.0) {
-    latency_cycles_limit_ =
-        static_cast<std::uint64_t>(cfg_.latency_us * cycles_per_us);
+SloSummary slo_summary(const SloConfig& cfg, const WindowedSeries& series) {
+  const Outcomes run =
+      outcomes([&](SeriesCounter c) { return series.total(c); });
+  SloSummary s;
+  s.total = run.good + run.bad;
+  s.errors = run.bad;
+  s.latency_violations = run.latency_violations;
+  if (s.total != 0) {
+    s.availability =
+        static_cast<double>(run.good) / static_cast<double>(s.total);
   }
-}
-
-SloAccountant::Window& SloAccountant::window_for(std::uint64_t cycle) {
-  const std::uint64_t idx = cycle / window_cycles_;
-  if (!windows_.empty() && windows_.back().index == idx) {
-    return windows_.back();
-  }
-  // The runtime scores every outcome at its monotonic event clock.
-  assert(windows_.empty() || idx > windows_.back().index);
-  windows_.push_back(Window{idx});
-  return windows_.back();
-}
-
-void SloAccountant::record_good(std::uint64_t cycle,
-                                std::uint64_t latency_cycles) {
-  if (!enabled()) return;
-  Window& w = window_for(cycle);
-  w.good += 1;
-  good_ += 1;
-  if (latency_cycles_limit_ > 0 && latency_cycles > latency_cycles_limit_) {
-    w.lat_viol += 1;
-    lat_viol_ += 1;
-  }
-}
-
-void SloAccountant::record_bad(std::uint64_t cycle) {
-  if (!enabled()) return;
-  window_for(cycle).bad += 1;
-  bad_ += 1;
-}
-
-double SloAccountant::availability() const noexcept {
-  const std::uint64_t t = total();
-  return t == 0 ? 1.0 : static_cast<double>(good_) / static_cast<double>(t);
-}
-
-double SloAccountant::error_budget_consumed() const noexcept {
-  return budget_consumed(bad_, total(), cfg_.availability);
-}
-
-double SloAccountant::latency_budget_consumed() const noexcept {
+  s.error_budget_consumed = burn_rate(run.bad, s.total, cfg.availability);
   // Latency violations are measured against completions only.
-  return budget_consumed(lat_viol_, good_, SloConfig::kLatencyObjective);
-}
-
-double SloAccountant::max_window_burn() const noexcept {
-  double max_burn = 0.0;
-  for (const Window& w : windows_) {
-    const double b = burn_rate(w.bad, w.good + w.bad, cfg_.availability);
-    if (b > max_burn) max_burn = b;
+  s.latency_budget_consumed = burn_rate(run.latency_violations, run.good,
+                                        SloConfig::kLatencyObjective);
+  for (std::size_t w = 0; w < series.window_count(); ++w) {
+    const Outcomes o = window_outcomes(series, w);
+    s.max_window_burn = std::max(
+        s.max_window_burn, burn_rate(o.bad, o.good + o.bad, cfg.availability));
   }
-  return max_burn;
+  return s;
 }
 
-Json SloAccountant::to_json() const {
+Json slo_to_json(const SloConfig& cfg, const WindowedSeries& series) {
   Json doc = Json::object();
   doc.set("schema", "slo/1");
-  doc.set("availability_objective", cfg_.availability);
-  doc.set("latency_objective_us", cfg_.latency_us);
+  doc.set("availability_objective", cfg.availability);
+  doc.set("latency_objective_us", cfg.latency_us);
   doc.set("latency_objective_fraction", SloConfig::kLatencyObjective);
-  doc.set("window_cycles", window_cycles_);
+  doc.set("window_cycles", series.window_cycles());
 
+  const SloSummary s = slo_summary(cfg, series);
   Json summary = Json::object();
-  summary.set("total", total());
-  summary.set("errors", errors());
-  summary.set("availability", availability());
-  summary.set("error_budget_consumed", error_budget_consumed());
-  summary.set("latency_violations", latency_violations());
-  summary.set("latency_budget_consumed", latency_budget_consumed());
-  summary.set("max_window_burn", max_window_burn());
+  summary.set("total", s.total);
+  summary.set("errors", s.errors);
+  summary.set("availability", s.availability);
+  summary.set("error_budget_consumed", s.error_budget_consumed);
+  summary.set("latency_violations", s.latency_violations);
+  summary.set("latency_budget_consumed", s.latency_budget_consumed);
+  summary.set("max_window_burn", s.max_window_burn);
   doc.set("summary", std::move(summary));
 
+  const double latency_objective =
+      cfg.latency_us > 0.0 ? SloConfig::kLatencyObjective : 0.0;
   Json windows = Json::array();
-  for (const Window& w : windows_) {
+  for (std::size_t w = 0; w < series.window_count(); ++w) {
+    const Outcomes o = window_outcomes(series, w);
+    if (o.good + o.bad == 0) continue;  // no outcome in this window
     Json wj = Json::object();
-    wj.set("start", w.index * window_cycles_);
-    wj.set("total", w.good + w.bad);
-    wj.set("errors", w.bad);
-    wj.set("burn", burn_rate(w.bad, w.good + w.bad, cfg_.availability));
-    wj.set("latency_violations", w.lat_viol);
+    wj.set("start", series.window_start(w));
+    wj.set("total", o.good + o.bad);
+    wj.set("errors", o.bad);
+    wj.set("burn", burn_rate(o.bad, o.good + o.bad, cfg.availability));
+    wj.set("latency_violations", o.latency_violations);
     wj.set("latency_burn",
-           burn_rate(w.lat_viol, w.good,
-                     cfg_.latency_us > 0.0 ? SloConfig::kLatencyObjective
-                                           : 0.0));
+           burn_rate(o.latency_violations, o.good, latency_objective));
     windows.push_back(std::move(wj));
   }
   doc.set("windows", std::move(windows));

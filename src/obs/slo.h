@@ -4,7 +4,7 @@
 // The vocabulary is the standard SRE one. An objective like 99.9%
 // availability grants an *error budget* of 0.1% of all requests; every
 // terminal outcome is either good (completed) or bad (rejected, shed,
-// timed out, failed), and the accountant tracks what fraction of the
+// timed out, failed), and the accounting reports what fraction of the
 // budget the run consumed. The *burn rate* of a window is the ratio of
 // its observed error rate to the allowed error rate — burn 1.0 means
 // "spending the budget exactly as fast as the objective allows",
@@ -18,15 +18,19 @@
 // the availability budget; a completion past the threshold is still
 // *available*, just slow.
 //
-// Windows share the cycle axis (and width) with obs::WindowedSeries so
-// the SLO series lines up 1:1 with the throughput/latency series in the
-// same report. Deterministic: pure arithmetic on the event clock.
+// The accounting is a view of obs::WindowedSeries: good is `completed`,
+// bad is `rejected + shed + timed_out + failed`, and the runtime counts
+// `latency_violations` (SloConfig::latency_violated). The SLO windows
+// are the series' live windows that hold an outcome, so kCapacity
+// bounds them. The summary's totals read the series' running totals and
+// stay exact after eviction; its worst-window burn covers the live
+// windows. Deterministic: pure arithmetic on the event clock.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "obs/json.h"
+#include "obs/timeseries.h"
 
 namespace cryptopim::obs {
 
@@ -41,60 +45,39 @@ struct SloConfig {
   bool enabled() const noexcept {
     return availability > 0.0 || latency_us > 0.0;
   }
+
+  /// True when a completion taking `latency_cycles` misses the latency
+  /// objective: its latency exceeds the threshold truncated to whole
+  /// cycles.
+  bool latency_violated(std::uint64_t latency_cycles,
+                        double cycles_per_us) const noexcept {
+    const auto limit = static_cast<std::uint64_t>(latency_us * cycles_per_us);
+    return limit > 0 && latency_cycles > limit;
+  }
 };
 
-/// Consumes terminal request outcomes and produces per-window and
-/// cumulative error-budget accounting.
-class SloAccountant {
- public:
-  SloAccountant() = default;
-  SloAccountant(SloConfig cfg, std::uint64_t window_cycles,
-                double cycles_per_us);
-
-  bool enabled() const noexcept { return cfg_.enabled(); }
-  const SloConfig& config() const noexcept { return cfg_; }
-
-  /// A request completed at `cycle` with the given end-to-end latency.
-  void record_good(std::uint64_t cycle, std::uint64_t latency_cycles);
-  /// A request terminated without a result (rejected / shed / timed out
-  /// / failed) at `cycle`.
-  void record_bad(std::uint64_t cycle);
-
-  // -- cumulative --------------------------------------------------------------
-  std::uint64_t total() const noexcept { return good_ + bad_; }
-  std::uint64_t errors() const noexcept { return bad_; }
-  std::uint64_t latency_violations() const noexcept { return lat_viol_; }
-  /// Achieved availability in [0, 1]; 1 when nothing terminated yet.
-  double availability() const noexcept;
+/// A run's accounting against its objectives.
+struct SloSummary {
+  std::uint64_t total = 0;   ///< terminal outcomes
+  std::uint64_t errors = 0;  ///< the bad ones
+  std::uint64_t latency_violations = 0;
+  /// Achieved availability in [0, 1]; 1 when nothing terminated.
+  double availability = 1.0;
   /// Fraction of the availability error budget consumed (1.0 = spent
   /// exactly, > 1 = objective violated). 0 when the objective is off.
-  double error_budget_consumed() const noexcept;
+  double error_budget_consumed = 0.0;
   /// Same for the latency budget (violations / allowed violations).
-  double latency_budget_consumed() const noexcept;
-  /// Highest per-window availability burn rate across all windows.
-  double max_window_burn() const noexcept;
-
-  /// {"schema":"slo/1", objectives, "summary":{...}, "windows":[
-  ///   {"start","total","errors","burn","latency_violations",
-  ///    "latency_burn"}]}
-  Json to_json() const;
-
- private:
-  struct Window {
-    std::uint64_t index = 0;
-    std::uint64_t good = 0;
-    std::uint64_t bad = 0;
-    std::uint64_t lat_viol = 0;
-  };
-  Window& window_for(std::uint64_t cycle);
-
-  SloConfig cfg_;
-  std::uint64_t window_cycles_ = 1;
-  std::uint64_t latency_cycles_limit_ = 0;  ///< threshold in cycles
-  std::deque<Window> windows_;
-  std::uint64_t good_ = 0;
-  std::uint64_t bad_ = 0;
-  std::uint64_t lat_viol_ = 0;
+  double latency_budget_consumed = 0.0;
+  /// Highest availability burn rate across the live windows.
+  double max_window_burn = 0.0;
 };
+
+/// The accounting of `series` against `cfg`.
+SloSummary slo_summary(const SloConfig& cfg, const WindowedSeries& series);
+
+/// {"schema":"slo/1", objectives, "window_cycles", "summary":{...},
+///  "windows":[{"start","total","errors","burn","latency_violations",
+///              "latency_burn"}]}
+Json slo_to_json(const SloConfig& cfg, const WindowedSeries& series);
 
 }  // namespace cryptopim::obs

@@ -7,9 +7,10 @@ namespace cryptopim::obs {
 namespace {
 
 constexpr const char* kCounterNames[kSeriesCounters] = {
-    "admitted", "bank_failures", "completed", "dispatched",
-    "failed",   "hedges",        "rejected",  "repartitions",
-    "retries",  "shed",          "submitted", "timed_out"};
+    "admitted",  "bank_failures", "completed", "dispatched",
+    "failed",    "hedges",        "latency_violations",
+    "rejected",  "repartitions",  "retries",   "shed",
+    "submitted", "timed_out"};
 constexpr const char* kHistogramNames[kSeriesHistograms] = {
     "latency_cycles", "queue_depth", "queue_wait_cycles"};
 
@@ -49,6 +50,7 @@ void WindowedSeries::count(SeriesCounter c, std::uint64_t cycle,
                            std::uint64_t delta) {
   if (!enabled()) return;
   window_for(cycle).counters[static_cast<std::size_t>(c)] += delta;
+  totals_[static_cast<std::size_t>(c)] += delta;
 }
 
 void WindowedSeries::observe(SeriesHistogram h, std::uint64_t cycle,

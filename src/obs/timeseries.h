@@ -5,15 +5,16 @@
 // WindowedSeries splits the cycle axis into fixed-width windows and
 // keeps, per window, the runtime's fixed set of counters (SeriesCounter)
 // and pow2 histograms (SeriesHistogram) — enough to reconstruct rolling
-// throughput/latency/shed-rate series from one run.
+// throughput/latency/shed-rate series and the SLO accounting
+// (obs/slo.h) from one run.
 //
 // Every sample is keyed on the runtime's monotonic event clock, so
 // windows are only ever appended. Windows that received no samples are
 // not materialised (sparse); `window_start` tells consumers where each
 // live window sits on the cycle axis. Once kCapacity windows are live,
 // opening a new one drops the oldest and counts it in
-// `evicted_windows()`: eviction loses the far past, and the report's
-// cumulative counters stay the run's totals.
+// `evicted_windows()`: eviction loses the far past of the windows, while
+// each counter's running total (`total`) keeps counting the whole run.
 //
 // Everything is deterministic and value-semantic: same event sequence,
 // same JSON bytes.
@@ -38,6 +39,7 @@ enum class SeriesCounter : std::uint8_t {
   kDispatched,
   kFailed,
   kHedges,
+  kLatencyViolations,
   kRejected,
   kRepartitions,
   kRetries,
@@ -87,6 +89,10 @@ class WindowedSeries {
   const Histogram& histogram_at(std::size_t w, SeriesHistogram h) const;
   /// Windows dropped past kCapacity.
   std::uint64_t evicted_windows() const noexcept { return evicted_; }
+  /// Counter `c` summed over every window, evicted ones included.
+  std::uint64_t total(SeriesCounter c) const noexcept {
+    return totals_[static_cast<std::size_t>(c)];
+  }
 
   /// {"schema":"timeseries/1","window_cycles":W,"evicted_windows":n,
   ///  "windows":[{"start":c,"counters":{...},
@@ -110,6 +116,7 @@ class WindowedSeries {
   std::uint64_t window_cycles_ = 0;
   std::deque<Window> windows_;
   std::uint64_t evicted_ = 0;
+  std::array<std::uint64_t, kSeriesCounters> totals_{};
 };
 
 }  // namespace cryptopim::obs

@@ -139,7 +139,7 @@ obs::Json ServingReport::to_json() const {
   j.set("tenants", std::move(ts));
   j.set("series", series.to_json());
   j.set("rolling", rolling_rates(series, 1e3 / cycles_per_us));
-  if (slo.enabled()) j.set("slo", slo.to_json());
+  if (slo.enabled()) j.set("slo", obs::slo_to_json(slo, series));
   return j;
 }
 
@@ -283,7 +283,7 @@ void ServingRuntime::prime() {
           ? cfg_.window_cycles
           : std::max<std::uint64_t>(1024, horizon / 64);
   report_.series = obs::WindowedSeries(window);
-  report_.slo = obs::SloAccountant(cfg_.slo, window, cyc_per_us);
+  report_.slo = cfg_.slo;
   report_.protocol.kind = protocol_name(cfg_.protocol.kind);
   if (cfg_.protocol.enabled()) {
     if (cfg_.protocol.kind == ProtocolKind::kThreshold) {
@@ -617,11 +617,6 @@ obs::EventRecord ev_base(const char* name, std::uint64_t cycle,
   return rec;
 }
 
-void ServingRuntime::record_bad_outcome(SeriesCounter counter) {
-  report_.series.count(counter, now_);
-  report_.slo.record_bad(now_);
-}
-
 void ServingRuntime::handle_arrival(const Event& e) {
   // Every arrival (generated or fleet-injected) is admitted whole, as a
   // DAG: a protocol request compiles to dag_'s ops, a raw polymul is its
@@ -657,7 +652,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     counter += n_ops;
     tenant_counter += n_ops;
     if (dag) report_.protocol.rejected += 1;
-    record_bad_outcome(SeriesCounter::kRejected);
+    report_.series.count(SeriesCounter::kRejected, now_);
     if (elog_on()) {
       obs::EventRecord rec = ev_base("rejected", now_, cfg_.chip_id, &origin);
       rec.str("reason", reason);
@@ -1147,9 +1142,10 @@ void ServingRuntime::settle(const Request& r, Outcome o,
 void ServingRuntime::fail(const Request& r, Outcome o,
                           std::uint64_t& counter) {
   counter += 1;
-  record_bad_outcome(o == Outcome::kShed       ? SeriesCounter::kShed
-                     : o == Outcome::kTimedOut ? SeriesCounter::kTimedOut
-                                               : SeriesCounter::kFailed);
+  report_.series.count(o == Outcome::kShed       ? SeriesCounter::kShed
+                       : o == Outcome::kTimedOut ? SeriesCounter::kTimedOut
+                                                 : SeriesCounter::kFailed,
+                       now_);
   if (elog_on()) {
     obs::EventRecord rec = ev_base(outcome_name(o), now_, cfg_.chip_id, &r);
     if (o == Outcome::kShed) rec.u64("sojourn", now_ - r.arrival_cycle);
@@ -1224,7 +1220,9 @@ void ServingRuntime::handle_completion(const Event& e) {
   report_.latency_cycles.add(latency);
   report_.series.count(SeriesCounter::kCompleted, now_);
   report_.series.observe(SeriesHistogram::kLatencyCycles, now_, latency);
-  report_.slo.record_good(now_, latency);
+  if (cfg_.slo.latency_violated(latency, cfg_.cycles_per_us())) {
+    report_.series.count(SeriesCounter::kLatencyViolations, now_);
+  }
   TenantStats& ts = report_.tenants.at(r.tenant);
   ts.completed += 1;
   ts.latency_cycles.add(latency);

@@ -240,8 +240,9 @@ struct ServingReport {
   /// Windowed telemetry: per-window counters (submitted / completed /
   /// shed / retries / ...) and latency histograms on the cycle axis.
   obs::WindowedSeries series;
-  /// SLO accounting; serialized only when objectives were configured.
-  obs::SloAccountant slo;
+  /// The run's SLO objectives. The accounting is a view of `series`
+  /// (obs::slo_summary), serialized only when objectives were set.
+  obs::SloConfig slo;
 
   double cycles_per_us = 1.0;
   double latency_us(double quantile) const;
@@ -401,9 +402,6 @@ class ServingRuntime {
   bool elog_on() const noexcept {
     return event_log_ != nullptr && event_log_->enabled();
   }
-  /// Terminal-outcome bookkeeping shared by every "bad" exit (rejected /
-  /// shed / timed out / failed): windowed counter + SLO error.
-  void record_bad_outcome(obs::SeriesCounter counter);
   /// Report a terminal fate to the fleet's outcome sink (no-op when the
   /// sink is unset, i.e. in the classic single-chip path).
   void emit_outcome(const Request& r, Outcome o);
@@ -412,8 +410,8 @@ class ServingRuntime {
   /// the frontier when it completed (the last op joins and reports the
   /// DAG) and tears the whole DAG down exactly once otherwise.
   void settle(const Request& r, Outcome o, std::uint64_t dispatched_at = 0);
-  /// A bad terminal fate (shed / timed out / failed): bump `counter`, the
-  /// windowed counter and the SLO error, log it, then settle.
+  /// A bad terminal fate (shed / timed out / failed): bump `counter` and
+  /// the windowed counter, log it, then settle.
   void fail(const Request& r, Outcome o, std::uint64_t& counter);
   /// A request (a DAG's origin) reached its fate, rejection included:
   /// report it, then let a closed-loop client re-issue.

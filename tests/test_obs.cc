@@ -336,6 +336,8 @@ TEST(WindowedSeries, EvictionDropsTheOldestWindows) {
   EXPECT_EQ(s.histogram_at(0, SeriesHistogram::kLatencyCycles).min(), 61u);
   EXPECT_EQ(s.counter_at(kCap - 1, SeriesCounter::kSubmitted), kCap + 6);
   EXPECT_EQ(s.to_json().at("evicted_windows").as_u64(), 6u);
+  // The running total still counts the evicted windows: 1 + ... + kCap+6.
+  EXPECT_EQ(s.total(SeriesCounter::kSubmitted), (kCap + 6) * (kCap + 7) / 2);
 }
 
 TEST(WindowedSeries, ToJsonCarriesSchemaWindowsAndSummaries) {
@@ -372,52 +374,61 @@ TEST(WindowedSeries, ToJsonCarriesSchemaWindowsAndSummaries) {
   EXPECT_EQ(off.window_count(), 0u);
 }
 
-// -------------------------------------------------------- SloAccountant --
+// ------------------------------------------------------------------ SLO --
 
 TEST(Slo, ErrorBudgetMath) {
   SloConfig cfg;
   cfg.availability = 0.99;  // 1% error budget
-  SloAccountant slo(cfg, 100, 1.0);
-  ASSERT_TRUE(slo.enabled());
-  for (int i = 0; i < 99; ++i) slo.record_good(i, 1);
-  slo.record_bad(50);
-  EXPECT_EQ(slo.total(), 100u);
-  EXPECT_EQ(slo.errors(), 1u);
-  EXPECT_DOUBLE_EQ(slo.availability(), 0.99);
+  WindowedSeries s(100);
+  s.count(SeriesCounter::kCompleted, 0, 50);
+  s.count(SeriesCounter::kRejected, 50);
+  s.count(SeriesCounter::kCompleted, 60, 49);
+  const SloSummary slo = slo_summary(cfg, s);
+  EXPECT_EQ(slo.total, 100u);
+  EXPECT_EQ(slo.errors, 1u);
+  EXPECT_DOUBLE_EQ(slo.availability, 0.99);
   // 1 error / (0.01 * 100 allowed) = exactly the whole budget.
-  EXPECT_NEAR(slo.error_budget_consumed(), 1.0, 1e-9);
+  EXPECT_NEAR(slo.error_budget_consumed, 1.0, 1e-9);
   // One window holds everything: its burn is the cumulative burn.
-  EXPECT_NEAR(slo.max_window_burn(), 1.0, 1e-9);
+  EXPECT_NEAR(slo.max_window_burn, 1.0, 1e-9);
 }
 
 TEST(Slo, LatencyObjectiveCountsViolations) {
   // 1% of completions may exceed the threshold.
   ASSERT_EQ(SloConfig::kLatencyObjective, 0.99);
   SloConfig cfg;
-  cfg.latency_us = 10.0;  // threshold: 10 us = 100 cycles below
-  SloAccountant slo(cfg, 1000, 10.0);  // 10 cycles per us
-  for (int i = 0; i < 99; ++i) slo.record_good(i, 50);  // under threshold
-  slo.record_good(99, 500);                             // over (500 > 100)
-  EXPECT_EQ(slo.latency_violations(), 1u);
+  cfg.latency_us = 10.0;  // threshold: 10 us = 100 cycles at 10 cycles/us
+  EXPECT_FALSE(cfg.latency_violated(100, 10.0));
+  EXPECT_TRUE(cfg.latency_violated(101, 10.0));
+  // The runtime counts each violating completion in the series.
+  WindowedSeries s(1000);
+  s.count(SeriesCounter::kCompleted, 0, 100);
+  s.count(SeriesCounter::kLatencyViolations, 99);
+  const SloSummary slo = slo_summary(cfg, s);
+  EXPECT_EQ(slo.latency_violations, 1u);
   // 1 violation / (0.01 * 100 completions) = whole latency budget.
-  EXPECT_NEAR(slo.latency_budget_consumed(), 1.0, 1e-9);
+  EXPECT_NEAR(slo.latency_budget_consumed, 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(
-      slo.to_json().at("latency_objective_fraction").as_number(), 0.99);
+      slo_to_json(cfg, s).at("latency_objective_fraction").as_number(), 0.99);
   // No availability objective: error budget off even with bad outcomes.
-  slo.record_bad(100);
-  EXPECT_DOUBLE_EQ(slo.error_budget_consumed(), 0.0);
+  s.count(SeriesCounter::kFailed, 100);
+  EXPECT_DOUBLE_EQ(slo_summary(cfg, s).error_budget_consumed, 0.0);
 }
 
 TEST(Slo, PerWindowBurnIsolatesTheBadWindow) {
   SloConfig cfg;
   cfg.availability = 0.9;  // allowed error rate 0.1
-  SloAccountant slo(cfg, 100, 1.0);
-  // Window 0: clean. Window 1: half the traffic fails (burn 5x).
-  for (int i = 0; i < 10; ++i) slo.record_good(i, 1);
-  for (int i = 100; i < 105; ++i) slo.record_good(i, 1);
-  for (int i = 105; i < 110; ++i) slo.record_bad(i);
-  EXPECT_NEAR(slo.max_window_burn(), 5.0, 1e-9);
-  const Json j = slo.to_json();
+  WindowedSeries s(100);
+  // Window 0: clean. Window 1: half the traffic fails (burn 5x), and
+  // every bad outcome counts as an error.
+  s.count(SeriesCounter::kCompleted, 0, 10);
+  s.count(SeriesCounter::kCompleted, 100, 5);
+  s.count(SeriesCounter::kRejected, 105, 2);
+  s.count(SeriesCounter::kShed, 106);
+  s.count(SeriesCounter::kTimedOut, 107);
+  s.count(SeriesCounter::kFailed, 108);
+  EXPECT_NEAR(slo_summary(cfg, s).max_window_burn, 5.0, 1e-9);
+  const Json j = slo_to_json(cfg, s);
   EXPECT_EQ(j.at("schema").as_string(), "slo/1");
   ASSERT_EQ(j.at("windows").size(), 2u);
   EXPECT_NEAR(j.at("windows")[0].at("burn").as_number(), 0.0, 1e-9);
@@ -425,14 +436,51 @@ TEST(Slo, PerWindowBurnIsolatesTheBadWindow) {
   EXPECT_EQ(j.at("summary").at("errors").as_u64(), 5u);
 }
 
-TEST(Slo, DisabledAccountantIsInert) {
-  SloAccountant slo;
-  EXPECT_FALSE(slo.enabled());
-  slo.record_good(0, 1);
-  slo.record_bad(0);
-  EXPECT_EQ(slo.total(), 0u);
-  EXPECT_DOUBLE_EQ(slo.availability(), 1.0);
-  EXPECT_DOUBLE_EQ(slo.error_budget_consumed(), 0.0);
+TEST(Slo, WindowsAreTheSeriesWindowsWithAnOutcome) {
+  SloConfig cfg;
+  cfg.availability = 0.999;
+  WindowedSeries s(100);
+  s.count(SeriesCounter::kSubmitted, 0);  // no outcome: not an SLO window
+  s.count(SeriesCounter::kCompleted, 150, 3);
+  s.count(SeriesCounter::kDispatched, 250);
+  s.count(SeriesCounter::kShed, 420);
+  const Json j = slo_to_json(cfg, s);
+  EXPECT_EQ(j.at("window_cycles").as_u64(), 100u);
+  ASSERT_EQ(j.at("windows").size(), 2u);
+  EXPECT_EQ(j.at("windows")[0].at("start").as_u64(), 100u);
+  EXPECT_EQ(j.at("windows")[0].at("total").as_u64(), 3u);
+  EXPECT_EQ(j.at("windows")[1].at("start").as_u64(), 400u);
+  EXPECT_EQ(j.at("windows")[1].at("errors").as_u64(), 1u);
+}
+
+TEST(Slo, SummaryStaysExactAfterEviction) {
+  // One rejection in window 0, then a completion in each of kCapacity + 6
+  // windows: the series keeps the last kCapacity, the summary the run.
+  constexpr std::uint64_t kCap = WindowedSeries::kCapacity;
+  SloConfig cfg;
+  cfg.availability = 0.99;
+  WindowedSeries s(10);
+  s.count(SeriesCounter::kRejected, 0);
+  for (std::uint64_t c = 0; c < (kCap + 6) * 10; c += 10) {
+    s.count(SeriesCounter::kCompleted, c);
+  }
+  ASSERT_EQ(s.evicted_windows(), 6u);
+  const SloSummary slo = slo_summary(cfg, s);
+  EXPECT_EQ(slo.total, kCap + 7);
+  EXPECT_EQ(slo.errors, 1u);
+  EXPECT_EQ(slo_to_json(cfg, s).at("windows").size(), kCap);
+}
+
+TEST(Slo, DisabledObjectivesAreInert) {
+  const SloConfig off;
+  EXPECT_FALSE(off.enabled());
+  EXPECT_FALSE(off.latency_violated(1u << 30, 909.0));
+  const SloSummary slo = slo_summary(off, WindowedSeries(100));
+  EXPECT_EQ(slo.total, 0u);
+  EXPECT_DOUBLE_EQ(slo.availability, 1.0);
+  EXPECT_DOUBLE_EQ(slo.error_budget_consumed, 0.0);
+  // A report with no objectives carries no slo section.
+  EXPECT_FALSE(runtime::ServingReport().to_json().contains("slo"));
 }
 
 // ------------------------------------------------------------- EventLog --
@@ -663,11 +711,12 @@ TEST(ServingObs, WindowedTotalsMatchCumulativeCounters) {
   }
   EXPECT_EQ(latencies, r.completed);
   // Every terminal outcome is accounted good or bad exactly once.
-  EXPECT_EQ(r.slo.total(),
+  const SloSummary slo = slo_summary(r.slo, s);
+  EXPECT_EQ(slo.total,
             r.completed + r.rejected + r.rejected_unservable +
                 r.resilience.rejected_deadline + r.resilience.shed +
                 r.resilience.timed_out + r.resilience.failed);
-  EXPECT_GT(r.slo.total(), 0u);
+  EXPECT_GT(slo.total, 0u);
 }
 
 TEST(ServingObs, EventLogAndReportAreByteDeterministic) {

@@ -970,17 +970,17 @@ int cmd_serve(const Options& opt) {
               << "verified:    " << cp::fmt_i(rep.verified) << " ok, "
               << cp::fmt_i(rep.verify_failures) << " failed\n";
     if (rep.slo.enabled()) {
+      const auto slo = cp::obs::slo_summary(rep.slo, rep.series);
       std::cout << "slo:         availability "
-                << ratio_pct(rep.slo.availability(), 3) << " (objective "
-                << ratio_pct(rep.slo.config().availability, 3) << "), "
-                << "error budget "
-                << ratio_pct(rep.slo.error_budget_consumed(), 1)
+                << ratio_pct(slo.availability, 3) << " (objective "
+                << ratio_pct(rep.slo.availability, 3) << "), "
+                << "error budget " << ratio_pct(slo.error_budget_consumed, 1)
                 << " consumed\n"
-                << "  latency:   " << cp::fmt_i(rep.slo.latency_violations())
+                << "  latency:   " << cp::fmt_i(slo.latency_violations)
                 << " violations, budget "
-                << ratio_pct(rep.slo.latency_budget_consumed(), 1)
+                << ratio_pct(slo.latency_budget_consumed, 1)
                 << " consumed, max window burn "
-                << cp::fmt_f(rep.slo.max_window_burn()) << "x\n";
+                << cp::fmt_f(slo.max_window_burn) << "x\n";
     }
     const auto& rs = rep.resilience;
     std::cout << "resilience:  " << cp::fmt_i(rs.rejected_deadline)
