@@ -47,12 +47,14 @@ struct SloConfig {
   }
 
   /// True when a completion taking `latency_cycles` misses the latency
-  /// objective: its latency exceeds the threshold truncated to whole
-  /// cycles.
+  /// objective, which is on whenever `latency_us` > 0: its latency
+  /// exceeds the threshold truncated to whole cycles (0 cycles for a
+  /// threshold shorter than one cycle).
   bool latency_violated(std::uint64_t latency_cycles,
                         double cycles_per_us) const noexcept {
-    const auto limit = static_cast<std::uint64_t>(latency_us * cycles_per_us);
-    return limit > 0 && latency_cycles > limit;
+    return latency_us > 0.0 &&
+           latency_cycles >
+               static_cast<std::uint64_t>(latency_us * cycles_per_us);
   }
 };
 

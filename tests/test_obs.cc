@@ -415,6 +415,16 @@ TEST(Slo, LatencyObjectiveCountsViolations) {
   EXPECT_DOUBLE_EQ(slo_summary(cfg, s).error_budget_consumed, 0.0);
 }
 
+TEST(Slo, SubCycleLatencyObjectiveIsOn) {
+  // 0.0005 us is under one 1.1 ns cycle: the threshold truncates to 0
+  // cycles, and every completion that takes a cycle misses it.
+  SloConfig cfg;
+  cfg.latency_us = 0.0005;
+  const double cycles_per_us = runtime::ServingConfig::cycles_per_us();
+  EXPECT_FALSE(cfg.latency_violated(0, cycles_per_us));
+  EXPECT_TRUE(cfg.latency_violated(1, cycles_per_us));
+}
+
 TEST(Slo, PerWindowBurnIsolatesTheBadWindow) {
   SloConfig cfg;
   cfg.availability = 0.9;  // allowed error rate 0.1
