@@ -196,6 +196,10 @@ void FleetRuntime::prime() {
   if (cfg_.kill_chip >= cfg_.chips) {
     throw std::invalid_argument("kill_chip is not a chip of the fleet");
   }
+  // A kill past the arrival horizon would stretch the drain clock to it.
+  if (cfg_.kill_chip_at_us > cfg_.chip.duration_us) {
+    throw std::invalid_argument("kill_chip_at_us is past the arrival horizon");
+  }
   cfg_.replicas = std::max<std::uint32_t>(
       1, std::min(cfg_.replicas, cfg_.chips));
 

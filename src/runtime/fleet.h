@@ -78,7 +78,8 @@ struct FleetConfig {
 
   /// Deterministic test hook: crash chip `kill_chip` at this simulated
   /// microsecond (0 = off). Independent of the chaos process. prime()
-  /// throws std::invalid_argument when `kill_chip` >= `chips`.
+  /// throws std::invalid_argument when `kill_chip` >= `chips` or the
+  /// time is past the arrival horizon (`chip.duration_us`).
   double kill_chip_at_us = 0.0;
   std::uint32_t kill_chip = 0;
 };

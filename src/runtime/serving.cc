@@ -255,6 +255,10 @@ void ServingRuntime::prime() {
   if (cfg_.workload.mix.empty()) {
     throw std::invalid_argument("degree mix must not be empty");
   }
+  // A fault past the arrival horizon would stretch the drain clock to it.
+  if (cfg_.fail_bank_at_us > cfg_.duration_us) {
+    throw std::invalid_argument("fail_bank_at_us is past the arrival horizon");
+  }
   // This chip's lane geometry table: throws on a degree it cannot host.
   geometry_.clear();
   for (const auto& share : cfg_.workload.mix) geometry(share.degree);

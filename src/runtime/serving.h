@@ -148,6 +148,7 @@ struct ServingConfig {
 
   // -- reliability ------------------------------------------------------------
   /// Inject one bank failure at this simulated microsecond (0 = none).
+  /// prime() throws std::invalid_argument when it is past duration_us.
   double fail_bank_at_us = 0.0;
   /// Freivalds points for data-carrying requests.
   static constexpr unsigned verify_points = 2;

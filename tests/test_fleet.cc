@@ -227,6 +227,18 @@ TEST(FleetServing, OutOfRangeKillChipThrows) {
   EXPECT_THROW(FleetRuntime(std::move(fc)).run(), std::invalid_argument);
 }
 
+TEST(FleetServing, KillPastTheHorizonThrows) {
+  // The drain clock follows every scheduled event, so a kill past the
+  // arrival horizon would stretch the run to reach it; prime() refuses
+  // it, as the fleet's chaos process drops episodes past the horizon.
+  auto fc = small_fleet(3);
+  fc.kill_chip_at_us = 100000.0;
+  EXPECT_THROW(FleetRuntime(std::move(fc)).run(), std::invalid_argument);
+  fc = small_fleet(3);
+  fc.kill_chip_at_us = fc.chip.duration_us;  // the horizon itself is inside
+  EXPECT_EQ(FleetRuntime(std::move(fc)).run().crashes, 1u);
+}
+
 TEST(FleetServing, SameSeedIsByteIdentical) {
   auto cfg = small_fleet(4, /*seed=*/9);
   cfg.chaos.enabled = true;

@@ -460,6 +460,17 @@ TEST(Serving, BankFailureRepartitionsAndStreamStillVerifies) {
   EXPECT_EQ(r.verify_failures, 0u);
 }
 
+TEST(Serving, BankFailurePastTheHorizonThrows) {
+  // The drain clock follows every scheduled event, so a failure past the
+  // arrival horizon would stretch the run to reach it; prime() refuses
+  // it, as the chaos process drops episodes past the horizon.
+  ServingConfig cfg = base_config(256, 200);
+  cfg.fail_bank_at_us = 100000;
+  EXPECT_THROW(ServingRuntime(cfg).run(), std::invalid_argument);
+  cfg.fail_bank_at_us = cfg.duration_us;  // the horizon itself is inside
+  EXPECT_EQ(ServingRuntime(cfg).run().bank_failures, 1u);
+}
+
 TEST(Serving, FailuresBeyondSparesShrinkTheChip) {
   // n = 32768 needs all 128 banks for its single superbank; on a chip
   // without spares, losing one bank makes the class unservable, so

@@ -128,7 +128,8 @@ int serve_help() {
          "\n"
          "reliability:\n"
          "  --fail-bank-at US    inject a bank failure at this simulated us\n"
-         "                       (0 = none); triggers a repartition\n"
+         "                       (0 = none; at most --duration); triggers a\n"
+         "                       repartition\n"
          "  --verify-every K     every Kth request carries data and its\n"
          "                       result is Freivalds-verified (default 64;\n"
          "                       0 = off)\n"
@@ -180,7 +181,7 @@ int serve_help() {
          "                       drain/re-shard machinery; seed from\n"
          "                       --chaos-seed\n"
          "  --kill-chip-at US    deterministically crash one chip at this\n"
-         "                       simulated us (0 = off)\n"
+         "                       simulated us (0 = off; at most --duration)\n"
          "  --kill-chip I        which chip --kill-chip-at crashes\n"
          "                       (default 0; requires --kill-chip-at)\n"
          "\n"
@@ -650,6 +651,10 @@ int cmd_serve(const Options& opt) {
   cfg.deadline_slack = take_double(args, "--deadline-slack",
                                    cfg.policy == "edf" ? 4.0 : 0.0, 0.0, 1e6);
   cfg.fail_bank_at_us = take_double(args, "--fail-bank-at", 0.0, 0.0, 1e9);
+  // A fault past the arrival horizon would stretch the run's clock to it.
+  if (cfg.fail_bank_at_us > cfg.duration_us) {
+    throw UsageError("--fail-bank-at must not exceed --duration");
+  }
   cfg.workload.tenants =
       static_cast<std::uint32_t>(take_u64(args, "--tenants", 4, 1, 1u << 16));
   cfg.workload.seed = take_u64(args, "--seed", 1);
@@ -791,6 +796,9 @@ int cmd_serve(const Options& opt) {
   }
   if (kill_chip_given && kill_chip_at == 0) {
     throw UsageError("--kill-chip requires --kill-chip-at US");
+  }
+  if (kill_chip_at > cfg.duration_us) {
+    throw UsageError("--kill-chip-at must not exceed --duration");
   }
   if (kill_chip_given && kill_chip >= fleet_n) {
     throw UsageError("--kill-chip " + std::to_string(kill_chip) +
