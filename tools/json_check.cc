@@ -32,7 +32,10 @@
 // "series" section (schema "timeseries/1"). With no series
 // window evicted, the windows must sum to the report's totals (see
 // series_sum_error). The optional "slo" section, when present, must be
-// schema "slo/1" with summary + windows.
+// schema "slo/1" and a view of the series (see slo_view_error): the
+// same window width, one window per series window that holds an
+// outcome, with that window's outcomes, and with nothing evicted a
+// summary that sums its windows.
 //
 // --fleet: arguments are `serve --fleet --json` reports (schema
 // "fleet/1"): the "chips" array length must match the "fleet" count,
@@ -52,6 +55,8 @@
 // thread_name metadata with a string args.name.
 //
 // Exit 0 iff every file validates.
+#include <algorithm>
+#include <array>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -354,6 +359,60 @@ std::string series_sum_error(const Json& rep) {
   return "";
 }
 
+/// The slo/1 section is a view of the series (obs/slo.h): the same
+/// window width, and one window per series window that holds an outcome,
+/// at its start, with its total (completed + bad), errors (bad: rejected
+/// + shed + timed_out + failed) and latency_violations. With no series
+/// window evicted, the summary's totals are the windows' sums. Returns
+/// the first mismatch, or "".
+std::string slo_view_error(const Json& slo, const Json& series) {
+  // A member as an integer; a missing one reads ~0, which no view holds.
+  const auto u64 = [](const Json& j, const char* f) {
+    return j.contains(f) ? j.at(f).as_u64() : ~std::uint64_t{0};
+  };
+  if (!slo.contains("schema") || slo.at("schema").as_string() != "slo/1" ||
+      !slo.contains("summary") || !slo.contains("windows")) {
+    return "slo is not a slo/1 document";
+  }
+  if (u64(slo, "window_cycles") != u64(series, "window_cycles")) {
+    return "slo window_cycles differs from the series'";
+  }
+  using Row = std::array<std::uint64_t, 4>;  // start, total, errors, viol.
+  std::vector<Row> want, got;
+  for (const Json& w : series.at("windows").items()) {
+    const auto n = [&w](const char* f) -> std::uint64_t {
+      if (!w.contains("counters") || !w.at("counters").contains(f)) return 0;
+      return w.at("counters").at(f).as_u64();
+    };
+    const std::uint64_t bad =
+        n("rejected") + n("shed") + n("timed_out") + n("failed");
+    if (n("completed") + bad == 0) continue;
+    want.push_back({u64(w, "start"), n("completed") + bad, bad,
+                    n("latency_violations")});
+  }
+  for (const Json& w : slo.at("windows").items()) {
+    got.push_back({u64(w, "start"), u64(w, "total"), u64(w, "errors"),
+                   u64(w, "latency_violations")});
+  }
+  const auto [g, v] =
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+  if (g != got.end() || v != want.end()) {
+    return "slo window " + std::to_string(g - got.begin()) +
+           " is not the series' next window with an outcome";
+  }
+  if (series.at("evicted_windows").as_u64() != 0) return "";
+  Row sums{};
+  for (const Row& r : got) {
+    for (std::size_t i = 1; i < sums.size(); ++i) sums[i] += r[i];
+  }
+  const Json& summary = slo.at("summary");
+  if (sums != Row{0, u64(summary, "total"), u64(summary, "errors"),
+                  u64(summary, "latency_violations")}) {
+    return "slo summary totals differ from its windows' sums";
+  }
+  return "";
+}
+
 /// The serving/3 report checks shared by --serving and --fleet. Returns
 /// the first problem found, or "" for a valid report.
 std::string serving_report_error(const Json& rep) {
@@ -403,10 +462,9 @@ std::string serving_report_error(const Json& rep) {
   }
   if (!rep.contains("rolling")) return "missing 'rolling' rates";
   if (rep.contains("slo")) {
-    const Json& slo = rep.at("slo");
-    if (!slo.contains("schema") || slo.at("schema").as_string() != "slo/1" ||
-        !slo.contains("summary") || !slo.contains("windows")) {
-      return "slo is not a slo/1 document";
+    if (const std::string err = slo_view_error(rep.at("slo"), series);
+        !err.empty()) {
+      return err;
     }
   }
   // Protocol block: DAG-granularity request accounting over the
