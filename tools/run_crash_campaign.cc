@@ -47,7 +47,12 @@
 #include <unistd.h>
 #include <vector>
 
+#include "obs/json.h"
+#include "runtime/journal.h"
+
 namespace fs = std::filesystem;
+using cryptopim::obs::Json;
+using cryptopim::obs::parse_json;
 
 namespace {
 
@@ -96,125 +101,95 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-// Extracts `"key":<u64>` from a hand-formatted journal payload.
-// Returns false when the key is absent.
-bool find_u64(const std::string& payload, const std::string& key,
-              std::uint64_t* out) {
-  std::string needle = "\"" + key + "\":";
-  std::size_t pos = payload.find(needle);
-  if (pos == std::string::npos) return false;
-  pos += needle.size();
-  if (pos >= payload.size() || payload[pos] < '0' || payload[pos] > '9')
-    return false;
-  std::uint64_t v = 0;
-  while (pos < payload.size() && payload[pos] >= '0' && payload[pos] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(payload[pos] - '0');
-    ++pos;
-  }
-  *out = v;
-  return true;
-}
-
-// One journal file, parsed just far enough for the campaign's semantic
-// checks (byte comparison is the primary oracle; this is the
-// independent cross-check).
+// One journal file, read through runtime::Journal::load (the loader
+// --recover uses: CRC framing, torn-tail rule) and parsed just far
+// enough for the campaign's semantic checks (byte comparison is the
+// primary oracle; this is the independent cross-check).
 struct JournalScan {
-  bool ok = false;
-  std::string error;
+  std::string error;                  // empty when the journal read
   bool fleet = false;
-  bool sealed = false;
-  std::string seal;                  // seal payload (empty if unsealed)
-  std::vector<std::uint64_t> admits; // admit record ids, in order
+  Json seal;                          // seal record (null if unsealed)
+  std::vector<std::uint64_t> admits;  // admit record ids, in order
 };
 
 JournalScan scan_journal(const std::string& path) {
   JournalScan s;
-  std::string text = slurp(path);
-  if (text.empty()) {
-    s.error = "empty or missing journal: " + path;
+  const auto failed = [&s](std::string why) {
+    s.error = std::move(why);
     return s;
+  };
+  const auto loaded = cryptopim::runtime::Journal::load(path);
+  if (!loaded.ok) return failed(loaded.error);
+  if (loaded.payloads.empty()) {
+    return failed("empty or missing journal: " + path);
   }
-  std::size_t start = 0;
-  bool first = true;
-  while (start < text.size()) {
-    std::size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) break;  // torn tail: ignore
-    std::string line = text.substr(start, nl - start);
-    start = nl + 1;
-    if (line.size() < 10 || line[8] != ' ') {
-      s.error = "bad frame in " + path;
-      return s;
+  for (std::size_t i = 0; i < loaded.payloads.size(); ++i) {
+    const auto r = parse_json(loaded.payloads[i]);
+    const Json& j = r.value;
+    if (!r.ok || !j.is_object() || !j.contains("t")) {
+      return failed("unparseable record " + std::to_string(i + 1) + " in " +
+                    path);
     }
-    std::string payload = line.substr(9);
-    if (first) {
-      first = false;
-      if (payload.find("\"t\":\"hdr\"") == std::string::npos) {
-        s.error = "first record is not a header in " + path;
-        return s;
-      }
-      s.fleet = payload.find("\"mode\":\"fleet\"") != std::string::npos;
-      continue;
-    }
-    if (payload.find("\"t\":\"admit\"") != std::string::npos) {
-      std::uint64_t id = 0;
-      if (!find_u64(payload, "id", &id)) {
-        s.error = "admit without id in " + path;
-        return s;
-      }
-      s.admits.push_back(id);
-    } else if (payload.find("\"t\":\"seal\"") != std::string::npos) {
-      s.sealed = true;
-      s.seal = payload;
+    const std::string& t = j.at("t").as_string();
+    if (i == 0) {
+      if (t != "hdr") return failed("first record is not a header in " + path);
+      s.fleet = j.contains("mode") && j.at("mode").as_string() == "fleet";
+    } else if (t == "admit") {
+      if (!j.contains("id")) return failed("admit without id in " + path);
+      s.admits.push_back(j.at("id").as_u64());
+    } else if (t == "seal") {
+      s.seal = j;
     }
   }
-  s.ok = true;
   return s;
 }
 
-// Sum of the named counters (absent keys count as 0).
-std::uint64_t sum_fields(const std::string& seal,
+// The named seal counter, 0 when absent.
+std::uint64_t counter(const Json& seal, const char* key) {
+  return seal.contains(key) ? seal.at(key).as_u64() : 0;
+}
+
+// Sum of the named seal counters.
+std::uint64_t sum_fields(const Json& seal,
                          std::initializer_list<const char*> keys) {
   std::uint64_t total = 0;
-  for (const char* k : keys) {
-    std::uint64_t v = 0;
-    if (find_u64(seal, k, &v)) total += v;
-  }
+  for (const char* k : keys) total += counter(seal, k);
   return total;
 }
 
-// Checks the conservation identities on a seal payload. Returns an
+// Checks the conservation identities on a seal record. Returns an
 // empty string when everything closes.
 std::string check_conservation(const JournalScan& s) {
-  if (!s.sealed) return "journal is not sealed";
-  std::uint64_t sub = 0;
-  if (!find_u64(s.seal, "sub", &sub)) return "seal missing sub";
+  if (!s.seal.is_object()) return "journal is not sealed";
+  const Json& seal = s.seal;
+  if (!seal.contains("sub")) return "seal missing sub";
+  const std::uint64_t sub = seal.at("sub").as_u64();
   if (s.fleet) {
     // Fleet ledger: every submitted request reaches exactly one
     // fleet-terminal fate.
     std::uint64_t fated =
-        sum_fields(s.seal, {"cmp", "rej", "shd", "tmo", "fld", "que"});
+        sum_fields(seal, {"cmp", "rej", "shd", "tmo", "fld", "que"});
     if (sub != fated)
       return "fleet conservation: sub " + std::to_string(sub) +
              " != fated " + std::to_string(fated);
     return {};
   }
-  std::uint64_t adm = 0, rej = 0;
-  if (!find_u64(s.seal, "adm", &adm)) return "seal missing adm";
-  find_u64(s.seal, "rej", &rej);
+  if (!seal.contains("adm")) return "seal missing adm";
+  const std::uint64_t adm = seal.at("adm").as_u64();
+  const std::uint64_t rej = counter(seal, "rej");
   if (sub != adm + rej)
     return "admission conservation: sub " + std::to_string(sub) + " != adm " +
            std::to_string(adm) + " + rej " + std::to_string(rej);
   // Op ledger: every admitted op reaches exactly one terminal fate or is
   // cancelled by exactly-once protocol teardown.
-  std::uint64_t fated = sum_fields(
-      s.seal, {"cmp", "shd", "tmo", "fld", "que", "inf", "cnl"});
+  std::uint64_t fated =
+      sum_fields(seal, {"cmp", "shd", "tmo", "fld", "que", "inf", "cnl"});
   if (adm != fated)
     return "op conservation: adm " + std::to_string(adm) + " != fated " +
            std::to_string(fated);
   // A corrupt result delivered as correct is never acceptable, crashed
   // or not.
-  std::uint64_t wra = 0;
-  if (find_u64(s.seal, "wra", &wra) && wra != 0)
+  if (const std::uint64_t wra = counter(seal, "wra"); wra != 0)
     return "wrong-accepted: " + std::to_string(wra);
   return {};
 }
@@ -340,12 +315,11 @@ int main(int argc, char** argv) {
     die("reference run failed (status " + std::to_string(status) + ")");
   std::vector<std::string> files = journal_files(ref_dir);
   JournalScan ref = scan_journal(ref_dir + "/" + files[0]);
-  if (!ref.ok) die("reference journal: " + ref.error);
+  if (!ref.error.empty()) die("reference journal: " + ref.error);
   std::string cons = check_conservation(ref);
   if (!cons.empty()) die("reference run: " + cons);
-  std::uint64_t total = 0;
-  if (!find_u64(ref.seal, "i", &total) || total == 0)
-    die("reference seal has no event count");
+  const std::uint64_t total = counter(ref.seal, "i");
+  if (total == 0) die("reference seal has no event count");
   std::string ref_report = slurp(ref_stdout);
   std::vector<std::string> ref_journals;
   for (const std::string& f : files) ref_journals.push_back(slurp(ref_dir + "/" + f));
@@ -365,14 +339,17 @@ int main(int argc, char** argv) {
     std::uint64_t k = 1 + (p * (total - 1)) / (points > 1 ? points - 1 : 1);
     fs::remove_all(run_dir, ec);
 
+    // Counts one violation at this kill point; --verbose says why.
+    const auto violated = [&](std::uint64_t& counter, const std::string& why) {
+      ++counter;
+      if (a.verbose) std::cout << "  k=" << k << " " << why << "\n";
+    };
     int cs = run_child(
         serve_argv(a, run_dir, {"--kill-at-event", std::to_string(k)}),
         "", false);
     if (!WIFSIGNALED(cs) || WTERMSIG(cs) != SIGKILL) {
-      ++crash_bad;
-      if (a.verbose)
-        std::cout << "  k=" << k << " crash run did not die by SIGKILL"
-                  << " (status " << cs << ")\n";
+      violated(crash_bad, "crash run did not die by SIGKILL (status " +
+                              std::to_string(cs) + ")");
       continue;
     }
 
@@ -382,37 +359,26 @@ int main(int argc, char** argv) {
 
     int rs = run_child(serve_argv(a, run_dir, {"--recover"}), run_stdout, false);
     if (!WIFEXITED(rs) || WEXITSTATUS(rs) != 0) {
-      ++recover_bad;
-      if (a.verbose)
-        std::cout << "  k=" << k << " recover failed (status " << rs << ")\n";
+      violated(recover_bad,
+               "recover failed (status " + std::to_string(rs) + ")");
       continue;
     }
 
     if (slurp(run_stdout) != ref_report) {
-      ++report_bad;
-      if (a.verbose) std::cout << "  k=" << k << " recovered report differs\n";
+      violated(report_bad, "recovered report differs");
     }
     bool jbad = false;
     for (std::size_t f = 0; f < files.size(); ++f) {
       if (slurp(run_dir + "/" + files[f]) != ref_journals[f]) jbad = true;
     }
-    if (jbad) {
-      ++journal_bad;
-      if (a.verbose) std::cout << "  k=" << k << " recovered journal differs\n";
-    }
-    JournalScan rec = scan_journal(run_dir + "/" + files[0]);
-    std::string err = rec.ok ? check_conservation(rec) : rec.error;
-    if (!err.empty()) {
-      ++conserve_bad;
-      if (a.verbose) std::cout << "  k=" << k << " " << err << "\n";
-    }
-    if (rec.ok) {
-      err = check_admits(rec.admits, ref.admits);
-      if (!err.empty()) {
-        ++admit_bad;
-        if (a.verbose) std::cout << "  k=" << k << " " << err << "\n";
-      }
-    }
+    if (jbad) violated(journal_bad, "recovered journal differs");
+    const JournalScan rec = scan_journal(run_dir + "/" + files[0]);
+    const std::string err =
+        rec.error.empty() ? check_conservation(rec) : rec.error;
+    if (!err.empty()) violated(conserve_bad, err);
+    const std::string admits =
+        rec.error.empty() ? check_admits(rec.admits, ref.admits) : "";
+    if (!admits.empty()) violated(admit_bad, admits);
   }
 
   std::uint64_t violations = crash_bad + recover_bad + report_bad +
