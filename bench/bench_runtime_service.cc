@@ -99,7 +99,7 @@ int main() {
   std::cout << "\nOverload (2x) pins throughput at the bank-limited bound\n"
                "while p99 latency runs away; the policies separate in *who*\n"
                "waits: sjf favours short service, edf the tightest deadline,\n"
-               "wfq the tenant behind on its weighted bank-time share.\n";
+               "wfq the tenant furthest behind in bank-time.\n";
   rep.write_default();
   return 0;
 }

@@ -91,9 +91,6 @@ obs::Json serving_config_to_json(const ServingConfig& cfg) {
   proto.set("shares", std::uint64_t{cfg.protocol.shares});
   j.set("protocol", std::move(proto));
   j.set("queue_capacity", std::uint64_t{cfg.queue_capacity});
-  obs::Json weights = obs::Json::array();
-  for (const double w : cfg.tenant_weights) weights.push_back(obs::Json(w));
-  j.set("tenant_weights", std::move(weights));
   j.set("fail_bank_at_us", cfg.fail_bank_at_us);
   const auto& res = cfg.resilience;
   obs::Json r = obs::Json::object();

@@ -11,9 +11,9 @@
 //         large degrees)
 //   edf   earliest deadline first; requests without a deadline rank
 //         after all deadlined ones, in arrival order
-//   wfq   weighted fair queueing over tenants: pick the request of the
-//         eligible tenant with the lowest bank-cycle usage normalised
-//         by its weight (max-min fairness in bank-time)
+//   wfq   fair queueing over tenants: pick the request of the eligible
+//         tenant with the lowest bank-cycle usage (max-min fairness in
+//         bank-time)
 //
 // Every comparison falls back to (arrival, id) so the ranking is a
 // total order and runs are reproducible.
@@ -41,7 +41,7 @@ std::optional<Policy> parse_policy(std::string_view name);
 const std::vector<std::string>& policy_names();
 
 /// True when `policy` serves `a` before `b`. `tenant_usage` is each
-/// tenant's consumed bank-cycles divided by its weight (read by wfq).
+/// tenant's consumed bank-cycles (read by wfq).
 inline bool runs_before(Policy policy, const Request& a, const Request& b,
                         std::span<const double> tenant_usage) noexcept {
   switch (policy) {

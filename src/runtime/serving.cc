@@ -123,7 +123,6 @@ obs::Json ServingReport::to_json() const {
   for (const auto& [id, t] : tenants) {
     obs::Json tj = obs::Json::object();
     tj.set("tenant", std::uint64_t{id});
-    tj.set("weight", t.weight);
     tj.set("submitted", t.submitted);
     tj.set("admitted", t.admitted);
     tj.set("rejected", t.rejected);
@@ -302,11 +301,7 @@ void ServingRuntime::prime() {
   const std::uint32_t tenants = std::max<std::uint32_t>(cfg_.workload.tenants, 1);
   tenant_usage_.assign(tenants, 0.0);
   for (std::uint32_t t = 0; t < tenants; ++t) {
-    TenantStats ts;
-    ts.weight = t < cfg_.tenant_weights.size() && cfg_.tenant_weights[t] > 0
-                    ? cfg_.tenant_weights[t]
-                    : 1.0;
-    report_.tenants.emplace(t, std::move(ts));
+    report_.tenants.emplace(t, TenantStats{});
   }
 
   // Fleet drive: no internal generator — the front-end injects arrivals.
@@ -514,7 +509,7 @@ obs::Json ServingRuntime::snapshot_state() const {
   banks.set("usable", std::uint64_t{usable_banks()});
   s.set("banks", std::move(banks));
 
-  // WFQ fairness ledgers (bank-cycles / weight per tenant).
+  // WFQ fairness ledgers (bank-cycles per tenant).
   obs::Json usage = obs::Json::array();
   for (const double u : tenant_usage_) usage.push_back(obs::Json(u));
   s.set("tenant_usage", std::move(usage));
@@ -994,9 +989,8 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
     // A hedge burns real bank-cycles but is not charged to the tenant's
     // fairness ledger — the duplicate is the runtime's choice, not theirs.
     if (hedge_of == 0) {
-      TenantStats& ts = report_.tenants.at(r.tenant);
-      ts.bank_cycles += bank_cycles;
-      tenant_usage_[r.tenant] += static_cast<double>(bank_cycles) / ts.weight;
+      report_.tenants.at(r.tenant).bank_cycles += bank_cycles;
+      tenant_usage_[r.tenant] += static_cast<double>(bank_cycles);
     }
   }
 

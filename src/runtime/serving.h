@@ -143,8 +143,6 @@ struct ServingConfig {
 
   // -- admission and partitioning --------------------------------------------
   std::size_t queue_capacity = 1024;
-  /// Per-tenant fairness weights (wfq); missing tenants default to 1.
-  std::vector<double> tenant_weights;
 
   // -- reliability ------------------------------------------------------------
   /// Inject one bank failure at this simulated microsecond (0 = none).
@@ -181,7 +179,6 @@ struct TenantStats {
   std::uint64_t deadline_misses = 0;
   /// Bank-cycles consumed: lane banks x occupancy beats per request.
   std::uint64_t bank_cycles = 0;
-  double weight = 1.0;
   obs::Histogram latency_cycles;  ///< arrival -> completion
 };
 
@@ -508,7 +505,7 @@ class ServingRuntime {
   /// (quadratic event count under saturation).
   std::set<std::uint64_t> scan_cycles_;
 
-  std::vector<double> tenant_usage_;  ///< bank-cycles / weight, for wfq
+  std::vector<double> tenant_usage_;  ///< bank-cycles per tenant, for wfq
 
   obs::EventLog* event_log_ = nullptr;  ///< not owned; may be null
   OutcomeSink outcome_sink_;            ///< fleet callback; may be empty

@@ -1032,12 +1032,11 @@ int cmd_serve(const Options& opt) {
                        ps.latency_cycles.quantile(0.99)))
                 << " cyc\n";
     }
-    cp::Table t({"tenant", "weight", "admitted", "completed", "bank-cycles",
+    cp::Table t({"tenant", "admitted", "completed", "bank-cycles",
                  "p50 (cyc)", "p99 (cyc)"});
     for (const auto& [id, ts] : rep.tenants) {
-      t.add_row({std::to_string(id), cp::fmt_f(ts.weight, 1),
-                 cp::fmt_i(ts.admitted), cp::fmt_i(ts.completed),
-                 cp::fmt_i(ts.bank_cycles),
+      t.add_row({std::to_string(id), cp::fmt_i(ts.admitted),
+                 cp::fmt_i(ts.completed), cp::fmt_i(ts.bank_cycles),
                  cp::fmt_i(ts.latency_cycles.quantile(0.5)),
                  cp::fmt_i(ts.latency_cycles.quantile(0.99))});
     }
