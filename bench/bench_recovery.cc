@@ -3,7 +3,7 @@
 // Three cells run the same chaos-serving workload — plain, journaled,
 // and journaled with periodic snapshots — and report the *simulated*
 // serving metrics plus the durability footprint (journal records/bytes,
-// snapshots written). The simulated metrics are byte-identical across
+// snap records journaled). The simulated metrics are byte-identical across
 // the three cells by construction: journaling observes the event clock,
 // it never perturbs it. The wall-clock cost of the always-flushed
 // journal is measured too, but printed to stdout only — committed
@@ -74,12 +74,10 @@ CellResult run_cell(const cp::runtime::DurabilityOptions& durab) {
   if (durab.enabled()) {
     const std::string text = slurp(durab.dir + "/journal.log");
     out.journal_bytes = text.size();
-    for (char c : text)
-      if (c == '\n') ++out.journal_records;
-    std::error_code ec;
-    for (const auto& ent : fs::directory_iterator(durab.dir, ec)) {
-      const std::string name = ent.path().filename().string();
-      if (name.rfind("snap-", 0) == 0) ++out.snapshots;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+      ++out.journal_records;
+      if (line.find("\"t\":\"snap\"") != std::string::npos) ++out.snapshots;
     }
   }
   return out;

@@ -12,8 +12,11 @@
 // Schema: serve-events/2 puts a "chip" field on every record (control
 // records included) so one log can interleave the lifecycle streams of a
 // whole fleet; trace ids stay stable across cross-chip retries and
-// hedges, so a request's causal chain reads across chips.
-// tools/json_check --events validates the format.
+// hedges, so a request's causal chain reads across chips. A record
+// restates nothing the log or the run's config already holds: a
+// protocol op's identity follows from its trace id and the compiled
+// DAG, and a fleet's route is the target chip's first record of the
+// trace. tools/json_check --events validates the format.
 //
 // The stream is the log's only copy: a log is on exactly while its
 // stream is open, and with no stream it drops records at the door, so

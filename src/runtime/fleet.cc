@@ -442,10 +442,7 @@ bool FleetRuntime::dispatch_to_fleet(const Request& r, bool first) {
   const std::uint32_t target = router_->pick(r, candidates);
   outstanding_.at(r.id).last_chip = target;
   chips_[target]->inject(r, now_);
-  if (first) {
-    report_.routed += 1;
-    if (elog_on()) event_log_->write(ev_base("route", now_, target, &r));
-  }
+  if (first) report_.routed += 1;
   return true;
 }
 

@@ -167,8 +167,10 @@ class FleetRuntime {
   const FleetConfig& config() const noexcept { return cfg_; }
 
   /// Shared lifecycle log (serve-events/2): chips stamp their own chip
-  /// id, the fleet stamps the target chip on route/migrate/fleet_retry
-  /// records, so one log interleaves the whole fleet's streams.
+  /// id, the fleet stamps the target chip on migrate/fleet_retry
+  /// records, so one log interleaves the whole fleet's streams. A route
+  /// writes no record of its own: the target chip's `admitted` or
+  /// `rejected` record, in the same cycle, opens the request's trace.
   void set_event_log(obs::EventLog* log) noexcept;
 
   /// Run to completion. Throws std::invalid_argument for an unknown
@@ -220,8 +222,9 @@ class FleetRuntime {
                   std::uint64_t dispatch_id = 0, Request r = {}) {
     clock_.push(cfg_.chips, kind, cycle, dispatch_id, std::move(r));
   }
-  /// Fleet-level snapshot state: chip membership + shard map + cross-chip
-  /// retry bookkeeping + RNG digests + every chip's own state dump.
+  /// Fleet-level state dump whose CRC a snapshot journals: chip
+  /// membership + shard map + cross-chip retry bookkeeping + RNG digests
+  /// + every chip's own state dump.
   obs::Json snapshot_state() const;
   void log_control(const char* ev, std::uint32_t chip);
   bool elog_on() const noexcept {

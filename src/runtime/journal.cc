@@ -9,7 +9,6 @@
 #include "obs/json.h"
 #include "runtime/fleet.h"
 #include "runtime/serving.h"
-#include "runtime/snapshot.h"
 
 namespace cryptopim::runtime {
 
@@ -267,17 +266,6 @@ std::unique_ptr<Journal> open_journal(const DurabilityOptions& opts,
   return j;
 }
 
-void persist_snapshot(const std::string& dir, std::uint64_t index,
-                      const obs::Json& state, Journal& journal) {
-  // Always (re)write the document — a replay passing this index rebuilds
-  // byte-identical state, so the rename lands the same content — then
-  // journal the CRC. During recovery the record byte-compare *is* the
-  // cross-check: a CRC drift from the pre-crash record throws.
-  std::uint32_t crc = 0;
-  const std::string file = write_snapshot(dir, index, state, &crc);
-  journal.record(Journal::snap_payload(index, file, crc));
-}
-
 // -- payload builders ---------------------------------------------------------
 
 std::string Journal::header_payload(const char* mode, std::uint32_t chip_id,
@@ -312,12 +300,12 @@ std::string Journal::outcome_payload(std::uint64_t index, std::uint64_t cycle,
       .dump();
 }
 
-std::string Journal::snap_payload(std::uint64_t index, const std::string& file,
-                                  std::uint32_t state_crc) {
+std::string Journal::snap_payload(std::uint64_t index,
+                                  const obs::Json& state) {
   char crc[16];
-  std::snprintf(crc, sizeof crc, "%08x", state_crc);
+  std::snprintf(crc, sizeof crc, "%08x", obs::crc32(state.dump()));
   return obs::JsonLine()
-      .str("t", "snap").u64("i", index).str("file", file).str("crc", crc)
+      .str("t", "snap").u64("i", index).str("crc", crc)
       .dump();
 }
 

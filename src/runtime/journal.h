@@ -10,8 +10,10 @@
 // index. A record that matches was already delivered before the crash
 // (exactly-once: it is not re-appended and a fleet would not re-ack it);
 // the first record past the journal's valid prefix flips the journal
-// back to live append mode and the run simply continues. Snapshots
-// (runtime/snapshot.h) ride the same mechanism as periodic cross-checks.
+// back to live append mode and the run simply continues. Snapshots ride
+// the same mechanism as periodic cross-checks: a snapshot is the CRC of
+// the runtime's full state dump, journaled in a `snap` record, and the
+// replay that passes the same index must rebuild the same CRC.
 //
 // On-disk format — one CRC-framed record per line:
 //
@@ -25,7 +27,7 @@
 //   admit — an admission commitment: global event index, cycle, and the
 //           request's full field set.
 //   out   — a terminal outcome commitment (index, cycle, id, fate).
-//   snap  — a snapshot was persisted at this index (file + state CRC).
+//   snap  — a snapshot at this index: the CRC of the state dump.
 //   seal  — clean end of run, carrying the final conservation counters.
 //
 // Every record is flushed to the OS as it is written (the durability
@@ -76,9 +78,10 @@ obs::Json fleet_config_to_json(const FleetConfig& cfg);
 
 /// Durability knobs threaded from the CLI into the runtimes.
 struct DurabilityOptions {
-  /// Journal/snapshot directory; empty = durability off.
+  /// Journal directory; empty = durability off.
   std::string dir;
-  /// Persist a snapshot every N global events (0 = journal only).
+  /// Journal a snapshot (the state dump's CRC) every N global events
+  /// (0 = none).
   std::uint64_t snapshot_every = 0;
   /// Recover: load the journal, replay-match its prefix, resume live.
   bool recover = false;
@@ -139,8 +142,8 @@ class Journal {
                                    const Request& r);
   static std::string outcome_payload(std::uint64_t index, std::uint64_t cycle,
                                      std::uint64_t id, Outcome o);
-  static std::string snap_payload(std::uint64_t index, const std::string& file,
-                                  std::uint32_t state_crc);
+  /// The snapshot of global event `index`: the CRC of `state.dump()`.
+  static std::string snap_payload(std::uint64_t index, const obs::Json& state);
   static std::string seal_payload(
       std::uint64_t index, std::uint64_t cycle,
       std::initializer_list<std::pair<const char*, std::uint64_t>> counters);
@@ -170,11 +173,6 @@ std::unique_ptr<Journal> open_journal(const DurabilityOptions& opts,
                                       std::uint64_t seed,
                                       const obs::Json& config);
 
-/// Persists `state` as the snapshot of global event `index` under `dir`
-/// (runtime/snapshot.h) and journals its CRC in a `snap` record.
-void persist_snapshot(const std::string& dir, std::uint64_t index,
-                      const obs::Json& state, Journal& journal);
-
 /// The durability boundary before global event `index`, where the
 /// runtime's state is consistent; the single-chip and the fleet loop
 /// both cross it before every event. A snapshot taken here (of
@@ -188,7 +186,7 @@ void durability_boundary(const DurabilityOptions& opts, std::uint64_t index,
                          Journal& journal, StateFn&& state) {
   if (opts.snapshot_every > 0 && index > 0 &&
       index % opts.snapshot_every == 0) {
-    persist_snapshot(opts.dir, index, state(), journal);
+    journal.record(Journal::snap_payload(index, state()));
   }
   if (opts.kill_at_event > 0 && index + 1 == opts.kill_at_event) {
     std::raise(SIGKILL);

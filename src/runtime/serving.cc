@@ -751,14 +751,6 @@ void ServingRuntime::handle_arrival(const Event& e) {
       stamp(r, is_host_op(r) ? kHostOpCycles : geometry(op.degree).service());
     }
     if (hard_deadline) push_event(EventKind::kTimeout, r.deadline_cycle, r.id);
-    if (dag && elog_on()) {
-      obs::EventRecord rec = ev_base("protocol_op", now_, cfg_.chip_id, &r);
-      rec.u64("proto", pid).u64("op", r.op_index);
-      rec.str("cls", op_class_name(r.op_class));
-      if (r.parent_mask != 0) rec.u64("parents", r.parent_mask);
-      if (r.fanout_group != 0) rec.u64("group", r.fanout_group);
-      event_log_->write(rec);
-    }
     pending_.push_back(std::move(r));
   }
   try_dispatch();

@@ -280,7 +280,10 @@ class ServingRuntime {
   /// Attach a lifecycle event log (not owned; may be null). While its
   /// stream is open, every request emits causally-linked records —
   /// admitted, dispatched, retry, hedge, completed, ... — keyed by a
-  /// trace id (the request id, shared across its retries and hedges).
+  /// trace id (the request id, shared across its retries and hedges). A
+  /// protocol request's ops log no record at admission: op i of the
+  /// request with id o has trace id o << 6 | i, and its dispatched
+  /// record names its proto, op, class and fan-out group.
   void set_event_log(obs::EventLog* log) noexcept { event_log_ = log; }
 
   /// Run the full simulation: prime arrivals, loop the event queue to
@@ -350,8 +353,8 @@ class ServingRuntime {
   /// chip's step() then honours opts.snapshot_every and
   /// opts.kill_at_event; a fleet crosses the boundary in its own loop.
   void enable_durability(const DurabilityOptions& opts);
-  /// Full determinism-relevant state dump for snapshot/1 documents: lane
-  /// geometry and breaker/wear state, bank pool, WFQ ledgers, RNG
+  /// Full determinism-relevant state dump whose CRC a snapshot journals:
+  /// lane geometry and breaker/wear state, bank pool, WFQ ledgers, RNG
   /// position digests, queue and in-flight occupancy, counters.
   obs::Json snapshot_state() const;
 

@@ -11,8 +11,8 @@
 # `rejected` for each reason the CLI can reach (queue_full,
 # deadline_infeasible), `shed`, `timed_out`, `retry`, `hedge`,
 # `cancelled`, `torn_down`, `corruption_detected`,
-# `chip_corruption_detected`, `failed`, `protocol_op`, `join` and
-# `proto_failed`. (`rejected` with reason `unservable` needs more failed
+# `chip_corruption_detected`, `failed`, `join` and `proto_failed`, and
+# the fleet's `fleet_retry` and `migrate`. (`rejected` with reason `unservable` needs more failed
 # banks than the chip has spares, which no CLI flag can inject; the
 # TerminalPaths matrix in test_serving_paths.cc drives it instead.)
 # kem_wear_teardown is the protocol run with a --deadline: with a low

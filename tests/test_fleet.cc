@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -449,14 +450,59 @@ TEST(FleetServing, SharedEventLogStampsChipOnEveryRecord) {
     evs_seen.insert(rec.at("ev").as_string());
   }
   // More than one chip logged into the one stream, and the fleet's own
-  // lifecycle records (route + crash machinery) interleave with the
-  // chips' request records.
+  // lifecycle records (the crash machinery) interleave with the chips'
+  // request records.
   EXPECT_GT(chips_seen.size(), 1u);
-  EXPECT_TRUE(evs_seen.contains("route"));
   EXPECT_TRUE(evs_seen.contains("chip_crash"));
   EXPECT_TRUE(evs_seen.contains("chip_rejoin"));
   EXPECT_TRUE(evs_seen.contains("reshard"));
   EXPECT_TRUE(evs_seen.contains("admitted"));
+}
+
+TEST(FleetServing, EachRouteOpensItsTraceOnTheTargetChip) {
+  // A route writes no record of its own: the target chip admits or
+  // rejects the request in the cycle the fleet journaled its admission,
+  // and that record opens the request's trace. Requests parked with no
+  // chip up open theirs later, when they are re-dispatched.
+  auto fc = small_fleet(3, /*seed=*/13);
+  fc.chip.duration_us = 2000.0;
+  fc.chaos.enabled = true;
+  fc.chaos.seed = 13;
+  fc.kill_chip_at_us = 500.0;
+  fc.kill_chip = 0;
+  DurabilityOptions durab;
+  durab.dir = ::testing::TempDir() + "/fleet_route_journal";
+  FleetRuntime fleet(fc);
+  fleet.enable_durability(durab);
+  obs::EventLog log;
+  log.open_stream(::testing::TempDir() + "/fleet_route_events.jsonl",
+                  /*line_buffered=*/false);
+  fleet.set_event_log(&log);
+  const auto rep = fleet.run();
+  ASSERT_GT(rep.routed, 0u);
+
+  std::map<std::uint64_t, std::uint64_t> admit_cycle;
+  const auto journal = Journal::load(durab.dir + "/fleet.log");
+  ASSERT_TRUE(journal.ok) << journal.error;
+  for (const std::string& payload : journal.payloads) {
+    const obs::Json rec = obs::parse_json(payload).value;
+    if (rec.at("t").as_string() == "admit") {
+      admit_cycle[rec.at("id").as_u64()] = rec.at("c").as_u64();
+    }
+  }
+  ASSERT_EQ(admit_cycle.size(), rep.submitted);
+
+  std::set<std::uint64_t> seen;
+  std::uint64_t opened_by_route = 0;
+  for (const auto& rec : log.records()) {
+    if (!rec.contains("trace")) continue;
+    const std::uint64_t trace = rec.at("trace").as_u64();
+    if (!seen.insert(trace).second) continue;
+    const std::string ev = rec.at("ev").as_string();
+    opened_by_route += (ev == "admitted" || ev == "rejected") &&
+                       rec.at("cycle").as_u64() == admit_cycle.at(trace);
+  }
+  EXPECT_EQ(opened_by_route, rep.routed);
 }
 
 TEST(FleetServing, TraceIdsAreStableAcrossChips) {

@@ -1,7 +1,7 @@
-// Durability subsystem tests (src/runtime/journal.*, snapshot.*, and the
-// recovery path through ServingRuntime / FleetRuntime): CRC framing,
-// torn-tail discipline, replay matching, snapshot documents, RNG
-// digests, event-log streaming, and in-process crash/recover fidelity —
+// Durability subsystem tests (src/runtime/journal.*, and the recovery
+// path through ServingRuntime / FleetRuntime): CRC framing, torn-tail
+// discipline, replay matching, snapshot records, RNG digests, event-log
+// streaming, and in-process crash/recover fidelity —
 // including the --protocol x --fleet matrix (op-ledger conservation and
 // exactly-once protocol teardown when a chip dies mid-DAG).
 #include "runtime/journal.h"
@@ -27,7 +27,6 @@
 #include "runtime/protocol.h"
 #include "runtime/protocol_ops.h"
 #include "runtime/serving.h"
-#include "runtime/snapshot.h"
 
 namespace cryptopim::runtime {
 namespace {
@@ -189,29 +188,42 @@ TEST(Journal, RecoverRejectsHeaderMismatch) {
 
 // ---------------------------------------------------------- snapshot --
 
-TEST(Snapshot, WritesLoadsAndValidates) {
-  const std::string dir = scratch_dir("snap");
+TEST(Snapshot, JournalsTheStateCrcAndWritesNoDocument) {
   obs::Json state = obs::Json::object();
   state.set("cycle", std::uint64_t{12345});
   state.set("note", "hello");
-  std::uint32_t crc = 0;
-  const std::string file = write_snapshot(dir, 42, state, &crc);
-  EXPECT_EQ(file, "snap-42.json");
-  // The CRC the journal's snap record pins is that of the compact state.
-  EXPECT_EQ(crc, obs::crc32(state.dump()));
-  EXPECT_FALSE(fs::exists(dir + "/" + file + ".tmp"));  // renamed into place
+  char crc[9];
+  std::snprintf(crc, sizeof crc, "%08x", obs::crc32(state.dump()));
+  EXPECT_EQ(Journal::snap_payload(42, state),
+            std::string("{\"t\":\"snap\",\"i\":42,\"crc\":\"") + crc + "\"}");
 
-  // The document is a parseable snapshot/1 carrying index, CRC and state.
-  const auto parsed = obs::parse_json(slurp(dir + "/" + file));
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  const obs::Json& doc = parsed.value;
-  EXPECT_EQ(doc.at("schema").as_string(), "snapshot/1");
-  EXPECT_EQ(doc.at("index").as_u64(), 42u);
-  char crc_hex[9];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", crc);
-  EXPECT_EQ(doc.at("crc").as_string(), crc_hex);
-  EXPECT_EQ(doc.at("state").at("cycle").as_u64(), 12345u);
-  EXPECT_EQ(doc.at("state").at("note").as_string(), "hello");
+  // A run with snapshots on journals only snap records: every one
+  // carries t, i and crc, and the directory holds the journal alone.
+  const std::string dir = scratch_dir("snap");
+  DurabilityOptions durab;
+  durab.dir = dir;
+  durab.snapshot_every = 128;
+  ServingRuntime rt(small_config(11));
+  rt.enable_durability(durab);
+  rt.run();
+  const auto loaded = Journal::load(dir + "/journal.log");
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  std::uint64_t snaps = 0;
+  for (const std::string& payload : loaded.payloads) {
+    const auto r = obs::parse_json(payload);
+    ASSERT_TRUE(r.ok) << r.error;
+    if (r.value.at("t").as_string() != "snap") continue;
+    snaps += 1;
+    ASSERT_EQ(r.value.size(), 3u) << payload;
+    EXPECT_EQ(r.value.at("i").as_u64() % durab.snapshot_every, 0u);
+    EXPECT_EQ(r.value.at("crc").as_string().size(), 8u);
+  }
+  EXPECT_GT(snaps, 0u);
+  std::vector<std::string> files;
+  for (const auto& ent : fs::directory_iterator(dir)) {
+    files.push_back(ent.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"journal.log"});
 }
 
 // -------------------------------------------------------- rng digest --
@@ -344,6 +356,51 @@ TEST(Recovery, SealedJournalReplaysWithoutAppending) {
   again.enable_durability(durab);
   again.run();
   EXPECT_EQ(slurp(dir + "/journal.log"), want_journal);
+}
+
+TEST(Recovery, AlteredSnapshotCrcDivergesTheReplay) {
+  // A snap record whose state CRC differs from the one the replay
+  // rebuilds, framed with a valid record CRC so the loader accepts it:
+  // recovery must stop at it instead of resuming.
+  const std::string dir = scratch_dir("snapdiverge");
+  DurabilityOptions durab;
+  durab.dir = dir;
+  durab.snapshot_every = 128;
+  ServingRuntime full(small_config(11));
+  full.enable_durability(durab);
+  full.run();
+
+  const std::string path = dir + "/journal.log";
+  std::istringstream in(slurp(path));
+  std::string text;
+  bool altered = false;
+  for (std::string line; std::getline(in, line);) {
+    std::string payload = line.substr(9);
+    if (!altered && payload.find("\"t\":\"snap\"") != std::string::npos) {
+      char& digit = payload[payload.find("\"crc\":\"") + 7];
+      digit = digit == '0' ? '1' : '0';
+      char frame[10];
+      std::snprintf(frame, sizeof frame, "%08x ", obs::crc32(payload));
+      line = frame + payload;
+      altered = true;
+    }
+    text += line + "\n";
+  }
+  ASSERT_TRUE(altered);
+  spit(path, text);
+  ASSERT_TRUE(Journal::load(path).ok);
+
+  durab.recover = true;
+  ServingRuntime again(small_config(11));
+  again.enable_durability(durab);
+  try {
+    again.run();
+    ADD_FAILURE() << "recovery replayed past an altered snapshot CRC";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("replay diverged"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------- protocol x fleet matrix (S3) --

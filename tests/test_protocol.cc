@@ -254,27 +254,41 @@ TEST(ProtocolServing, BgvLimbFanOutLandsOnDistinctLanes) {
 
 // ------------------------------------------------------------ event log --
 
-TEST(ProtocolServing, EventLogWritesWideParentMasksExactly) {
-  // A 62-share threshold DAG's aggregate op waits on ops 1..62, so its
-  // protocol_op record carries the parent mask 2^63 - 2: an integer a
-  // double would round.
-  ServingConfig cfg = proto_config(ProtocolKind::kThreshold, 1, 30.0);
-  cfg.protocol.shares = kMaxShares;
-  cfg.arrival_rate_per_s = 100000.0;
-  const std::string path =
-      ::testing::TempDir() + "/proto_threshold_parents.jsonl";
-  obs::EventLog elog;
-  elog.open_stream(path, /*line_buffered=*/false);
-  ServingRuntime rt(cfg);
-  rt.set_event_log(&elog);
-  const auto r = rt.run();
-  elog.close_stream();
-  ASSERT_GT(r.protocol.requests, 0u);
-  std::ifstream in(path);
-  std::stringstream text;
-  text << in.rdbuf();
-  EXPECT_NE(text.str().find("\"parents\":9223372036854775806"),
-            std::string::npos);
+TEST(ProtocolServing, DispatchedOpsMatchTheirTraceIdAndTheCompiledDag) {
+  // An op's identity is not logged on its own: its trace id is
+  // origin << 6 | op, its proto id origin + 1, and its class and fan-out
+  // group are its DAG node's, which the dispatched record repeats.
+  for (const auto kind : {ProtocolKind::kKem, ProtocolKind::kBgvMul,
+                          ProtocolKind::kThreshold}) {
+    ServingConfig cfg = proto_config(kind, 7, 1500.0);
+    cfg.arrival_rate_per_s = 100000.0;
+    cfg.resilience = ResilienceConfig::chaos_preset(7);
+    const ProtoDag dag = compile_protocol(cfg.protocol);
+    obs::EventLog elog;
+    elog.open_stream(::testing::TempDir() + "/proto_dispatched_ops.jsonl",
+                     /*line_buffered=*/false);
+    ServingRuntime rt(cfg);
+    rt.set_event_log(&elog);
+    rt.run();
+    std::uint64_t ops = 0;
+    std::uint64_t retried = 0;
+    for (const obs::Json& rec : elog.records()) {
+      if (rec.at("ev").as_string() != "dispatched") continue;
+      const std::uint64_t trace = rec.at("trace").as_u64();
+      const std::uint64_t op = trace & 63;
+      ASSERT_LT(op, dag.ops.size());
+      const ProtoOp& node = dag.ops[op];
+      EXPECT_EQ(rec.at("proto").as_u64(), (trace >> 6) + 1);
+      EXPECT_EQ(rec.at("op").as_u64(), op);
+      EXPECT_EQ(rec.at("cls").as_string(), op_class_name(node.cls));
+      EXPECT_EQ(rec.contains("group") ? rec.at("group").as_u64() : 0u,
+                node.fanout_group);
+      ops += 1;
+      retried += rec.contains("attempt");
+    }
+    EXPECT_GT(ops, 0u) << protocol_name(kind);
+    EXPECT_GT(retried, 0u) << protocol_name(kind);
+  }
 }
 
 // ---------------------------------------------------------- determinism --

@@ -200,13 +200,13 @@ int serve_help() {
          "                       (default 3; requires --protocol threshold)\n"
          "\n"
          "durability (crash recovery; the flags below require --journal):\n"
-         "  --journal DIR        write-ahead journal + snapshots under DIR:\n"
-         "                       every admission and terminal outcome is a\n"
+         "  --journal DIR        write-ahead journal under DIR: every\n"
+         "                       admission and terminal outcome is a\n"
          "                       CRC-framed, flushed record, so a killed run\n"
          "                       loses at most a torn final line\n"
-         "  --snapshot-every N   persist a full state snapshot every N\n"
+         "  --snapshot-every N   journal the CRC of the full state every N\n"
          "                       global events (cross-checked as recovery\n"
-         "                       replays past them; 0 = journal only)\n"
+         "                       replays past them; 0 = none)\n"
          "  --recover            recover from DIR: deterministically replay\n"
          "                       the journaled prefix (each commitment is\n"
          "                       matched, not re-delivered — exactly-once),\n"

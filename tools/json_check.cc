@@ -21,7 +21,7 @@
 // invalid line *followed by valid ones* is mid-file corruption and
 // rejected. The first record must be a journal/1 "hdr", and each record
 // type must carry its required fields (admit: the request field set;
-// out: id + fate; snap: file + state crc; seal: counters).
+// out: id + fate; snap: index + state crc; seal: counters).
 //
 // --serving: arguments are `serve --json` reports. The document must
 // carry report.schema "serving/3" and that schema's one shape: a
@@ -127,13 +127,7 @@ bool check_events(const std::string& path, const std::string& text) {
       return fail(path, "line " + std::to_string(lineno) + ": '" + ev +
                             "' record lacks trace/tenant");
     }
-    // Protocol DAG records: per-op identity on protocol_op, join verdict
-    // on the request's host-side recombination.
-    if (ev == "protocol_op" &&
-        (!j.contains("proto") || !j.contains("op") || !j.contains("cls"))) {
-      return fail(path, "line " + std::to_string(lineno) +
-                            ": protocol_op record lacks proto/op/cls");
-    }
+    // A protocol request's join verdict on its host-side recombination.
     if (ev == "join" && (!j.contains("ok") || !j.contains("ops"))) {
       return fail(path, "line " + std::to_string(lineno) +
                             ": join record lacks ok/ops");
@@ -204,7 +198,7 @@ bool check_journal(const std::string& path) {
                               ": unknown outcome '" + o + "'");
       }
     } else if (t == "snap") {
-      for (const char* f : {"i", "file", "crc"}) {
+      for (const char* f : {"i", "crc"}) {
         if (!j.contains(f)) {
           return fail(path, "line " + std::to_string(lineno) +
                                 ": snap record lacks '" + f + "'");
