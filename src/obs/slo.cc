@@ -27,10 +27,10 @@ struct Outcomes {
 
 template <typename Count>
 Outcomes outcomes(Count n) {
-  using C = SeriesCounter;
-  return {n(C::kCompleted),
-          n(C::kRejected) + n(C::kShed) + n(C::kTimedOut) + n(C::kFailed),
-          n(C::kLatencyViolations)};
+  Outcomes o{0, 0, n(SeriesCounter::kLatencyViolations)};
+  for (const SeriesCounter c : kGoodOutcomes) o.good += n(c);
+  for (const SeriesCounter c : kBadOutcomes) o.bad += n(c);
+  return o;
 }
 
 Outcomes window_outcomes(const WindowedSeries& series, std::size_t w) {
@@ -54,6 +54,10 @@ SloSummary slo_summary(const SloConfig& cfg, const WindowedSeries& series) {
   // Latency violations are measured against completions only.
   s.latency_budget_consumed = burn_rate(run.latency_violations, run.good,
                                         SloConfig::kLatencyObjective);
+  // Burn rises with bad/total, so the worst evicted window stands for
+  // every evicted one.
+  const WindowedSeries::OutcomeShare evicted = series.worst_evicted();
+  s.max_window_burn = burn_rate(evicted.bad, evicted.total, cfg.availability);
   for (std::size_t w = 0; w < series.window_count(); ++w) {
     const Outcomes o = window_outcomes(series, w);
     s.max_window_burn = std::max(

@@ -19,12 +19,14 @@
 // *available*, just slow.
 //
 // The accounting is a view of obs::WindowedSeries: good is `completed`,
-// bad is `rejected + shed + timed_out + failed`, and the runtime counts
+// bad is `rejected + shed + timed_out + failed` (kGoodOutcomes and
+// kBadOutcomes in obs/timeseries.h), and the runtime counts
 // `latency_violations` (SloConfig::latency_violated). The SLO windows
 // are the series' live windows that hold an outcome, so kCapacity
 // bounds them. The summary's totals read the series' running totals and
-// stay exact after eviction; its worst-window burn covers the live
-// windows. Deterministic: pure arithmetic on the event clock.
+// its worst-window burn also reads the series' worst evicted window, so
+// both stay exact after eviction. Deterministic: pure arithmetic on the
+// event clock.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +72,8 @@ struct SloSummary {
   double error_budget_consumed = 0.0;
   /// Same for the latency budget (violations / allowed violations).
   double latency_budget_consumed = 0.0;
-  /// Highest availability burn rate across the live windows.
+  /// Highest availability burn rate across the windows, evicted ones
+  /// included.
   double max_window_burn = 0.0;
 };
 

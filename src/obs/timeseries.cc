@@ -39,6 +39,23 @@ WindowedSeries::Window& WindowedSeries::window_for(std::uint64_t cycle) {
   // The runtime keys every sample on its monotonic event clock.
   assert(windows_.empty() || idx > windows_.back().index);
   if (windows_.size() == kCapacity) {
+    const auto& counters = windows_.front().counters;
+    OutcomeShare out;
+    for (const SeriesCounter c : kBadOutcomes) {
+      out.bad += counters[static_cast<std::size_t>(c)];
+    }
+    out.total = out.bad;
+    for (const SeriesCounter c : kGoodOutcomes) {
+      out.total += counters[static_cast<std::size_t>(c)];
+    }
+    // Keep the higher bad/total, compared exactly; {0, 0} holds no bad
+    // outcome, so any window with one beats it.
+    const OutcomeShare& worst = worst_evicted_;
+    using Wide = unsigned __int128;
+    if (out.bad > 0 && (worst.bad == 0 || Wide{out.bad} * worst.total >
+                                              Wide{worst.bad} * out.total)) {
+      worst_evicted_ = out;
+    }
     windows_.pop_front();
     evicted_ += 1;
   }

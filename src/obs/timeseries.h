@@ -14,7 +14,9 @@
 // live window sits on the cycle axis. Once kCapacity windows are live,
 // opening a new one drops the oldest and counts it in
 // `evicted_windows()`: eviction loses the far past of the windows, while
-// each counter's running total (`total`) keeps counting the whole run.
+// each counter's running total (`total`) keeps counting the whole run,
+// and `worst_evicted` keeps the outcomes of the evicted window with the
+// highest share of bad outcomes.
 //
 // Everything is deterministic and value-semantic: same event sequence,
 // same JSON bytes.
@@ -50,6 +52,13 @@ enum class SeriesCounter : std::uint8_t {
 inline constexpr std::size_t kSeriesCounters =
     static_cast<std::size_t>(SeriesCounter::kTimedOut) + 1;
 
+/// The terminal outcomes: the good one, and the bad ones an SLO counts
+/// as errors.
+inline constexpr std::array kGoodOutcomes = {SeriesCounter::kCompleted};
+inline constexpr std::array kBadOutcomes = {
+    SeriesCounter::kRejected, SeriesCounter::kShed, SeriesCounter::kTimedOut,
+    SeriesCounter::kFailed};
+
 /// The series' histograms, declared in the order to_json writes them.
 enum class SeriesHistogram : std::uint8_t {
   kLatencyCycles,
@@ -63,6 +72,12 @@ inline constexpr std::size_t kSeriesHistograms =
 /// histograms.
 class WindowedSeries {
  public:
+  /// One window's bad outcomes and all its outcomes (good + bad).
+  struct OutcomeShare {
+    std::uint64_t bad = 0;
+    std::uint64_t total = 0;
+  };
+
   /// Most live windows; opening one more drops the oldest.
   static constexpr std::size_t kCapacity = 4096;
 
@@ -93,6 +108,9 @@ class WindowedSeries {
   std::uint64_t total(SeriesCounter c) const noexcept {
     return totals_[static_cast<std::size_t>(c)];
   }
+  /// The evicted window with the highest bad/total, the first of equals;
+  /// {0, 0} while no evicted window held a bad outcome.
+  OutcomeShare worst_evicted() const noexcept { return worst_evicted_; }
 
   /// {"schema":"timeseries/1","window_cycles":W,"evicted_windows":n,
   ///  "windows":[{"start":c,"counters":{...},
@@ -117,6 +135,7 @@ class WindowedSeries {
   std::deque<Window> windows_;
   std::uint64_t evicted_ = 0;
   std::array<std::uint64_t, kSeriesCounters> totals_{};
+  OutcomeShare worst_evicted_;
 };
 
 }  // namespace cryptopim::obs

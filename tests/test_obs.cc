@@ -481,6 +481,31 @@ TEST(Slo, SummaryStaysExactAfterEviction) {
   EXPECT_EQ(slo_to_json(cfg, s).at("windows").size(), kCap);
 }
 
+TEST(Slo, WorstWindowBurnSurvivesEviction) {
+  // Window 0 holds 1 error in 2 outcomes, window 1 holds 2 in 8, and
+  // each later window one completion, until both bad windows are
+  // evicted. The worst-window burn stays window 0's: (1/2) / (1 - 0.99).
+  constexpr std::uint64_t kCap = WindowedSeries::kCapacity;
+  SloConfig cfg;
+  cfg.availability = 0.99;
+  WindowedSeries s(10);
+  s.count(SeriesCounter::kShed, 0);
+  s.count(SeriesCounter::kCompleted, 0);
+  s.count(SeriesCounter::kTimedOut, 10, 2);
+  s.count(SeriesCounter::kCompleted, 10, 6);
+  for (std::uint64_t c = 20; c < (kCap + 2) * 10; c += 10) {
+    s.count(SeriesCounter::kCompleted, c);
+  }
+  ASSERT_EQ(s.evicted_windows(), 2u);
+  EXPECT_EQ(s.worst_evicted().bad, 1u);
+  EXPECT_EQ(s.worst_evicted().total, 2u);
+  const double burn = 0.5 / (1.0 - 0.99);
+  EXPECT_DOUBLE_EQ(slo_summary(cfg, s).max_window_burn, burn);
+  EXPECT_DOUBLE_EQ(
+      slo_to_json(cfg, s).at("summary").at("max_window_burn").as_number(),
+      burn);
+}
+
 TEST(Slo, DisabledObjectivesAreInert) {
   const SloConfig off;
   EXPECT_FALSE(off.enabled());
