@@ -651,7 +651,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     counter += n_ops;
     tenant_counter += n_ops;
     if (dag) report_.protocol.rejected += 1;
-    report_.series.count(SeriesCounter::kRejected, now_);
+    report_.series.count(SeriesCounter::kRejected, now_, n_ops);
     if (elog_on()) {
       obs::EventRecord rec = ev_base("rejected", now_, cfg_.chip_id, &origin);
       rec.str("reason", reason);

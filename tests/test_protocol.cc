@@ -252,6 +252,23 @@ TEST(ProtocolServing, BgvLimbFanOutLandsOnDistinctLanes) {
   }
 }
 
+// ------------------------------------------------------------- series --
+
+TEST(ProtocolServing, SeriesCountsEveryOpOfARefusedRequest) {
+  // A queue too small for the offered load refuses whole KEM requests.
+  // The series counts ops, like the report's totals, so each refusal
+  // counts its request's ops.
+  ServingConfig cfg = proto_config(ProtocolKind::kKem, 7, 1500.0);
+  cfg.arrival_rate_per_s = 300000.0;
+  cfg.queue_capacity = 64;
+  const auto r = ServingRuntime(cfg).run();
+  ASSERT_GT(r.protocol.rejected, 0u);
+  const std::uint64_t refused = r.series.total(obs::SeriesCounter::kRejected);
+  EXPECT_EQ(refused, r.protocol.rejected * r.protocol.ops_per_request);
+  EXPECT_EQ(refused, r.rejected + r.rejected_unservable +
+                         r.resilience.rejected_deadline);
+}
+
 // ------------------------------------------------------------ event log --
 
 TEST(ProtocolServing, DispatchedOpsMatchTheirTraceIdAndTheCompiledDag) {

@@ -296,10 +296,9 @@ bool check_trace(const std::string& path, const std::string& text) {
 }
 
 /// With no window evicted, the windowed series must sum to the report's
-/// totals, which pins each series counter to the ledger it mirrors. The
-/// series counts ops like the totals, except that it counts a refused
-/// request (a whole DAG on a protocol run) once. Returns the first
-/// mismatch, or "".
+/// totals, which pins each series counter to the ledger it mirrors. Both
+/// count ops, so a refused protocol request counts each of its ops.
+/// Returns the first mismatch, or "".
 std::string series_sum_error(const Json& rep) {
   const Json& series = rep.at("series");
   if (series.at("evicted_windows").as_u64() != 0) return "";
@@ -321,12 +320,6 @@ std::string series_sum_error(const Json& rep) {
     return j.at(f).as_u64();
   };
   const Json& res = rep.at("resilience");
-  const Json& proto = rep.at("protocol");
-  const std::uint64_t rejected =
-      proto.at("kind").as_string() == "none"
-          ? u64(rep, "rejected") + u64(rep, "rejected_unservable") +
-                u64(res, "rejected_deadline")
-          : u64(proto, "rejected");
   const std::pair<const char*, std::uint64_t> totals[] = {
       {"submitted", u64(rep, "submitted")},
       {"admitted", u64(rep, "admitted")},
@@ -336,7 +329,8 @@ std::string series_sum_error(const Json& rep) {
       {"timed_out", u64(res, "timed_out")},
       {"hedges", u64(res, "hedges")},
       {"failed", u64(res, "failed") + u64(rep, "chip_failed")},
-      {"rejected", rejected},
+      {"rejected", u64(rep, "rejected") + u64(rep, "rejected_unservable") +
+                       u64(res, "rejected_deadline")},
   };
   for (const auto& [name, total] : totals) {
     if (sums[name] != total) {
