@@ -32,6 +32,7 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -217,6 +218,19 @@ struct Args {
   std::vector<std::string> serve_flags;
 };
 
+// A whole unsigned decimal, as the CLI's flags take them: "2x", "-1" or
+// an out-of-range value is a usage error, never a prefix or a wrap.
+std::uint64_t parse_count(const char* flag, const std::string& text) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || p != end) {
+    die(std::string(flag) + " expects an unsigned integer, got '" + text +
+        "'");
+  }
+  return v;
+}
+
 Args parse_args(int argc, char** argv) {
   Args a;
   int i = 1;
@@ -231,9 +245,9 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--dir") {
       a.dir = next("--dir");
     } else if (arg == "--points") {
-      a.points = std::strtoull(next("--points").c_str(), nullptr, 10);
+      a.points = parse_count("--points", next("--points"));
     } else if (arg == "--tear-every") {
-      a.tear_every = std::strtoull(next("--tear-every").c_str(), nullptr, 10);
+      a.tear_every = parse_count("--tear-every", next("--tear-every"));
     } else if (arg == "--verbose") {
       a.verbose = true;
     } else if (arg == "--") {
