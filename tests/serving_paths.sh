@@ -12,9 +12,10 @@
 # deadline_infeasible), `shed`, `timed_out`, `retry`, `hedge`,
 # `cancelled`, `torn_down`, `corruption_detected`,
 # `chip_corruption_detected`, `failed`, `join` and `proto_failed`, and
-# the fleet's `fleet_retry` and `migrate`. (`rejected` with reason `unservable` needs more failed
-# banks than the chip has spares, which no CLI flag can inject; the
-# TerminalPaths matrix in test_serving_paths.cc drives it instead.)
+# the fleet's `fleet_retry` and `migrate`. (`rejected` with reason
+# `unservable` needs more failed banks than the chip has spares, which
+# no CLI flag can inject; the TerminalPaths matrix in
+# test_serving_paths.cc drives it instead.)
 # kem_wear_teardown is the protocol run with a --deadline: with a low
 # wear limit and no retries, timed-out and failed ops tear their KEM
 # requests down while sibling ops still run on lanes that wear has set

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
