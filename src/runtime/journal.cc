@@ -286,9 +286,7 @@ std::string Journal::admit_payload(std::uint64_t index, std::uint64_t cycle,
       .u64("tn", r.tenant).u64("deg", r.degree).u64("cl", r.client)
       .u64("ac", r.arrival_cycle).u64("dl", r.deadline_cycle)
       .u64("sv", r.service_cycles).u64("vf", r.verify ? 1 : 0)
-      .u64("ds", r.data_seed).u64("at", r.attempts).u64("pid", r.proto_id)
-      .u64("oi", r.op_index).u64("ocl", static_cast<std::uint64_t>(r.op_class))
-      .u64("fg", r.fanout_group).u64("pm", r.parent_mask)
+      .u64("ds", r.data_seed).u64("at", r.attempts)
       .dump();
 }
 

@@ -25,7 +25,7 @@
 //           revalidates the fingerprint, so recovering with drifted
 //           flags fails loudly instead of replaying garbage.
 //   admit — an admission commitment: global event index, cycle, and the
-//           request's full field set.
+//           admitted request's fields (a protocol request's origin).
 //   out   — a terminal outcome commitment (index, cycle, id, fate).
 //   snap  — a snapshot at this index: the CRC of the state dump.
 //   seal  — clean end of run, carrying the final conservation counters.

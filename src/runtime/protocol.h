@@ -5,14 +5,14 @@
 //
 // The paper motivates the NTT accelerator as the kernel inside full
 // lattice-based protocols; this module closes that gap for the serving
-// path. A protocol request is admitted as one atomic group of ops
-// (runtime::Request records the linkage: op index, parent mask, fan-out
-// group). An op becomes eligible only when its parents completed,
-// fan-out siblings land on distinct lanes, and host-side ops (sampling,
-// joins) run laneless at a fixed cycle cost. The functional content of
-// a DAG — the actual KEM/BGV/threshold math, executed through the
-// configured backend and checked against pure-host references — lives
-// in runtime/protocol_ops.h.
+// path. A protocol request is admitted as one atomic group of ops, each
+// a Request whose id names its request and its node in the compiled
+// DAG (runtime/request.h). An op becomes eligible only when its parents
+// completed, fan-out siblings land on distinct lanes, and host-side ops
+// (sampling, joins) run laneless at a fixed cycle cost. The functional
+// content of a DAG — the actual KEM/BGV/threshold math, executed
+// through the configured backend and checked against pure-host
+// references — lives in runtime/protocol_ops.h.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +23,16 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "runtime/request.h"
 
 namespace cryptopim::runtime {
+
+/// Primitive op classes a protocol request compiles into.
+enum class OpClass : std::uint8_t {
+  kPolymul,    ///< full negacyclic multiply on a superbank lane
+  kNttLimb,    ///< one RNS limb of a wide multiply on a superbank lane
+  kSample,     ///< host-side Keccak/XOF sampling (no lane)
+  kAggregate,  ///< host-side join (CRT recombine / share aggregation)
+};
 
 enum class ProtocolKind : std::uint8_t {
   kNone,       ///< classic raw-polymul serving
@@ -67,7 +74,15 @@ struct ProtoOp {
   std::uint64_t parent_mask = 0;
   /// Nonzero: siblings sharing the group want distinct lanes.
   std::uint32_t fanout_group = 0;
+
+  /// Sampling and joins run laneless on the host.
+  bool host() const noexcept {
+    return cls == OpClass::kSample || cls == OpClass::kAggregate;
+  }
 };
+
+/// A raw polymul's node: a DAG of one parentless, ungrouped lane op.
+inline constexpr ProtoOp kRawOp{};
 
 struct ProtoDag {
   std::vector<ProtoOp> ops;
@@ -82,6 +97,8 @@ struct ProtoDag {
 ///   bgv-mul:   sample -> 4 tensor muls x L RNS limbs (fan-out per mul)
 ///              -> aggregate (CRT recombine + relin hook)
 ///   threshold: sample -> K partial-decrypt muls (fan-out) -> aggregate
+/// Every shape starts with a parentless host op, which the runtime
+/// dispatches at admission, so no admitted DAG is ever wholly queued.
 /// Throws std::invalid_argument for kNone or shares out of range.
 ProtoDag compile_protocol(const ProtocolSpec& spec);
 

@@ -9,20 +9,16 @@
 // software mirror of the datapath and Freivalds-checks it, so a serving
 // run ends with actually-verified results rather than only cycle
 // accounting.
+//
+// On a protocol chip every queued or in-flight Request is one op of a
+// protocol request's DAG: a copy of the request whose id is op_id(its
+// id, the op's index). The op's class, parents, fan-out group and
+// degree are that node of the compiled DAG (runtime/protocol.h).
 #pragma once
 
 #include <cstdint>
 
 namespace cryptopim::runtime {
-
-/// Primitive op classes a protocol request compiles into (see
-/// runtime/protocol.h). Raw polymul requests never carry one.
-enum class OpClass : std::uint8_t {
-  kPolymul,    ///< full negacyclic multiply on a superbank lane
-  kNttLimb,    ///< one RNS limb of a wide multiply on a superbank lane
-  kSample,     ///< host-side Keccak/XOF sampling (no lane)
-  kAggregate,  ///< host-side join (CRT recombine / share aggregation)
-};
 
 struct Request {
   std::uint64_t id = 0;
@@ -42,18 +38,15 @@ struct Request {
   /// Retry attempts consumed so far (resilience layer); latency is still
   /// measured from the original arrival_cycle.
   unsigned attempts = 0;
-
-  // -- protocol DAG linkage (zero for classic raw-polymul requests) ----------
-  /// Owning protocol request id; 0 = raw polymul, not part of a DAG.
-  std::uint64_t proto_id = 0;
-  /// Position of this op in the compiled DAG (< 64).
-  std::uint32_t op_index = 0;
-  OpClass op_class = OpClass::kPolymul;
-  /// Nonzero: siblings sharing the group should land on distinct lanes.
-  std::uint32_t fanout_group = 0;
-  /// Bitmask over op indices that must complete before this op may
-  /// dispatch (the dependency frontier checks it against the done mask).
-  std::uint64_t parent_mask = 0;
 };
+
+/// An op's id: its request's id above 6 bits of op index (a DAG has at
+/// most 64 ops, the width of its done mask), so ops order by (request,
+/// op) under every policy's (arrival, id) tie-break.
+constexpr std::uint64_t op_id(std::uint64_t request, std::uint64_t op) {
+  return request << 6 | op;
+}
+constexpr std::uint64_t request_of(std::uint64_t id) { return id >> 6; }
+constexpr std::uint64_t op_index_of(std::uint64_t id) { return id & 63; }
 
 }  // namespace cryptopim::runtime

@@ -55,10 +55,16 @@ std::uint64_t retry_backoff(std::uint64_t base, std::uint64_t cap,
 
 // -- hedging ------------------------------------------------------------------
 
+std::uint64_t duration_cycles(double us, double cycles_per_us) {
+  if (!(us > 0)) return 0;
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(us * cycles_per_us));
+}
+
 std::uint64_t hedge_delay(double fixed_us, double cycles_per_us,
                           const obs::Histogram& service,
                           std::uint64_t min_samples) {
-  if (fixed_us > 0) return static_cast<std::uint64_t>(fixed_us * cycles_per_us);
+  if (fixed_us > 0) return duration_cycles(fixed_us, cycles_per_us);
   if (service.count() < min_samples) return 0;
   return service.quantile(0.99);
 }

@@ -131,6 +131,11 @@ class RetryBudget {
 std::uint64_t retry_backoff(std::uint64_t base, std::uint64_t cap,
                             unsigned attempt);
 
+/// `us` microseconds in whole cycles, truncated but at least one when
+/// `us` > 0: a knob whose 0 cycles means off (hedge delay, CoDel) or
+/// auto (the series window) stays on however short it is set.
+std::uint64_t duration_cycles(double us, double cycles_per_us);
+
 /// Delay before a straggler is hedged, in cycles: `fixed_us` when one is
 /// configured (> 0), otherwise the p99 of the observed `service` times
 /// once it holds `min_samples` — until then 0, and stragglers run

@@ -1,9 +1,11 @@
 #include "runtime/serving.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "ntt/ntt.h"
 #include "ntt/params.h"
@@ -337,9 +339,8 @@ void ServingRuntime::prime() {
       res.max_retries > 0
           ? std::make_unique<RetryBudget>(tenants, res.retry_budget_ratio)
           : nullptr;
-  shedder_ = CoDelShedder(
-      static_cast<std::uint64_t>(res.codel_target_us * cyc_per_us),
-      static_cast<std::uint64_t>(res.codel_interval_us * cyc_per_us));
+  shedder_ = CoDelShedder(duration_cycles(res.codel_target_us, cyc_per_us),
+                          duration_cycles(res.codel_interval_us, cyc_per_us));
   health_ = res.wear_limit > 0 || res.chaos.enabled;
   chaos_rng_ = Xoshiro256(res.chaos.seed);
   service_hist_ = obs::Histogram{};
@@ -526,35 +527,12 @@ obs::Json ServingRuntime::snapshot_state() const {
 }
 
 std::vector<Request> ServingRuntime::extract_pending() {
-  // Only whole untouched DAGs migrate: a queued one-op DAG always; a
-  // larger one (re-expanded from its origin on the target chip) only
-  // while none of its ops was dispatched, completed or is in retry
-  // backoff — otherwise its in-flight work must join on this chip and
-  // its remaining ops stay here. Pending timeouts of migrated requests
+  // A protocol DAG never migrates: its host op 0 dispatched at admission,
+  // so it joins on this chip. Pending timeouts of migrated requests
   // no-op: handle_timeout scans pending_ by id and finds nothing.
-  std::map<std::uint64_t, std::size_t> queued_ops;
-  for (const Request& r : pending_) queued_ops[r.proto_id] += 1;
-  std::set<std::uint64_t> movable;
-  for (const auto& [pid, st] : protos_) {
-    if (st.done_mask == 0 && queued_ops[pid] == st.op_count) {
-      movable.insert(pid);
-    }
-  }
-  std::vector<Request> out, keep;
-  for (Request& r : pending_) {
-    if (r.proto_id == 0) {
-      out.push_back(std::move(r));
-    } else if (!movable.contains(r.proto_id)) {
-      keep.push_back(std::move(r));
-    }  // else the op is dropped: its origin migrates whole
-  }
-  report_.migrated += pending_.size() - keep.size();
-  pending_ = std::move(keep);
-  for (const std::uint64_t pid : movable) {
-    out.push_back(std::move(protos_.at(pid).origin));
-    protos_.erase(pid);
-  }
-  return out;
+  if (protocol_chip()) return {};
+  report_.migrated += pending_.size();
+  return std::exchange(pending_, {});
 }
 
 std::vector<Request> ServingRuntime::crash_chip() {
@@ -565,23 +543,22 @@ std::vector<Request> ServingRuntime::crash_chip() {
   // fleet must re-dispatch it exactly once.
   std::vector<Request> out;
   std::set<std::uint64_t> seen;
+  const bool raw = !protocol_chip();
   report_.lost_in_flight += in_flight_.size();
   for (auto it = in_flight_.begin(); it != in_flight_.end();) {
     const Request& r = it->second.request;
-    if (r.proto_id == 0 && seen.insert(r.id).second) out.push_back(r);
+    if (raw && seen.insert(r.id).second) out.push_back(r);
     it = drop_in_flight(it);
   }
   for (Request& r : pending_) {
-    if (r.proto_id == 0 && seen.insert(r.id).second) {
-      out.push_back(std::move(r));
-    }
+    if (raw && seen.insert(r.id).second) out.push_back(std::move(r));
   }
   report_.migrated += pending_.size();
   pending_.clear();
   // Protocol requests collapse to their origin: the crash loses every op
   // (even ones in retry backoff — their re-enqueue finds no proto state)
   // and the fleet re-dispatches the whole DAG exactly once.
-  for (auto& [pid, st] : protos_) out.push_back(std::move(st.origin));
+  for (auto& [id, st] : protos_) out.push_back(std::move(st.origin));
   protos_.clear();
   // Dark until revive(): no usable banks, so nothing dispatches. Stray
   // internal-retry events still in the air re-enter the queue and wait;
@@ -608,10 +585,12 @@ void ServingRuntime::corrupt_window(std::uint64_t until_cycle) {
 }
 
 obs::EventRecord ev_base(const char* name, std::uint64_t cycle,
-                         std::uint32_t chip, const Request* r) {
+                         std::uint32_t chip, const Request* r, bool op) {
   obs::EventRecord rec;
   rec.str("ev", name).u64("cycle", cycle).u64("chip", chip);
-  if (r != nullptr) rec.u64("trace", r->id).u64("tenant", r->tenant);
+  if (r != nullptr) rec.u64("trace", op ? request_of(r->id) : r->id);
+  if (op) rec.u64("op", op_index_of(r->id));
+  if (r != nullptr) rec.u64("tenant", r->tenant);
   rec.control = r == nullptr;
   return rec;
 }
@@ -621,7 +600,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
   // DAG: a protocol request compiles to dag_'s ops, a raw polymul is its
   // own single op. Op retries re-enter through kRetryEnqueue, never here.
   Request origin = e.request;
-  const bool dag = cfg_.protocol.enabled();
+  const bool dag = protocol_chip();
   const std::size_t n_ops = dag ? dag_.ops.size() : 1;
   const std::uint32_t degree = dag ? dag_.lane_degree : origin.degree;
   TenantStats& ts = report_.tenants.at(origin.tenant);
@@ -728,27 +707,13 @@ void ServingRuntime::handle_arrival(const Event& e) {
   }
   if (retry_budget_) retry_budget_->on_admitted(origin.tenant);
 
-  // Protocol ids are 1-based: proto_id == 0 marks a one-op DAG, and
-  // origin ids start at 0.
-  const std::uint64_t pid = origin.id + 1;
-  if (dag) {
-    protos_[pid] = ProtoState{.origin = origin,
-                              .op_count = static_cast<std::uint32_t>(n_ops)};
-  }
+  if (dag) protos_[origin.id] = ProtoState{.origin = origin};
   for (std::size_t i = 0; i < n_ops; ++i) {
     Request r = origin;
     if (dag) {
-      const ProtoOp& op = dag_.ops[i];
-      // Op ids order the DAG by (protocol arrival, op index) under every
-      // policy's (arrival, id) tie-break, and stay unique: op_count <= 64.
-      r.id = (origin.id << 6) | i;
-      r.proto_id = pid;
-      r.op_index = static_cast<std::uint32_t>(i);
-      r.op_class = op.cls;
-      r.fanout_group = op.fanout_group;
-      r.parent_mask = op.parent_mask;
-      r.degree = op.degree;
-      stamp(r, is_host_op(r) ? kHostOpCycles : geometry(op.degree).service());
+      r.id = op_id(origin.id, i);
+      r.degree = dag_.ops[i].degree;
+      stamp(r, node(r).host() ? kHostOpCycles : geometry(r.degree).service());
     }
     if (hard_deadline) push_event(EventKind::kTimeout, r.deadline_cycle, r.id);
     pending_.push_back(std::move(r));
@@ -758,15 +723,13 @@ void ServingRuntime::handle_arrival(const Event& e) {
 
 // -- DAG steps ----------------------------------------------------------------
 
-bool ServingRuntime::is_host_op(const Request& r) noexcept {
-  return r.proto_id != 0 && (r.op_class == OpClass::kSample ||
-                             r.op_class == OpClass::kAggregate);
-}
-
 bool ServingRuntime::proto_ready(const Request& r) const {
-  const auto it = protos_.find(r.proto_id);
-  if (it == protos_.end()) return false;  // proto failed: op is an orphan
-  return (it->second.done_mask & r.parent_mask) == r.parent_mask;
+  // A root op, like a one-op DAG, has no parents to wait for.
+  const std::uint64_t parents = node(r).parent_mask;
+  if (parents == 0) return true;
+  const auto it = protos_.find(request_of(r.id));
+  if (it == protos_.end()) return false;  // request failed: op is an orphan
+  return (it->second.done_mask & parents) == parents;
 }
 
 void ServingRuntime::try_dispatch() {
@@ -783,24 +746,22 @@ void ServingRuntime::try_dispatch() {
           !runs_before(policy_, p, pending_[idx], tenant_usage_)) {
         continue;
       }
-      // Dependency frontier: a DAG op waits for its parents (a root op,
-      // like a one-op DAG, has none to wait for). Host ops never touch
-      // lanes, so a blocked degree class does not gate them.
-      if ((is_host_op(p) || !blocked.contains(p.degree)) &&
-          !skipped.contains(p.id) &&
-          (p.parent_mask == 0 || proto_ready(p))) {
+      // Dependency frontier: a DAG op waits for its parents. Host ops
+      // never touch lanes, so a blocked degree class does not gate them.
+      if ((node(p).host() || !blocked.contains(p.degree)) &&
+          !skipped.contains(p.id) && proto_ready(p)) {
         idx = i;
       }
     }
     if (idx == none) break;
     Lane* lane = nullptr;
-    if (!is_host_op(pending_[idx])) {
+    if (!node(pending_[idx]).host()) {
       lane = acquire_lane(pending_[idx]);
       if (!lane) {
         // A fan-out op may be boxed out only by its in-flight siblings;
         // other work in the class can still run, so skip just this op (a
         // sibling's completion re-runs dispatch with a smaller exclusion).
-        if (pending_[idx].fanout_group != 0) {
+        if (node(pending_[idx]).fanout_group != 0) {
           skipped.insert(pending_[idx].id);
         } else {
           blocked.insert(pending_[idx].degree);
@@ -834,10 +795,11 @@ ServingRuntime::Lane* ServingRuntime::acquire_lane(const Request& r,
   std::set<std::size_t> exclude;
   if (straggler != nullptr) {
     exclude.insert(straggler->lane);
-  } else if (r.fanout_group != 0) {
+  } else if (const std::uint32_t group = node(r).fanout_group; group != 0) {
     for (const auto& [id, inf] : in_flight_) {
-      if (inf.request.proto_id == r.proto_id &&
-          inf.request.fanout_group == r.fanout_group && inf.lane != kHostLane) {
+      if (inf.lane != kHostLane &&
+          request_of(inf.request.id) == request_of(r.id) &&
+          node(inf.request).fanout_group == group) {
         exclude.insert(inf.lane);
       }
     }
@@ -997,8 +959,8 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
                            t0 - r.arrival_cycle);
   }
   if (elog_on()) {
-    obs::EventRecord rec = ev_base(hedge_of != 0 ? "hedge" : "dispatched",
-                                   now_, cfg_.chip_id, &r);
+    obs::EventRecord rec =
+        op_event(hedge_of != 0 ? "hedge" : "dispatched", r);
     rec.u64("dispatch", id);
     if (hedge_of != 0) rec.u64("parent", hedge_of);
     if (lane != nullptr) {
@@ -1011,12 +973,12 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
       if (r.attempts > 0) rec.u64("attempt", r.attempts);
     }
     if (inf.is_probe) rec.flag("probe", true);
-    if (hedge_of == 0 && r.proto_id != 0) {
-      // DAG linkage: the fan-out tests read these to check that sibling
-      // limb ops landed on distinct lanes.
-      rec.u64("proto", r.proto_id).u64("op", r.op_index);
-      rec.str("cls", op_class_name(r.op_class));
-      if (r.fanout_group != 0) rec.u64("group", r.fanout_group);
+    if (hedge_of == 0 && protocol_chip()) {
+      // The op's DAG node: the fan-out tests read these to check that
+      // sibling limb ops landed on distinct lanes.
+      const ProtoOp& op = node(r);
+      rec.str("cls", op_class_name(op.cls));
+      if (op.fanout_group != 0) rec.u64("group", op.fanout_group);
     }
     event_log_->write(rec);
   }
@@ -1046,17 +1008,16 @@ std::uint64_t ServingRuntime::launch(Request r, Lane* lane,
 
 void ServingRuntime::on_op_complete(const Request& r,
                                     std::uint64_t dispatched_at) {
-  const auto it = protos_.find(r.proto_id);
-  if (it == protos_.end()) return;  // proto already failed: straggler op
+  const auto it = protos_.find(request_of(r.id));
+  if (it == protos_.end()) return;  // request already failed: straggler op
   ProtoState& st = it->second;
-  const std::uint64_t bit = std::uint64_t{1} << r.op_index;
+  const std::uint64_t bit = std::uint64_t{1} << op_index_of(r.id);
   if (st.done_mask & bit) return;  // hedge twin already delivered this op
   st.done_mask |= bit;
-  st.ops_done += 1;
   report_.protocol.ops_completed += 1;
-  report_.protocol.op_cycles[static_cast<unsigned>(r.op_class)].add(
+  report_.protocol.op_cycles[static_cast<unsigned>(node(r).cls)].add(
       now_ - dispatched_at);
-  if (st.ops_done < st.op_count) {
+  if (std::popcount(st.done_mask) < std::ssize(dag_.ops)) {
     return;  // the caller's try_dispatch releases the unblocked children
   }
 
@@ -1081,24 +1042,26 @@ void ServingRuntime::on_op_complete(const Request& r,
   }
   if (elog_on()) {
     obs::EventRecord rec = ev_base("join", now_, cfg_.chip_id, &done.origin);
-    rec.u64("proto", done.origin.id + 1).u64("ops", done.op_count);
+    rec.u64("ops", dag_.ops.size());
     rec.u64("latency", latency).flag("ok", ok);
     event_log_->write(rec);
   }
   finish(done.origin, Outcome::kCompleted);
 }
 
-void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
-  const auto it = protos_.find(proto_id);
+void ServingRuntime::fail_protocol(std::uint64_t request, Outcome o) {
+  const auto it = protos_.find(request);
   if (it == protos_.end()) return;  // already terminal: exactly-once guard
   const ProtoState st = std::move(it->second);
   protos_.erase(it);
   // Cancel every sibling op still queued or in flight; the op that died
   // already recorded its own bad-outcome counters.
-  std::uint64_t cancelled = std::erase_if(
-      pending_, [proto_id](const Request& p) { return p.proto_id == proto_id; });
+  const auto sibling = [request](const Request& op) {
+    return request_of(op.id) == request;
+  };
+  std::uint64_t cancelled = std::erase_if(pending_, sibling);
   for (auto f = in_flight_.begin(); f != in_flight_.end();) {
-    if (f->second.request.proto_id == proto_id) {
+    if (sibling(f->second.request)) {
       f = drop_in_flight(f);
       cancelled += 1;
     } else {
@@ -1110,7 +1073,7 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
   if (elog_on()) {
     obs::EventRecord rec =
         ev_base("proto_failed", now_, cfg_.chip_id, &st.origin);
-    rec.u64("proto", st.origin.id + 1).u64("ops_cancelled", cancelled);
+    rec.u64("ops_cancelled", cancelled);
     event_log_->write(rec);
   }
   finish(st.origin, o);
@@ -1120,12 +1083,12 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
 
 void ServingRuntime::settle(const Request& r, Outcome o,
                             std::uint64_t dispatched_at) {
-  if (r.proto_id == 0) {
+  if (!protocol_chip()) {
     finish(r, o);
   } else if (o == Outcome::kCompleted) {
     on_op_complete(r, dispatched_at);
   } else {
-    fail_protocol(r.proto_id, o);  // one dead op dooms its siblings
+    fail_protocol(request_of(r.id), o);  // one dead op dooms its siblings
   }
 }
 
@@ -1137,7 +1100,7 @@ void ServingRuntime::fail(const Request& r, Outcome o,
                                                  : SeriesCounter::kFailed,
                        now_);
   if (elog_on()) {
-    obs::EventRecord rec = ev_base(outcome_name(o), now_, cfg_.chip_id, &r);
+    obs::EventRecord rec = op_event(outcome_name(o), r);
     if (o == Outcome::kShed) rec.u64("sojourn", now_ - r.arrival_cycle);
     event_log_->write(rec);
   }
@@ -1184,9 +1147,8 @@ void ServingRuntime::handle_completion(const Event& e) {
       (storm ? report_.chip_corruptions
              : report_.resilience.detected_corruptions) += 1;
       if (elog_on()) {
-        obs::EventRecord rec = ev_base(
-            storm ? "chip_corruption_detected" : "corruption_detected", now_,
-            cfg_.chip_id, &r);
+        obs::EventRecord rec = op_event(
+            storm ? "chip_corruption_detected" : "corruption_detected", r);
         rec.u64("dispatch", e.dispatch_id).u64("lane", inf.lane);
         event_log_->write(rec);
       }
@@ -1221,7 +1183,7 @@ void ServingRuntime::handle_completion(const Event& e) {
     ts.deadline_misses += 1;
   }
   if (elog_on()) {
-    obs::EventRecord rec = ev_base("completed", now_, cfg_.chip_id, &r);
+    obs::EventRecord rec = op_event("completed", r);
     rec.u64("dispatch", e.dispatch_id);
     if (lane != nullptr) {
       rec.u64("lane", inf.lane);
@@ -1243,7 +1205,7 @@ void ServingRuntime::handle_completion(const Event& e) {
   }
   // DAG ops verify at the protocol join (the whole flow through the
   // backend), not per-op with Freivalds.
-  if (r.verify && r.proto_id == 0) verify_result(r);
+  if (r.verify && !protocol_chip()) verify_result(r);
 
   if (lane != nullptr) remap_if_drained(*lane);
   settle(r, Outcome::kCompleted, inf.dispatched_at);
@@ -1278,13 +1240,11 @@ void ServingRuntime::handle_bank_failure(const Event&) {
   // delivers), and teardown retries flow through the backoff + budget
   // path so repeated failures cannot amplify into a storm.
   auto requeue_victim = [this](const InFlight& inf) {
-    if (inf.request.proto_id != 0 &&
-        !protos_.contains(inf.request.proto_id)) {
+    if (protocol_chip() && !protos_.contains(request_of(inf.request.id))) {
       return;  // its protocol was already torn down whole this failure
     }
     if (elog_on()) {
-      obs::EventRecord rec =
-          ev_base("torn_down", now_, cfg_.chip_id, &inf.request);
+      obs::EventRecord rec = op_event("torn_down", inf.request);
       rec.u64("lane", inf.lane);
       event_log_->write(rec);
     }
@@ -1405,7 +1365,7 @@ void ServingRuntime::handle_timeout(const Event& e) {
 void ServingRuntime::handle_retry_enqueue(const Event& e) {
   // Retries re-enter the queue past the capacity check: the request was
   // already admitted (and counted) once; capacity governs new work.
-  if (e.request.proto_id != 0 && !protos_.contains(e.request.proto_id)) {
+  if (protocol_chip() && !protos_.contains(request_of(e.request.id))) {
     return;  // its protocol was torn down while the retry backed off
   }
   pending_.push_back(e.request);
@@ -1509,7 +1469,7 @@ bool ServingRuntime::schedule_retry(Request r, bool count_as_bank_retry) {
   report_.series.count(SeriesCounter::kRetries, now_);
   if (count_as_bank_retry) report_.retried += 1;
   if (elog_on()) {
-    obs::EventRecord rec = ev_base("retry", now_, cfg_.chip_id, &r);
+    obs::EventRecord rec = op_event("retry", r);
     rec.u64("attempt", r.attempts).u64("backoff", backoff);
     event_log_->write(rec);
   }
@@ -1536,8 +1496,7 @@ void ServingRuntime::cancel_in_flight(std::uint64_t dispatch_id) {
   const auto it = in_flight_.find(dispatch_id);
   if (it == in_flight_.end()) return;  // already gone
   if (elog_on()) {
-    obs::EventRecord rec =
-        ev_base("cancelled", now_, cfg_.chip_id, &it->second.request);
+    obs::EventRecord rec = op_event("cancelled", it->second.request);
     rec.u64("dispatch", dispatch_id).u64("lane", it->second.lane);
     event_log_->write(rec);
   }

@@ -256,12 +256,14 @@ struct ServingReport {
 
 /// A lifecycle record's first fields: {"ev":name,"cycle":cycle,
 /// "chip":chip}, then "trace":r->id and "tenant":r->tenant for a
-/// request's record. A record with no request is a control record,
-/// which the log flushes. Chips and the fleet front-end start every
-/// event-log record here, append event-specific fields and hand it to
-/// EventLog::write().
+/// request's record; with `op` set, r is an op (runtime/request.h), so
+/// the trace is its request's id and "op", its index, follows. A record
+/// with no request is a control record, which the log flushes. Chips and
+/// the fleet front-end start every event-log record here, append
+/// event-specific fields and hand it to EventLog::write().
 obs::EventRecord ev_base(const char* name, std::uint64_t cycle,
-                         std::uint32_t chip, const Request* r = nullptr);
+                         std::uint32_t chip, const Request* r = nullptr,
+                         bool op = false);
 
 class ServingRuntime {
  public:
@@ -280,10 +282,10 @@ class ServingRuntime {
   /// Attach a lifecycle event log (not owned; may be null). While its
   /// stream is open, every request emits causally-linked records —
   /// admitted, dispatched, retry, hedge, completed, ... — keyed by a
-  /// trace id (the request id, shared across its retries and hedges). A
-  /// protocol request's ops log no record at admission: op i of the
-  /// request with id o has trace id o << 6 | i, and its dispatched
-  /// record names its proto, op, class and fan-out group.
+  /// trace id: the request's id, shared across its retries and hedges
+  /// and, for a protocol request, across its ops. An op's records also
+  /// carry "op", its index in the compiled DAG, and its dispatched
+  /// record names the node's class and fan-out group.
   void set_event_log(obs::EventLog* log) noexcept { event_log_ = log; }
 
   /// Run the full simulation: prime arrivals, loop the event queue to
@@ -322,7 +324,8 @@ class ServingRuntime {
   void set_outcome_sink(OutcomeSink sink) { outcome_sink_ = std::move(sink); }
 
   /// Drain support: remove and return every queued (admitted, not yet
-  /// dispatched) request so the fleet can migrate it to another chip.
+  /// dispatched) request so the fleet can migrate it to another chip;
+  /// none on a protocol chip, where every DAG ran its op 0 at admission.
   std::vector<Request> extract_pending();
   /// Whole-chip crash: every lane is torn down and every in-flight and
   /// queued request is lost — returned (deduplicated) for the fleet to
@@ -452,20 +455,27 @@ class ServingRuntime {
   /// fleet re-dispatches whole) and the dependency frontier's done mask.
   struct ProtoState {
     Request origin;
-    std::uint32_t op_count = 0;
-    std::uint32_t ops_done = 0;
     std::uint64_t done_mask = 0;
   };
+  /// Every queued and in-flight Request is an op of a protocol request.
+  bool protocol_chip() const noexcept { return cfg_.protocol.enabled(); }
+  /// An op's node in the compiled DAG (kRawOp for a raw request).
+  const ProtoOp& node(const Request& op) const {
+    return protocol_chip() ? dag_.ops[op_index_of(op.id)] : kRawOp;
+  }
+  /// ev_base for a record of queued or in-flight `r` on this chip now.
+  obs::EventRecord op_event(const char* name, const Request& r) const {
+    return ev_base(name, now_, cfg_.chip_id, &r, protocol_chip());
+  }
   /// Frontier check: all of the op's parents completed.
   bool proto_ready(const Request& r) const;
-  static bool is_host_op(const Request& r) noexcept;
   /// Mark one op done; on the last op, run the functional join and emit
   /// the protocol request's single good outcome.
   void on_op_complete(const Request& r, std::uint64_t dispatched_at);
-  /// Exactly-once protocol teardown: cancel every queued and in-flight
-  /// sibling op and emit the origin's single bad outcome. Idempotent
-  /// (keyed on protos_ erase), so straggler op failures are no-ops.
-  void fail_protocol(std::uint64_t proto_id, Outcome o);
+  /// Exactly-once teardown of `request`: cancel its queued and in-flight
+  /// ops and emit its origin's single bad outcome. Idempotent (keyed on
+  /// protos_ erase), so straggler op failures are no-ops.
+  void fail_protocol(std::uint64_t request, Outcome o);
 
   ServingConfig cfg_;
   Policy policy_ = Policy::kFifo;
@@ -489,7 +499,7 @@ class ServingRuntime {
 
   // -- protocol state (empty when cfg_.protocol is disabled) -------------------
   ProtoDag dag_;
-  std::map<std::uint64_t, ProtoState> protos_;
+  std::map<std::uint64_t, ProtoState> protos_;  ///< by request id
   std::unique_ptr<ProtocolHarness> proto_harness_;
 
   // -- resilience state (each part inert while its knob is off) ---------------

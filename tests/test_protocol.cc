@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/event_log.h"
 #include "runtime/backend.h"
@@ -130,6 +131,24 @@ TEST(CompileProtocol, ThresholdShapeTracksShares) {
   }
 }
 
+TEST(CompileProtocol, EveryKindStartsWithAParentlessHostOp) {
+  // The runtime dispatches such an op at admission, so no admitted DAG
+  // is ever wholly queued and a drained chip migrates none
+  // (ServingRuntime::extract_pending). A shape that breaks this needs
+  // whole-DAG migration back.
+  for (const auto kind : {ProtocolKind::kKem, ProtocolKind::kBgvMul,
+                          ProtocolKind::kThreshold}) {
+    ProtocolSpec spec;
+    spec.kind = kind;
+    const ProtoDag dag = compile_protocol(spec);
+    const ProtoOp& root = dag.ops.at(0);
+    EXPECT_TRUE(root.cls == OpClass::kSample ||
+                root.cls == OpClass::kAggregate)
+        << protocol_name(kind);
+    EXPECT_EQ(root.parent_mask, 0u) << protocol_name(kind);
+  }
+}
+
 TEST(CompileProtocol, InvalidSpecsThrow) {
   ProtocolSpec spec;
   EXPECT_THROW(compile_protocol(spec), std::invalid_argument);  // kNone
@@ -236,7 +255,7 @@ TEST(ProtocolServing, BgvLimbFanOutLandsOnDistinctLanes) {
       continue;
     }
     if (!rec.contains("group") || rec.contains("host")) continue;
-    const auto key = std::make_pair(rec.at("proto").as_u64(),
+    const auto key = std::make_pair(rec.at("trace").as_u64(),
                                     rec.at("group").as_u64());
     group_lanes[key].insert(rec.at("lane").as_u64());
     group_ops[key] += 1;
@@ -246,7 +265,7 @@ TEST(ProtocolServing, BgvLimbFanOutLandsOnDistinctLanes) {
     // Strict sibling exclusion: every limb of a fan-out group runs on
     // its own lane (no retries/hedges in this config to re-land one).
     EXPECT_EQ(lanes.size(), group_ops.at(key))
-        << "proto " << key.first << " group " << key.second;
+        << "request " << key.first << " group " << key.second;
     EXPECT_GE(lanes.size(), 2u);
   }
 }
@@ -270,15 +289,22 @@ TEST(ProtocolServing, SeriesCountsEveryOpOfARefusedRequest) {
 
 // ------------------------------------------------------------ event log --
 
+/// The chaos run of `kind` whose event log the tests below read: it
+/// retries, hedges, sheds and tears DAGs down.
+ServingConfig chaos_proto_config(ProtocolKind kind) {
+  ServingConfig cfg = proto_config(kind, 7, 1500.0);
+  cfg.arrival_rate_per_s = 100000.0;
+  cfg.resilience = ResilienceConfig::chaos_preset(7);
+  return cfg;
+}
+
 TEST(ProtocolServing, DispatchedOpsMatchTheirTraceIdAndTheCompiledDag) {
-  // An op's identity is not logged on its own: its trace id is
-  // origin << 6 | op, its proto id origin + 1, and its class and fan-out
-  // group are its DAG node's, which the dispatched record repeats.
+  // An op's records carry its request's id as trace and its index in the
+  // DAG as op; its class and fan-out group are its DAG node's, which the
+  // dispatched record repeats.
   for (const auto kind : {ProtocolKind::kKem, ProtocolKind::kBgvMul,
                           ProtocolKind::kThreshold}) {
-    ServingConfig cfg = proto_config(kind, 7, 1500.0);
-    cfg.arrival_rate_per_s = 100000.0;
-    cfg.resilience = ResilienceConfig::chaos_preset(7);
+    const ServingConfig cfg = chaos_proto_config(kind);
     const ProtoDag dag = compile_protocol(cfg.protocol);
     obs::EventLog elog;
     elog.open_stream(::testing::TempDir() + "/proto_dispatched_ops.jsonl",
@@ -286,16 +312,18 @@ TEST(ProtocolServing, DispatchedOpsMatchTheirTraceIdAndTheCompiledDag) {
     ServingRuntime rt(cfg);
     rt.set_event_log(&elog);
     rt.run();
+    std::set<std::uint64_t> admitted;
     std::uint64_t ops = 0;
     std::uint64_t retried = 0;
     for (const obs::Json& rec : elog.records()) {
-      if (rec.at("ev").as_string() != "dispatched") continue;
-      const std::uint64_t trace = rec.at("trace").as_u64();
-      const std::uint64_t op = trace & 63;
+      const std::string ev = rec.at("ev").as_string();
+      if (ev == "admitted") admitted.insert(rec.at("trace").as_u64());
+      if (ev != "dispatched") continue;
+      EXPECT_TRUE(admitted.contains(rec.at("trace").as_u64()));
+      EXPECT_FALSE(rec.contains("proto"));
+      const std::uint64_t op = rec.at("op").as_u64();
       ASSERT_LT(op, dag.ops.size());
       const ProtoOp& node = dag.ops[op];
-      EXPECT_EQ(rec.at("proto").as_u64(), (trace >> 6) + 1);
-      EXPECT_EQ(rec.at("op").as_u64(), op);
       EXPECT_EQ(rec.at("cls").as_string(), op_class_name(node.cls));
       EXPECT_EQ(rec.contains("group") ? rec.at("group").as_u64() : 0u,
                 node.fanout_group);
@@ -305,6 +333,174 @@ TEST(ProtocolServing, DispatchedOpsMatchTheirTraceIdAndTheCompiledDag) {
     EXPECT_GT(ops, 0u) << protocol_name(kind);
     EXPECT_GT(retried, 0u) << protocol_name(kind);
   }
+}
+
+/// Groups an event log by (chip, trace). Every record of a protocol
+/// request carries the request's id as its trace, so each group holds
+/// one request's records on one chip: they share its tenant, each op
+/// record follows the request's admission there and names one of its
+/// ops, and a request that joined completed every op in its own group.
+/// Returns the joins seen.
+std::uint64_t expect_grouped_by_request(const std::vector<obs::Json>& log) {
+  struct Group {
+    std::uint64_t tenant = 0;
+    std::uint64_t ops = 0;
+    std::set<std::uint64_t> completed;
+  };
+  std::map<std::pair<std::uint64_t, std::uint64_t>, Group> groups;
+  std::uint64_t joins = 0;
+  for (const obs::Json& rec : log) {
+    if (!rec.contains("trace")) continue;  // a control record
+    EXPECT_FALSE(rec.contains("proto"));
+    const std::string ev = rec.at("ev").as_string();
+    const auto key =
+        std::make_pair(rec.at("chip").as_u64(), rec.at("trace").as_u64());
+    if (ev == "admitted") {
+      groups[key] = {rec.at("tenant").as_u64(), rec.at("ops").as_u64(), {}};
+      continue;
+    }
+    const auto it = groups.find(key);
+    if (it == groups.end()) {
+      // Only a refusal or a fleet record may precede an admission.
+      EXPECT_FALSE(rec.contains("op"))
+          << ev << " of request " << key.second << " on chip " << key.first
+          << " before its admission";
+      continue;
+    }
+    Group& g = it->second;
+    EXPECT_EQ(rec.at("tenant").as_u64(), g.tenant)
+        << ev << " of request " << key.second;
+    if (rec.contains("op")) {
+      EXPECT_LT(rec.at("op").as_u64(), g.ops) << ev;
+      if (ev == "completed") g.completed.insert(rec.at("op").as_u64());
+    }
+    if (ev == "join") {
+      EXPECT_EQ(g.completed.size(), g.ops) << "request " << key.second;
+      joins += 1;
+    }
+  }
+  return joins;
+}
+
+TEST(ProtocolServing, EventLogGroupsEachRequestUnderItsTrace) {
+  for (const auto kind : {ProtocolKind::kKem, ProtocolKind::kBgvMul,
+                          ProtocolKind::kThreshold}) {
+    obs::EventLog elog;
+    elog.open_stream(::testing::TempDir() + "/proto_grouped.jsonl",
+                     /*line_buffered=*/false);
+    ServingRuntime rt(chaos_proto_config(kind));
+    rt.set_event_log(&elog);
+    // Each request's fate is written once, under its own trace.
+    std::map<std::uint64_t, unsigned> fates;
+    rt.set_outcome_sink([&fates](const Request& req, Outcome, std::uint64_t) {
+      fates[req.id] += 1;
+    });
+    const auto r = rt.run();
+    EXPECT_EQ(expect_grouped_by_request(elog.records()), r.protocol.completed)
+        << protocol_name(kind);
+    std::map<std::uint64_t, unsigned> terminal;
+    for (const obs::Json& rec : elog.records()) {
+      const std::string ev = rec.at("ev").as_string();
+      if (ev == "join" || ev == "proto_failed" || ev == "rejected") {
+        terminal[rec.at("trace").as_u64()] += 1;
+      }
+    }
+    EXPECT_EQ(terminal, fates) << protocol_name(kind);
+  }
+  // A 3-chip KEM fleet whose killed chip's requests join elsewhere.
+  FleetConfig fc;
+  fc.chips = 3;
+  fc.replicas = 2;
+  fc.chip = proto_config(ProtocolKind::kKem, 17, 1500.0);
+  fc.kill_chip_at_us = 500.0;
+  fc.kill_chip = 1;
+  FleetRuntime fleet(std::move(fc));
+  obs::EventLog elog;
+  elog.open_stream(::testing::TempDir() + "/proto_fleet_grouped.jsonl",
+                   /*line_buffered=*/false);
+  fleet.set_event_log(&elog);
+  const auto rep = fleet.run();
+  ASSERT_EQ(rep.crashes, 1u);
+  std::uint64_t joined = 0;
+  for (const auto& c : rep.chip_reports) joined += c.protocol.completed;
+  EXPECT_EQ(expect_grouped_by_request(elog.records()), joined);
+}
+
+// ------------------------------------------------ drain and crash paths --
+
+/// A fleet-driven KEM chip holding `n` requests with fleet-chosen ids,
+/// arrival cycles and data seeds, handled until some have finished while
+/// others have ops both queued and in flight. Fates land in `fates`.
+std::vector<Request> load_kem_chip(ServingRuntime& chip, Clock& clock,
+                                   std::map<std::uint64_t, unsigned>& fates) {
+  chip.set_outcome_sink([&fates](const Request& req, Outcome, std::uint64_t) {
+    fates[req.id] += 1;
+  });
+  chip.prime();
+  std::vector<Request> sent;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    Request r;
+    r.id = 1000 + 7 * i;
+    r.tenant = i % 4;
+    r.degree = kKemDegree;
+    r.arrival_cycle = 1500 * i;
+    r.data_seed = 0x5eed00 + i;
+    chip.inject(r, r.arrival_cycle);
+    sent.push_back(r);
+  }
+  while (chip.has_events() &&
+         (fates.empty() || chip.pending_count() == 0 ||
+          chip.in_flight_count() == 0)) {
+    chip.handle(clock.events.pop());
+  }
+  return sent;
+}
+
+TEST(ProtocolServing, CrashReturnsEachLiveRequestsOriginOnce) {
+  Clock clock;
+  ServingRuntime chip(proto_config(ProtocolKind::kKem, 21), clock);
+  std::map<std::uint64_t, unsigned> fates;
+  const std::vector<Request> sent = load_kem_chip(chip, clock, fates);
+  ASSERT_FALSE(fates.empty());
+  ASSERT_GT(chip.pending_count(), 0u);
+  ASSERT_GT(chip.in_flight_count(), 0u);
+  const std::vector<Request> lost = chip.crash_chip();
+  std::map<std::uint64_t, Request> returned;
+  for (const Request& r : lost) {
+    EXPECT_TRUE(returned.emplace(r.id, r).second) << "request " << r.id;
+  }
+  // Exactly the unfinished requests come back, each as it arrived.
+  EXPECT_EQ(returned.size() + fates.size(), sent.size());
+  for (const Request& s : sent) {
+    const auto it = returned.find(s.id);
+    if (fates.contains(s.id)) {
+      EXPECT_EQ(it, returned.end()) << "finished request " << s.id;
+      continue;
+    }
+    ASSERT_NE(it, returned.end()) << "live request " << s.id;
+    EXPECT_EQ(it->second.arrival_cycle, s.arrival_cycle);
+    EXPECT_EQ(it->second.data_seed, s.data_seed);
+    EXPECT_EQ(it->second.tenant, s.tenant);
+  }
+  EXPECT_EQ(chip.pending_count(), 0u);
+  EXPECT_EQ(chip.in_flight_count(), 0u);
+}
+
+TEST(ProtocolServing, DrainKeepsEveryDagOnItsChip) {
+  Clock clock;
+  ServingRuntime chip(proto_config(ProtocolKind::kKem, 21), clock);
+  std::map<std::uint64_t, unsigned> fates;
+  const std::vector<Request> sent = load_kem_chip(chip, clock, fates);
+  const std::size_t queued = chip.pending_count();
+  ASSERT_GT(queued, 0u);
+  EXPECT_TRUE(chip.extract_pending().empty());
+  EXPECT_EQ(chip.pending_count(), queued);
+  while (chip.has_events()) chip.handle(clock.events.pop());
+  const ServingReport r = chip.seal();
+  EXPECT_EQ(r.migrated, 0u);
+  EXPECT_EQ(r.protocol.completed, sent.size());
+  ASSERT_EQ(fates.size(), sent.size());
+  for (const auto& [id, n] : fates) EXPECT_EQ(n, 1u) << "request " << id;
 }
 
 // ---------------------------------------------------------- determinism --
@@ -356,9 +552,8 @@ TEST(ProtocolServing, FleetChipKillKeepsTerminalRecordsUnique) {
   // Fleet-level conservation still holds with DAG-shaped requests.
   EXPECT_EQ(rep.submitted, rep.completed + rep.rejected + rep.shed +
                                rep.timed_out + rep.failed + rep.queued);
-  // Per (chip, proto): at most one terminal record — a proto either
-  // joins once, fails once, or was migrated untouched (and re-admitted
-  // under a fresh identity elsewhere).
+  // Per (chip, request): at most one terminal record — a request either
+  // joins once or fails once on each chip that admitted it.
   std::map<std::pair<std::uint64_t, std::uint64_t>, unsigned> terminal;
   std::uint64_t joins = 0;
   for (const obs::Json& rec : elog.records()) {
@@ -369,11 +564,11 @@ TEST(ProtocolServing, FleetChipKillKeepsTerminalRecordsUnique) {
       joins += 1;
       EXPECT_TRUE(rec.at("ok").as_bool());
     }
-    terminal[{rec.at("chip").as_u64(), rec.at("proto").as_u64()}] += 1;
+    terminal[{rec.at("chip").as_u64(), rec.at("trace").as_u64()}] += 1;
   }
   EXPECT_GT(joins, 0u);
   for (const auto& [key, n] : terminal) {
-    EXPECT_EQ(n, 1u) << "chip " << key.first << " proto " << key.second;
+    EXPECT_EQ(n, 1u) << "chip " << key.first << " request " << key.second;
   }
   std::uint64_t mismatches = 0;
   for (const auto& c : rep.chip_reports) {

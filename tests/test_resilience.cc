@@ -315,6 +315,31 @@ TEST(ResilientServing, HedgesLaunchAndConserveWork) {
   expect_resilient_work_conserved(r);
 }
 
+TEST(DurationCycles, APositiveDurationTakesAtLeastOneCycle) {
+  const double cpu = ServingConfig::cycles_per_us();
+  EXPECT_EQ(duration_cycles(0.0, cpu), 0u);
+  EXPECT_EQ(duration_cycles(0.0005, cpu), 1u);  // 0.45 cycles
+  EXPECT_EQ(duration_cycles(0.002, cpu), 1u);   // 1.8 cycles
+  EXPECT_EQ(duration_cycles(100.0, cpu), 90909u);
+}
+
+TEST(ResilientServing, SubCycleHedgeDelayStillHedges) {
+  // 0.0005 us is under one 1.1 ns cycle. The delay takes one cycle, as
+  // 0.002 us does, instead of truncating to 0, which arms no hedge.
+  const auto hedges = [](double delay_us) {
+    ServingConfig cfg;
+    cfg.workload.mix = {{256, 1.0}};
+    cfg.workload.seed = 3;
+    cfg.arrival_rate_per_s = 2e6;
+    cfg.duration_us = 300.0;
+    cfg.resilience.hedge = true;
+    cfg.resilience.hedge_delay_us = delay_us;
+    return ServingRuntime(cfg).run().resilience.hedges;
+  };
+  EXPECT_GT(hedges(0.002), 0u);
+  EXPECT_EQ(hedges(0.0005), hedges(0.002));
+}
+
 // ------------------------------------------------- serving: shedding -------
 
 TEST(ResilientServing, CoDelShedsUnderSustainedOverload) {
@@ -331,6 +356,23 @@ TEST(ResilientServing, CoDelShedsUnderSustainedOverload) {
   EXPECT_GT(r.resilience.shed, 0u);
   EXPECT_GT(r.completed, 0u);
   expect_resilient_work_conserved(r);
+}
+
+TEST(ResilientServing, SubCycleCoDelTargetStillSheds) {
+  // A 0-cycle target means shedding off, so a target under one cycle
+  // takes one cycle and sheds like 0.002 us does.
+  const auto shed = [](double target_us) {
+    ServingConfig cfg;
+    cfg.workload.mix = {{4096, 1.0}};
+    cfg.workload.seed = 3;
+    cfg.arrival_rate_per_s = 8e6;
+    cfg.duration_us = 300.0;
+    cfg.queue_capacity = 32;
+    cfg.resilience.codel_target_us = target_us;
+    return ServingRuntime(cfg).run().resilience.shed;
+  };
+  EXPECT_GT(shed(0.002), 0u);
+  EXPECT_EQ(shed(0.0005), shed(0.002));
 }
 
 // ------------------------------------------------- serving: wear -----------

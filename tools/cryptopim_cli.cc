@@ -755,8 +755,8 @@ int cmd_serve(const Options& opt) {
   if (events_line_buffered && !events_path) {
     throw UsageError("--events-line-buffered requires --events PATH");
   }
-  cfg.window_cycles = static_cast<std::uint64_t>(
-      take_double(args, "--window-us", 0.0, 0.0, 1e9) * cfg.cycles_per_us());
+  cfg.window_cycles = cp::runtime::duration_cycles(
+      take_double(args, "--window-us", 0.0, 0.0, 1e9), cfg.cycles_per_us());
   if (const auto slo = take_value(args, "--slo")) {
     // AVAIL:LATENCY_US, e.g. 0.999:50 = "99.9% served, 99% of them
     // within 50 us". Both halves strict full-token parses.

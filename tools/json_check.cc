@@ -11,7 +11,9 @@
 // "chip"; request-scoped records (everything but the control set: carve,
 // bank_failure, and the fleet chip_crash / chip_brownout /
 // chip_corruption_storm / chip_drain / chip_rejoin / reshard) also need
-// "trace" and "tenant".
+// "trace" and "tenant". A record carrying "op" (an op of a protocol
+// request) must name its request: its trace needs an earlier
+// "admitted" record on the same chip whose "ops" exceeds the op.
 //
 // --journal: arguments are journal/1 write-ahead journals
 // (runtime/journal.h), read with runtime::Journal::load, the loader
@@ -96,6 +98,8 @@ bool check_events(const std::string& path, const std::string& text) {
   std::string line;
   std::size_t lineno = 0;
   std::uint64_t records = 0;
+  // (chip, trace) -> "ops" of the trace's latest admission on the chip.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> ops;
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
@@ -131,6 +135,13 @@ bool check_events(const std::string& path, const std::string& text) {
     if (ev == "join" && (!j.contains("ok") || !j.contains("ops"))) {
       return fail(path, "line " + std::to_string(lineno) +
                             ": join record lacks ok/ops");
+    }
+    if (!j.contains("trace")) continue;
+    std::uint64_t& n = ops[{j.at("chip").as_u64(), j.at("trace").as_u64()}];
+    if (ev == "admitted") n = j.contains("ops") ? j.at("ops").as_u64() : 0;
+    if (j.contains("op") && n <= j.at("op").as_u64()) {
+      return fail(path, "line " + std::to_string(lineno) + ": '" + ev +
+                            "' record's op names no admitted request");
     }
   }
   if (lineno == 0) return fail(path, "empty event log");
