@@ -22,6 +22,11 @@
 # draining. raw_bank_wear fails a bank while a low wear limit has set
 # lanes draining, so the failure tears down a draining lane and re-forms
 # it on a spare.
+# kem_deep and threshold_deep keep deep DAG queues: over a thousand KEM
+# ops and two hundred threshold ops wait at the peak, most of them on a
+# parent still in flight, and queued timeouts strike ops that wait.
+# kem_deep journals a snapshot every 200 events, so its snap CRCs cover
+# the queue depth with waiting ops counted in it.
 #
 # Every scheduling policy orders a queue here: fifo (the default), edf
 # (raw_edf), sjf (raw_sjf) and wfq (raw_wfq, and over DAG ops in
@@ -89,6 +94,12 @@ serve threshold --protocol threshold --shares 4 --chaos --retries 0 \
 serve kem_wear_teardown --protocol kem --chaos --retries 0 \
   --arrival-rate 600000 --duration 1000 --seed 3 --wear-limit 100 \
   --deadline 300 --breaker 1
+serve kem_deep --protocol kem --deadline 400 --chaos --retries 1 \
+  --arrival-rate 1200000 --duration 600 --seed 2 --queue-capacity 4096 \
+  --journal kem_deep --snapshot-every 200
+serve threshold_deep --protocol threshold --shares 8 --policy edf \
+  --deadline 250 --chaos --retries 1 --arrival-rate 2000000 --duration 400 \
+  --seed 4 --queue-capacity 4096
 
 # -- fleet ----------------------------------------------------------------------
 serve fleet_kill --fleet 4 --arrival-rate 300000 --duration 5000 --seed 1 \

@@ -335,6 +335,41 @@ TEST(ProtocolServing, DispatchedOpsMatchTheirTraceIdAndTheCompiledDag) {
   }
 }
 
+TEST(ProtocolServing, NoOpDispatchesBeforeItsParentsComplete) {
+  // Dependency order: every dispatched record of an op, retries
+  // included, follows a completed record of each of its parents.
+  for (const auto kind : {ProtocolKind::kKem, ProtocolKind::kBgvMul,
+                          ProtocolKind::kThreshold}) {
+    const ServingConfig cfg = chaos_proto_config(kind);
+    const ProtoDag dag = compile_protocol(cfg.protocol);
+    obs::EventLog elog;
+    elog.open_stream(::testing::TempDir() + "/proto_dependency_order.jsonl",
+                     /*line_buffered=*/false);
+    ServingRuntime rt(cfg);
+    rt.set_event_log(&elog);
+    rt.run();
+    std::map<std::uint64_t, std::uint64_t> done;  // request -> ops completed
+    std::uint64_t children = 0;
+    for (const obs::Json& rec : elog.records()) {
+      const std::string ev = rec.at("ev").as_string();
+      if (ev != "completed" && ev != "dispatched") continue;
+      const std::uint64_t trace = rec.at("trace").as_u64();
+      const std::uint64_t op = rec.at("op").as_u64();
+      ASSERT_LT(op, dag.ops.size());
+      std::uint64_t& mask = done[trace];
+      if (ev == "completed") {
+        mask |= std::uint64_t{1} << op;
+        continue;
+      }
+      const std::uint64_t parents = dag.ops[op].parent_mask;
+      EXPECT_EQ(mask & parents, parents)
+          << protocol_name(kind) << " request " << trace << " op " << op;
+      children += parents != 0;
+    }
+    EXPECT_GT(children, 0u) << protocol_name(kind);
+  }
+}
+
 /// Groups an event log by (chip, trace). Every record of a protocol
 /// request carries the request's id as its trace, so each group holds
 /// one request's records on one chip: they share its tenant, each op
