@@ -268,6 +268,7 @@ void ServingRuntime::prime() {
     geometry(dag_.lane_degree);
   }
   protos_.clear();
+  waiting_.clear();
   proto_harness_.reset();
 
   const double cyc_per_us = cfg_.cycles_per_us();
@@ -382,9 +383,10 @@ void ServingRuntime::handle(const Event& e) {
 ServingReport ServingRuntime::seal() {
   // Anything still queued is starved: the chip degraded below its class's
   // bank requirement mid-stream. Surface it rather than hanging.
-  report_.queued = pending_.size();
+  report_.queued = pending_count();
   report_.in_flight = in_flight_.size();
   pending_.clear();
+  waiting_.clear();
 
   if (report_.drain_cycle > 0) {
     const double drain_s = static_cast<double>(report_.drain_cycle) *
@@ -460,7 +462,7 @@ obs::Json ServingRuntime::snapshot_state() const {
   s.set("cycle", now_);
   s.set("event_index", handled_events_);
   s.set("next_dispatch_id", next_dispatch_id_);
-  s.set("pending", std::uint64_t{pending_.size()});
+  s.set("pending", std::uint64_t{pending_count()});
   s.set("in_flight", std::uint64_t{in_flight_.size()});
   s.set("protos", std::uint64_t{protos_.size()});
 
@@ -553,8 +555,9 @@ std::vector<Request> ServingRuntime::crash_chip() {
   for (Request& r : pending_) {
     if (raw && seen.insert(r.id).second) out.push_back(std::move(r));
   }
-  report_.migrated += pending_.size();
+  report_.migrated += pending_count();
   pending_.clear();
+  waiting_.clear();
   // Protocol requests collapse to their origin: the crash loses every op
   // (even ones in retry backoff — their re-enqueue finds no proto state)
   // and the fleet re-dispatches the whole DAG exactly once.
@@ -610,9 +613,9 @@ void ServingRuntime::handle_arrival(const Event& e) {
   report_.submitted += n_ops;
   ts.submitted += n_ops;
   if (dag) report_.protocol.requests += 1;
-  report_.queue_depth.add(pending_.size());
+  report_.queue_depth.add(pending_count());
   report_.series.count(SeriesCounter::kSubmitted, now_, n_ops);
-  report_.series.observe(SeriesHistogram::kQueueDepth, now_, pending_.size());
+  report_.series.observe(SeriesHistogram::kQueueDepth, now_, pending_count());
 
   // Chain the next open-loop arrival before any admission decision so
   // backpressure never throttles the *offered* load. (Fleet drive has no
@@ -642,7 +645,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     reject("unservable", report_.rejected_unservable, ts.rejected);
     return;
   }
-  if (pending_.size() + n_ops > cfg_.queue_capacity) {
+  if (pending_count() + n_ops > cfg_.queue_capacity) {
     reject("queue_full", report_.rejected, ts.rejected);
     return;
   }
@@ -677,6 +680,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     // rejected.
     std::uint64_t backlog = 0;
     for (const Request& p : pending_) backlog += p.degree == degree;
+    for (const auto& [id, w] : waiting_) backlog += w.degree == degree;
     unsigned lanes_alive = 0;
     for (const Lane& lane : lanes_) {
       lanes_alive += !lane.dead && !lane.draining && lane.degree == degree;
@@ -716,21 +720,17 @@ void ServingRuntime::handle_arrival(const Event& e) {
       stamp(r, node(r).host() ? kHostOpCycles : geometry(r.degree).service());
     }
     if (hard_deadline) push_event(EventKind::kTimeout, r.deadline_cycle, r.id);
-    pending_.push_back(std::move(r));
+    // Only a root op can run now; the rest wait for their last parent.
+    if (node(r).parent_mask == 0) {
+      pending_.push_back(std::move(r));
+    } else {
+      waiting_.emplace(r.id, r);
+    }
   }
   try_dispatch();
 }
 
 // -- DAG steps ----------------------------------------------------------------
-
-bool ServingRuntime::proto_ready(const Request& r) const {
-  // A root op, like a one-op DAG, has no parents to wait for.
-  const std::uint64_t parents = node(r).parent_mask;
-  if (parents == 0) return true;
-  const auto it = protos_.find(request_of(r.id));
-  if (it == protos_.end()) return false;  // request failed: op is an orphan
-  return (it->second.done_mask & parents) == parents;
-}
 
 void ServingRuntime::try_dispatch() {
   std::set<std::uint32_t> blocked;
@@ -746,10 +746,10 @@ void ServingRuntime::try_dispatch() {
           !runs_before(policy_, p, pending_[idx], tenant_usage_)) {
         continue;
       }
-      // Dependency frontier: a DAG op waits for its parents. Host ops
-      // never touch lanes, so a blocked degree class does not gate them.
+      // Every queued op's parents are done (the rest wait in waiting_).
+      // Host ops never touch lanes, so a blocked class does not gate them.
       if ((node(p).host() || !blocked.contains(p.degree)) &&
-          !skipped.contains(p.id) && proto_ready(p)) {
+          !skipped.contains(p.id)) {
         idx = i;
       }
     }
@@ -881,6 +881,7 @@ void ServingRuntime::reclaim_idle_lanes(unsigned needed,
                                         std::uint32_t for_degree) {
   std::set<std::uint32_t> pending_degrees;
   for (const Request& r : pending_) pending_degrees.insert(r.degree);
+  for (const auto& [id, w] : waiting_) pending_degrees.insert(w.degree);
   for (Lane& lane : lanes_) {
     const unsigned usable = usable_banks();
     const unsigned free_banks =
@@ -1011,14 +1012,27 @@ void ServingRuntime::on_op_complete(const Request& r,
   const auto it = protos_.find(request_of(r.id));
   if (it == protos_.end()) return;  // request already failed: straggler op
   ProtoState& st = it->second;
-  const std::uint64_t bit = std::uint64_t{1} << op_index_of(r.id);
+  const std::uint64_t op = op_index_of(r.id);
+  const std::uint64_t bit = std::uint64_t{1} << op;
   if (st.done_mask & bit) return;  // hedge twin already delivered this op
   st.done_mask |= bit;
   report_.protocol.ops_completed += 1;
   report_.protocol.op_cycles[static_cast<unsigned>(node(r).cls)].add(
       now_ - dispatched_at);
   if (std::popcount(st.done_mask) < std::ssize(dag_.ops)) {
-    return;  // the caller's try_dispatch releases the unblocked children
+    // Release each child whose last parent this was (children follow
+    // their parents in the DAG's order); the caller's try_dispatch runs
+    // them. Order in pending_ is moot: runs_before is a total order.
+    for (std::size_t c = op + 1; c < dag_.ops.size(); ++c) {
+      const std::uint64_t parents = dag_.ops[c].parent_mask;
+      if ((parents & bit) == 0 || (st.done_mask & parents) != parents) {
+        continue;
+      }
+      auto child = waiting_.extract(op_id(it->first, c));
+      assert(!child.empty());
+      pending_.push_back(std::move(child.mapped()));
+    }
+    return;
   }
 
   // Final op: the DAG joins and the protocol request completes exactly
@@ -1060,6 +1074,10 @@ void ServingRuntime::fail_protocol(std::uint64_t request, Outcome o) {
     return request_of(op.id) == request;
   };
   std::uint64_t cancelled = std::erase_if(pending_, sibling);
+  const auto first = waiting_.lower_bound(op_id(request, 0));
+  const auto last = waiting_.lower_bound(op_id(request + 1, 0));
+  cancelled += static_cast<std::uint64_t>(std::distance(first, last));
+  waiting_.erase(first, last);
   for (auto f = in_flight_.begin(); f != in_flight_.end();) {
     if (sibling(f->second.request)) {
       f = drop_in_flight(f);
@@ -1355,10 +1373,18 @@ void ServingRuntime::handle_timeout(const Event& e) {
   // sat in the admission queue (one op past it times its whole DAG out).
   // A dispatched request is past saving by cancellation (the lane slot is
   // spent either way) so it is left to complete and count a deadline miss.
-  const auto it = std::ranges::find(pending_, e.dispatch_id, &Request::id);
-  if (it == pending_.end()) return;
-  const Request r = std::move(*it);
-  pending_.erase(it);
+  // An op waiting for a parent is queued too.
+  Request r;
+  if (auto w = waiting_.extract(e.dispatch_id)) {
+    r = w.mapped();
+  } else if (const auto it = std::ranges::find(pending_, e.dispatch_id,
+                                               &Request::id);
+             it != pending_.end()) {
+    r = *it;
+    pending_.erase(it);
+  } else {
+    return;
+  }
   fail(r, Outcome::kTimedOut, report_.resilience.timed_out);
 }
 
@@ -1411,13 +1437,9 @@ void ServingRuntime::handle_health(const Event&) {
   // (their class's footprint exceeds the surviving banks) can never
   // dispatch, and ticking for them would spin forever — run() surfaces
   // them as `queued` instead.
-  bool pending_servable = false;
-  for (const Request& r : pending_) {
-    if (geometry(r.degree).banks <= usable_banks()) {
-      pending_servable = true;
-      break;
-    }
-  }
+  const bool pending_servable = any_queued([this](const Request& r) {
+    return geometry(r.degree).banks <= usable_banks();
+  });
   if (now_ < horizon_ || !in_flight_.empty() || pending_servable) {
     arm_health_tick(kHealthPeriodCycles);
   }

@@ -14,9 +14,9 @@
 // A raw polymul is a DAG of one op (the request itself); a protocol
 // request (runtime/protocol.h) compiles to several lane and host ops.
 // Admission, launch, completion and settlement each exist once; the
-// DAG-only steps (op expansion, the parent-mask frontier, fan-out lane
-// exclusion, the join and the sibling sweep on failure) are skipped for
-// a one-op DAG. Settlement is the single place that chooses between
+// DAG-only steps (op expansion, the release of an op when its last
+// parent completes, fan-out lane exclusion, the join and the sibling
+// sweep on failure) are skipped for a one-op DAG. Settlement is the single place that chooses between
 // reporting a request's fate and tearing its whole DAG down.
 //
 // Time is a discrete-event clock in crossbar cycles, consistent with
@@ -58,10 +58,12 @@
 // whole stack deterministically.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <set>
 #include <string>
 #include <vector>
@@ -346,7 +348,11 @@ class ServingRuntime {
 
   /// Live (mid-run) state, for fleet routing and health decisions.
   const ServingReport& live() const noexcept { return report_; }
-  std::size_t pending_count() const noexcept { return pending_.size(); }
+  /// Queued ops: the dispatch queue plus the DAG ops waiting for a
+  /// parent. Admission capacity, queue depth and migration count both.
+  std::size_t pending_count() const noexcept {
+    return pending_.size() + waiting_.size();
+  }
   std::size_t in_flight_count() const noexcept { return in_flight_.size(); }
 
   // -- durability (runtime/journal.h; inert unless enabled) -------------------
@@ -467,14 +473,18 @@ class ServingRuntime {
   obs::EventRecord op_event(const char* name, const Request& r) const {
     return ev_base(name, now_, cfg_.chip_id, &r, protocol_chip());
   }
-  /// Frontier check: all of the op's parents completed.
-  bool proto_ready(const Request& r) const;
-  /// Mark one op done; on the last op, run the functional join and emit
-  /// the protocol request's single good outcome.
+  /// Whether some queued op, waiting or not, satisfies `pred`.
+  bool any_queued(const auto& pred) const {
+    return std::ranges::any_of(pending_, pred) ||
+           std::ranges::any_of(waiting_ | std::views::values, pred);
+  }
+  /// Mark one op done and move each child whose last parent it was from
+  /// waiting_ into pending_; on the last op, run the functional join and
+  /// emit the protocol request's single good outcome.
   void on_op_complete(const Request& r, std::uint64_t dispatched_at);
-  /// Exactly-once teardown of `request`: cancel its queued and in-flight
-  /// ops and emit its origin's single bad outcome. Idempotent (keyed on
-  /// protos_ erase), so straggler op failures are no-ops.
+  /// Exactly-once teardown of `request`: cancel its queued, waiting and
+  /// in-flight ops and emit its origin's single bad outcome. Idempotent
+  /// (keyed on protos_ erase), so straggler op failures are no-ops.
   void fail_protocol(std::uint64_t request, Outcome o);
 
   ServingConfig cfg_;
@@ -491,7 +501,10 @@ class ServingRuntime {
   std::uint64_t handled_events_ = 0;
   std::uint64_t now_ = 0;
   std::uint64_t horizon_ = 0;
-  std::vector<Request> pending_;  ///< admitted, waiting for a lane
+  /// The dispatch queue: admitted ops whose parents are all done (a raw
+  /// request, a DAG's root op, a released, retried or requeued op),
+  /// waiting for a lane or, for a host op, for the next scan.
+  std::vector<Request> pending_;
   std::map<std::uint32_t, model::LaneTiming> geometry_;  ///< by degree class
   std::vector<Lane> lanes_;
   InFlightMap in_flight_;
@@ -500,6 +513,10 @@ class ServingRuntime {
   // -- protocol state (empty when cfg_.protocol is disabled) -------------------
   ProtoDag dag_;
   std::map<std::uint64_t, ProtoState> protos_;  ///< by request id
+  /// Admitted ops with a parent not yet done, by op id: on_op_complete
+  /// moves each into pending_ at its last parent's completion, so the
+  /// dispatch scan never meets an op that cannot run.
+  std::map<std::uint64_t, Request> waiting_;
   std::unique_ptr<ProtocolHarness> proto_harness_;
 
   // -- resilience state (each part inert while its knob is off) ---------------
