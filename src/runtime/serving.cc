@@ -1068,23 +1068,21 @@ void ServingRuntime::fail_protocol(std::uint64_t request, Outcome o) {
   if (it == protos_.end()) return;  // already terminal: exactly-once guard
   const ProtoState st = std::move(it->second);
   protos_.erase(it);
-  // Cancel every sibling op still queued or in flight; the op that died
-  // already recorded its own bad-outcome counters.
+  // Every op neither done nor the one that died (which recorded its own
+  // bad outcome) is cancelled once, wherever it is: queued, waiting, in
+  // flight (a hedged op's two dispatches are one op) or backing off
+  // before a retry, whose re-enqueue then finds no request.
+  const std::uint64_t cancelled =
+      dag_.ops.size() - static_cast<std::size_t>(std::popcount(st.done_mask)) -
+      1;
   const auto sibling = [request](const Request& op) {
     return request_of(op.id) == request;
   };
-  std::uint64_t cancelled = std::erase_if(pending_, sibling);
-  const auto first = waiting_.lower_bound(op_id(request, 0));
-  const auto last = waiting_.lower_bound(op_id(request + 1, 0));
-  cancelled += static_cast<std::uint64_t>(std::distance(first, last));
-  waiting_.erase(first, last);
+  std::erase_if(pending_, sibling);
+  waiting_.erase(waiting_.lower_bound(op_id(request, 0)),
+                 waiting_.lower_bound(op_id(request + 1, 0)));
   for (auto f = in_flight_.begin(); f != in_flight_.end();) {
-    if (sibling(f->second.request)) {
-      f = drop_in_flight(f);
-      cancelled += 1;
-    } else {
-      ++f;
-    }
+    f = sibling(f->second.request) ? drop_in_flight(f) : std::next(f);
   }
   report_.protocol.ops_cancelled += cancelled;
   report_.protocol.failed += 1;

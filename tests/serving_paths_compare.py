@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
-"""Byte evidence for keying protocol records by their request.
+"""Byte evidence for counting a torn-down protocol request's ops once.
 
 Runs tests/serving_paths.sh with an old and a new `cryptopim` CLI (each
 with its own json_check) and compares every output pair:
 
   * identical files are counted;
-  * a differing event log must equal the old log once each op record
-    (every record of a protocol run with a trace, apart from the
-    request-level admitted/rejected/join/proto_failed and the fleet's
-    migrate/fleet_retry) has trace t -> t >> 6, gains "op" = t & 63
-    right after "trace" and loses "proto" -- and join/proto_failed lose
-    "proto";
-  * a differing journal must differ only in its admit lines, each the
-    old payload without pid/oi/ocl/fg/pm (all 0) under a valid frame
-    CRC.
+  * a differing report may differ only in `ops_cancelled` values;
+  * a differing event log may differ only in the `ops_cancelled` of its
+    `proto_failed` records.
 
-Anything else that differs fails the comparison (exit 1).
+Journals must be byte-identical. Anything else that differs fails the
+comparison (exit 1).
 
 usage: serving_paths_compare.py OLD_CLI OLD_JSON_CHECK NEW_CLI NEW_JSON_CHECK
                                 WORKDIR
@@ -24,12 +19,9 @@ import json
 import os
 import subprocess
 import sys
-import zlib
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-REQUEST_EVENTS = {"admitted", "rejected", "join", "proto_failed", "migrate",
-                  "fleet_retry"}
-DAG_MEMBERS = ("pid", "oi", "ocl", "fg", "pm")
+MOVABLE = "ops_cancelled"
 
 
 def run_pin(cli, check, workdir):
@@ -49,63 +41,54 @@ def records(path):
         return [json.loads(line, object_pairs_hook=list) for line in f]
 
 
-def rekeyed(rec):
-    """The old record as this change writes it."""
-    fields = dict(rec)
-    ev = fields.get("ev")
-    out = []
-    for key, value in rec:
-        if key == "proto" or (key == "op" and ev not in REQUEST_EVENTS):
-            continue
-        if key == "trace" and ev not in REQUEST_EVENTS:
-            out += [("trace", value >> 6), ("op", value & 63)]
-        else:
-            out.append((key, value))
-    return out
+def without_cancelled(rec):
+    return [kv for kv in rec if kv[0] != MOVABLE]
 
 
 def compare_log(old, new):
-    """Number of op records moved, or None when the logs differ otherwise."""
+    """(records moved, net change of their ops_cancelled), or None when
+    the logs differ otherwise."""
     a, b = records(old), records(new)
-    if len(a) != len(b) or a[0] != b[0]:
-        return None
-    moved = 0
-    for x, y in zip(a[1:], b[1:]):
-        want = rekeyed(x) if dict(x).get("trace") is not None else x
-        if want != y:
-            return None
-        moved += dict(y).get("op") is not None
-    return moved
-
-
-def unframe(line):
-    crc, payload = line.rstrip("\n").split(" ", 1)
-    assert int(crc, 16) == zlib.crc32(payload.encode()), line
-    return payload
-
-
-def compare_journal(old, new):
-    """Number of admit lines moved, or None when the journals differ
-    otherwise."""
-    with open(old) as f:
-        a = f.readlines()
-    with open(new) as f:
-        b = f.readlines()
     if len(a) != len(b):
         return None
-    moved = 0
+    moved, delta = 0, 0
     for x, y in zip(a, b):
         if x == y:
             continue
-        px = json.loads(unframe(x), object_pairs_hook=list)
-        py = json.loads(unframe(y), object_pairs_hook=list)
-        if dict(px).get("t") != "admit" or any(
-                dict(px).get(k) != 0 for k in DAG_MEMBERS):
-            return None
-        if [kv for kv in px if kv[0] not in DAG_MEMBERS] != py:
+        if dict(x).get("ev") != "proto_failed" or \
+                without_cancelled(x) != without_cancelled(y):
             return None
         moved += 1
-    return moved
+        delta += dict(y)[MOVABLE] - dict(x)[MOVABLE]
+    return moved, delta
+
+
+def diff_paths(a, b, path=""):
+    """Paths of the leaves where two JSON documents differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [p for k in a for p in diff_paths(a[k], b[k], path + "/" + k)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in diff_paths(x, y, "%s/%d" % (path, i))]
+    return [] if a == b else [path]
+
+
+def compare_report(old, new):
+    """(values moved, net change), or None when the reports differ
+    otherwise."""
+    with open(old) as f, open(new) as g:
+        a, b = json.load(f), json.load(g)
+    paths = diff_paths(a, b)
+    if not all(p.endswith("/" + MOVABLE) for p in paths):
+        return None
+    delta = 0
+    for p in paths:
+        x, y = a, b
+        for k in p.split("/")[1:]:
+            x, y = (x[int(k)], y[int(k)]) if isinstance(x, list) else \
+                (x[k], y[k])
+        delta += y - x
+    return len(paths), delta
 
 
 def main(argv):
@@ -125,16 +108,17 @@ def main(argv):
                 same += 1
                 continue
         if name.endswith(".events.jsonl"):
-            moved, what = compare_log(old, new), "op records rekeyed"
-        elif name.endswith(".log"):
-            moved, what = compare_journal(old, new), "admit lines"
+            moved, what = compare_log(old, new), "proto_failed records"
+        elif name.endswith(".json"):
+            moved, what = compare_report(old, new), "ops_cancelled values"
         else:
             moved, what = None, ""
         if moved is None:
             ok = False
             print("DIFFERS OTHERWISE: %s" % name)
         else:
-            print("moved: %s (%d %s)" % (name, moved, what))
+            print("moved: %s (%d %s, net %+d)" % (name, moved[0], what,
+                                                   moved[1]))
     print("%d of %d outputs byte-identical" % (same, len(old_files)))
     return 0 if ok else 1
 

@@ -211,29 +211,44 @@ TEST(ProtocolServing, MidDagBankFailureKeepsProtosWhole) {
 TEST(ProtocolServing, ChaosCancelsDeadProtosExactlyOnce) {
   // Chaos corrupting windows + zero retries force op deaths; the victim
   // proto must be cancelled whole (siblings swept) and counted once.
-  ServingConfig cfg = proto_config(ProtocolKind::kThreshold, 23, 4000.0);
-  cfg.protocol.shares = 4;
-  cfg.workload.verify_every = 8;
-  cfg.resilience = ResilienceConfig::chaos_preset(23);
-  cfg.resilience.max_retries = 0;
-  ServingRuntime rt(cfg);
-  std::map<std::uint64_t, unsigned> fates;
-  rt.set_outcome_sink([&fates](const Request& req, Outcome, std::uint64_t) {
-    fates[req.id] += 1;
-  });
-  const auto r = rt.run();
-  expect_proto_conserved(r);
-  EXPECT_EQ(r.resilience.wrong_accepted, 0u);
-  for (const auto& [id, n] : fates) EXPECT_EQ(n, 1u);
-  // Op-level conservation: every admitted op completed, was swept as a
-  // cancelled sibling, or was the one dying op that took its proto down
-  // (exactly one per failed proto).
-  EXPECT_GT(r.protocol.failed, 0u) << "chaos cell produced no failures";
-  EXPECT_GT(r.protocol.ops_cancelled, 0u);
-  EXPECT_EQ(r.protocol.ops_completed + r.protocol.ops_cancelled +
-                r.protocol.failed,
-            (r.protocol.requests - r.protocol.rejected) *
-                r.protocol.ops_per_request);
+  ServingConfig threshold = proto_config(ProtocolKind::kThreshold, 23, 4000.0);
+  threshold.protocol.shares = 4;
+  threshold.workload.verify_every = 8;
+  threshold.resilience = ResilienceConfig::chaos_preset(23);
+  threshold.resilience.max_retries = 0;
+  // The serving pin's kem_wear_teardown: deadlines and worn lanes kill
+  // ops while hedged siblings run, and a hedged op is one op to cancel
+  // however many dispatches it has in flight.
+  ServingConfig kem = proto_config(ProtocolKind::kKem, 3, 1000.0);
+  kem.arrival_rate_per_s = 600000.0;
+  kem.workload.verify_every = 64;
+  kem.resilience = ResilienceConfig::chaos_preset(3);
+  kem.resilience.max_retries = 0;
+  kem.resilience.wear_limit = 100;
+  kem.resilience.deadline_us = 300.0;
+  kem.resilience.breaker_k = 1;
+  for (const ServingConfig& cfg : {threshold, kem}) {
+    const std::string kind = protocol_name(cfg.protocol.kind);
+    ServingRuntime rt(cfg);
+    std::map<std::uint64_t, unsigned> fates;
+    rt.set_outcome_sink([&fates](const Request& req, Outcome, std::uint64_t) {
+      fates[req.id] += 1;
+    });
+    const auto r = rt.run();
+    expect_proto_conserved(r);
+    EXPECT_EQ(r.resilience.wrong_accepted, 0u) << kind;
+    for (const auto& [id, n] : fates) EXPECT_EQ(n, 1u) << kind;
+    // Op-level conservation: every admitted op completed, was swept as a
+    // cancelled sibling, or was the one dying op that took its proto down
+    // (exactly one per failed proto).
+    EXPECT_GT(r.protocol.failed, 0u) << kind << " produced no failures";
+    EXPECT_GT(r.protocol.ops_cancelled, 0u) << kind;
+    EXPECT_EQ(r.protocol.ops_completed + r.protocol.ops_cancelled +
+                  r.protocol.failed,
+              (r.protocol.requests - r.protocol.rejected) *
+                  r.protocol.ops_per_request)
+        << kind;
+  }
 }
 
 // ------------------------------------------------------ lane placement --
