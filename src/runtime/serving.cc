@@ -879,9 +879,6 @@ ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
 
 void ServingRuntime::reclaim_idle_lanes(unsigned needed,
                                         std::uint32_t for_degree) {
-  std::set<std::uint32_t> pending_degrees;
-  for (const Request& r : pending_) pending_degrees.insert(r.degree);
-  for (const auto& [id, w] : waiting_) pending_degrees.insert(w.degree);
   for (Lane& lane : lanes_) {
     const unsigned usable = usable_banks();
     const unsigned free_banks =
@@ -889,7 +886,12 @@ void ServingRuntime::reclaim_idle_lanes(unsigned needed,
     if (free_banks >= needed) return;
     if (lane.dead || lane.in_flight > 0 || lane.free_at > now_) continue;
     if (lane.degree == for_degree) continue;
-    if (pending_degrees.contains(lane.degree)) continue;
+    // Asked only here, for an idle lane of another class: nothing in
+    // this loop changes the queue.
+    const auto in_class = [&lane](const Request& r) {
+      return r.degree == lane.degree;
+    };
+    if (any_queued(in_class)) continue;
     lane.dead = true;
     allocated_banks_ -= lane.banks;
   }

@@ -390,8 +390,9 @@ class ServingRuntime {
   /// own, free right now, with no carve and no wake-up scan.
   Lane* acquire_lane(const Request& r, const InFlight* straggler = nullptr);
   Lane* carve_lane(std::uint32_t degree);
-  /// Returns banks of idle lanes (no in-flight work, nothing pending in
-  /// their class) to the free pool until `needed` banks are available.
+  /// Returns banks of idle lanes (no in-flight work, nothing queued in
+  /// their class, waiting ops included) to the free pool until `needed`
+  /// banks are available.
   void reclaim_idle_lanes(unsigned needed, std::uint32_t for_degree);
   /// Start one op: on `lane`, or laneless (a host op) when it is null.
   /// A nonzero `hedge_of` makes it the duplicate of that dispatch.
