@@ -21,10 +21,10 @@
 namespace cryptopim::runtime {
 
 struct Request {
+  // Fields ordered widest first, so the struct packs into one 64-byte
+  // cache line: the dispatch scan walks a vector of them and the event
+  // queue copies one per push and pop.
   std::uint64_t id = 0;
-  std::uint32_t tenant = 0;
-  std::uint32_t degree = 0;
-  std::uint32_t client = 0;          ///< closed-loop client that issued it
   std::uint64_t arrival_cycle = 0;
   /// Absolute cycle the tenant wants the result by; 0 = no deadline.
   std::uint64_t deadline_cycle = 0;
@@ -32,13 +32,17 @@ struct Request {
   /// filled in at admission from the performance model. This is what
   /// shortest-job-first orders on.
   std::uint64_t service_cycles = 0;
-  /// Carry data: on completion the result is Freivalds-verified.
-  bool verify = false;
-  std::uint64_t data_seed = 0;
+  std::uint64_t data_seed = 0;  ///< operand seed of a verified request
+  std::uint32_t tenant = 0;
+  std::uint32_t degree = 0;
+  std::uint32_t client = 0;  ///< closed-loop client that issued it
   /// Retry attempts consumed so far (resilience layer); latency is still
   /// measured from the original arrival_cycle.
   unsigned attempts = 0;
+  /// Carry data: on completion the result is Freivalds-verified.
+  bool verify = false;
 };
+static_assert(sizeof(Request) == 64, "Request is one cache line");
 
 /// An op's id: its request's id above 6 bits of op index (a DAG has at
 /// most 64 ops, the width of its done mask), so ops order by (request,
