@@ -16,8 +16,9 @@
 // Admission, launch, completion and settlement each exist once; the
 // DAG-only steps (op expansion, the release of an op when its last
 // parent completes, fan-out lane exclusion, the join and the sibling
-// sweep on failure) are skipped for a one-op DAG. Settlement is the single place that chooses between
-// reporting a request's fate and tearing its whole DAG down.
+// sweep on failure) are skipped for a one-op DAG. Settlement is the
+// single place that chooses between reporting a request's fate and
+// tearing its whole DAG down.
 //
 // Time is a discrete-event clock in crossbar cycles, consistent with
 // model::Performance: a lane configured for degree n accepts one request
@@ -417,9 +418,10 @@ class ServingRuntime {
   /// sink is unset, i.e. in the classic single-chip path).
   void emit_outcome(const Request& r, Outcome o);
   /// Settlement, the one place that turns an op's fate into a request's:
-  /// a one-op DAG reports `o` for itself; an op of a larger DAG advances
-  /// the frontier when it completed (the last op joins and reports the
-  /// DAG) and tears the whole DAG down exactly once otherwise.
+  /// a one-op DAG reports `o` for itself; an op of a larger DAG that
+  /// completed is marked done (releasing the ops it was the last parent
+  /// of; the last op joins and reports the DAG), and one that did not
+  /// tears the whole DAG down exactly once.
   void settle(const Request& r, Outcome o, std::uint64_t dispatched_at = 0);
   /// A bad terminal fate (shed / timed out / failed): bump `counter` and
   /// the windowed counter, log it, then settle.
@@ -459,7 +461,7 @@ class ServingRuntime {
 
   // -- DAGs of more than one op (empty when cfg_.protocol is disabled) --------
   /// Live state of one admitted protocol request: its origin (what the
-  /// fleet re-dispatches whole) and the dependency frontier's done mask.
+  /// fleet re-dispatches whole) and its done mask, one bit per op.
   struct ProtoState {
     Request origin;
     std::uint64_t done_mask = 0;
