@@ -1074,9 +1074,8 @@ void ServingRuntime::fail_protocol(std::uint64_t request, Outcome o) {
   // bad outcome) is cancelled once, wherever it is: queued, waiting, in
   // flight (a hedged op's two dispatches are one op) or backing off
   // before a retry, whose re-enqueue then finds no request.
-  const std::uint64_t cancelled =
-      dag_.ops.size() - static_cast<std::size_t>(std::popcount(st.done_mask)) -
-      1;
+  const auto cancelled = static_cast<std::uint64_t>(
+      std::ssize(dag_.ops) - std::popcount(st.done_mask) - 1);
   const auto sibling = [request](const Request& op) {
     return request_of(op.id) == request;
   };
